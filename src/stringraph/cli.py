@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,12 +37,10 @@ from .oracles import (max_balanced_biclique_exact, max_clique_exact,
                       min_balanced_separator_exact, pairwise_crossing_exact)
 from .quasiplanar import (Drawing, crossing_graph, dense_threshold, edge_bound,
                           is_r_quasiplanar, sparse_subgraph, truncate_edges)
-from .separator import (find_balanced_separator, fit_loglog_slope,
+from .separator import (STRATEGIES, find_balanced_separator, fit_loglog_slope,
                         separator_size_survey, validate_partition)
 
-_STRATEGIES = ("auto", "exact", "bfs_layer", "degree_peel")
-_PARAM_FIELDS = ("c1", "c2", "c", "c_prime", "c_dblprime", "epsilon", "delta",
-                 "separator_strategy")
+_PARAM_FIELDS = tuple(f.name for f in fields(AlgorithmParams))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tuning = argparse.ArgumentParser(add_help=False)
     tuning.add_argument("--params", help="JSON file of tuning constants")
-    tuning.add_argument("--strategy", choices=_STRATEGIES,
+    tuning.add_argument("--strategy", choices=STRATEGIES,
                         help="separator strategy override")
 
     p = sub.add_parser("gen", parents=[out], help="generate a family or drawing")
@@ -431,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separator", parents=[report],
                        help="balanced separator with validation")
     p.add_argument("graph")
-    p.add_argument("--strategy", choices=_STRATEGIES, default="auto")
+    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
     p.set_defaults(func=cmd_separator)
 
     p = sub.add_parser("extract", parents=[report, tuning],
@@ -499,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated family sizes, e.g. 50,100,200")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strategy", choices=_STRATEGIES, default="auto")
+    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
     p.set_defaults(func=cmd_survey)
 
     return parser

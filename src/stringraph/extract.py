@@ -15,9 +15,9 @@ from typing import Iterable, Optional, Union
 from .errors import (ExtractorViolation, InternalBoundViolation, NoCoverFound,
                      PreconditionViolated, RefinementFailed)
 from .graph import (Coloring, Graph, average_degree, bits, clique_in_mask,
-                    components_masked, edges_in_mask, find_clique, greedy_color,
-                    induced_subgraph, mask_of, validate_coloring)
-from .separator import find_balanced_separator
+                    components_masked, edges_in_mask, greedy_color, mask_of,
+                    validate_coloring, vertex_mask)
+from .separator import STRATEGIES, find_balanced_separator
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,8 @@ class AlgorithmParams:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.delta is not None and self.delta <= 0:
             raise ValueError("delta must be strictly positive when given")
+        if self.separator_strategy not in STRATEGIES:
+            raise ValueError(f"unknown separator strategy {self.separator_strategy!r}")
 
     def C_refine(self, epsilon: float) -> float:
         return max((12 * self.c1) ** 2, 4 * self.c1 ** 2 / epsilon ** 2)
@@ -129,7 +131,10 @@ def _check_kp_free(G: Graph, vertices: Iterable[int], p: int) -> None:
 
 
 def validate_multipartite_cover(G: Graph, cover: MultipartiteCover,
-                                c_dblprime: float) -> None:
+                                c_dblprime: float, mask: Optional[int] = None) -> None:
+    """Check a cover of G[mask] (all of G when mask is None); parts must lie in
+    mask, and the part-size threshold counts the vertices of mask."""
+    mask = vertex_mask(G, mask)
     if cover.t < 2:
         raise ExtractorViolation("cover needs at least two parts")
     if cover.t & (cover.t - 1):
@@ -140,13 +145,15 @@ def validate_multipartite_cover(G: Graph, cover: MultipartiteCover,
         if m & seen:
             raise ExtractorViolation("parts are not disjoint")
         seen |= m
+    if seen & ~mask:
+        raise ExtractorViolation("parts reach outside the vertex set")
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             for v in bits(masks[i]):
                 if (G.adj[v] & masks[j]) != masks[j]:
                     raise ExtractorViolation(
                         f"vertex {v} of part {i} is not complete to part {j}")
-    threshold = c_dblprime * cover.alpha * G.n / cover.t ** 2
+    threshold = c_dblprime * cover.alpha * mask.bit_count() / cover.t ** 2
     smallest = min(len(part) for part in cover.parts)
     if smallest < threshold:
         raise ExtractorViolation(
@@ -214,24 +221,15 @@ def _check_dense_core(G: Graph, vertices: Iterable[int], cert: dict) -> None:
 # ---------------------------------------------------------------------------
 # Shared plumbing.
 
-def _subgraph(G: Graph, mask: int) -> tuple[Graph, list[int]]:
-    vs = list(bits(mask))
-    return induced_subgraph(G, vs), vs
-
-
 def _split_by_separator(G: Graph, mask: int, params: AlgorithmParams
                         ) -> tuple[int, int, int]:
-    """Separator of G[mask]; returns (S, V1, V2) as masks in original indices."""
-    H, vs = _subgraph(G, mask)
-    part = find_balanced_separator(H, params.separator_strategy)
-    s_mask = mask_of(vs[i] for i in part.S)
-    v1 = mask_of(vs[i] for i in part.V1)
-    v2 = mask_of(vs[i] for i in part.V2)
-    return s_mask, v1, v2
+    """Separator of G[mask]; returns (S, V1, V2) as masks."""
+    part = find_balanced_separator(G, params.separator_strategy, mask)
+    return mask_of(part.S), mask_of(part.V1), mask_of(part.V2)
 
 
-def _verify_no_clique(G: Graph, r: int) -> None:
-    clique = find_clique(G, r)
+def _verify_no_clique(G: Graph, mask: int, r: int) -> None:
+    clique = clique_in_mask(G, mask, r)
     if clique is not None:
         raise PreconditionViolated(
             f"input graph contains K_{r}",
@@ -290,7 +288,7 @@ def kr1_free_subgraph(G: Graph, r: int,
     params = params or DEFAULT_PARAMS
     if r < 3:
         raise ValueError("forbidden clique size r must be at least 3")
-    _verify_no_clique(G, r)
+    _verify_no_clique(G, G.full_mask, r)
     w, apexes = _cover_rec(G, G.full_mask, params)
     if clique_in_mask(G, w, r - 1) is not None:
         raise ExtractorViolation("cover output unexpectedly contains K_{r-1}")
@@ -305,39 +303,35 @@ def kr1_free_subgraph(G: Graph, r: int,
 # ---------------------------------------------------------------------------
 # Balanced bicliques.
 
-def _biclique_exact(G: Graph, t_min: int
-                    ) -> Optional[tuple[VertexSet, VertexSet]]:
-    n = G.n
+def _biclique_exact(G: Graph, mask: int) -> tuple[int, int]:
+    """Sides of a biclique in G[mask] whose smaller side is as large as possible."""
     adj = G.adj
     best_t = 0
     best = (0, 0)
 
-    def dfs(idx: int, amask: int, common: int) -> None:
+    def dfs(rest: int, amask: int, common: int) -> None:
         nonlocal best_t, best
         bcand = common & ~amask
         t_here = min(amask.bit_count(), bcand.bit_count())
         if t_here > best_t:
             best_t, best = t_here, (amask, bcand)
-        if idx == n:
+        if not rest:
             return
-        if min(amask.bit_count() + n - idx, bcand.bit_count()) <= best_t:
+        if min(amask.bit_count() + rest.bit_count(), bcand.bit_count()) <= best_t:
             return
-        dfs(idx + 1, amask | (1 << idx), common & adj[idx])
-        dfs(idx + 1, amask, common)
+        low = rest & -rest
+        dfs(rest ^ low, amask | low, common & adj[low.bit_length() - 1])
+        dfs(rest ^ low, amask, common)
 
-    dfs(0, 0, G.full_mask)
-    if best_t < t_min:
-        return None
-    side_a = tuple(bits(best[0]))[:best_t]
-    side_b = tuple(bits(best[1]))[:best_t]
-    return side_a, side_b
+    dfs(mask, 0, mask)
+    return best
 
 
-def _biclique_grow(adj: tuple[int, ...], u: int, v: int) -> tuple[int, int]:
+def _biclique_grow(adj: tuple[int, ...], mask: int, u: int, v: int) -> tuple[int, int]:
     amask = 1 << u
     bmask = 1 << v
-    cand_a = adj[v] & ~amask & ~bmask
-    cand_b = adj[u] & ~amask & ~bmask
+    cand_a = adj[v] & mask & ~amask & ~bmask
+    cand_b = adj[u] & mask & ~amask & ~bmask
     while cand_a or cand_b:
         grow_a = amask.bit_count() <= bmask.bit_count()
         if grow_a and not cand_a:
@@ -357,43 +351,46 @@ def _biclique_grow(adj: tuple[int, ...], u: int, v: int) -> tuple[int, int]:
     return amask, bmask
 
 
-def _biclique_greedy(G: Graph, t_min: int
-                     ) -> Optional[tuple[VertexSet, VertexSet]]:
+def _biclique_greedy(G: Graph, mask: int) -> tuple[int, int]:
     adj = G.adj
-    seeds = G.edges()
+    seeds = [(u, v) for u in bits(mask) for v in bits(adj[u] & mask >> u + 1 << u + 1)]
     if len(seeds) > 120:
         step = len(seeds) // 120
         seeds = seeds[::step]
     best_t = 0
     best = (0, 0)
     for u, v in seeds:
-        amask, bmask = _biclique_grow(adj, u, v)
+        amask, bmask = _biclique_grow(adj, mask, u, v)
         t = min(amask.bit_count(), bmask.bit_count())
         if t > best_t:
             best_t, best = t, (amask, bmask)
-    if best_t < t_min:
-        return None
-    side_a = tuple(bits(best[0]))[:best_t]
-    side_b = tuple(bits(best[1]))[:best_t]
-    return side_a, side_b
+    return best
 
 
-def find_balanced_biclique(G: Graph, t_min: int, mode: str = "auto"
+def find_balanced_biclique(G: Graph, t_min: int, mode: str = "auto",
+                           mask: Optional[int] = None
                            ) -> Optional[tuple[VertexSet, VertexSet]]:
-    """Disjoint A, B with |A| = |B| >= t_min and A complete to B.
+    """Disjoint A, B in G[mask] with |A| = |B| >= t_min and A complete to B.
 
-    Exact search (None certifies nonexistence) for n <= 20 under auto, greedy
-    seed-edge completion beyond; greedy None is not a nonexistence proof.
+    mask None means every vertex of G. Exact search (None certifies
+    nonexistence) for at most 20 vertices under auto, greedy seed-edge
+    completion beyond; greedy None is not a nonexistence proof.
     """
+    mask = vertex_mask(G, mask)
     if t_min < 1:
         raise ValueError("t_min must be at least 1")
     if mode == "auto":
-        mode = "exact" if G.n <= 20 else "greedy"
+        mode = "exact" if mask.bit_count() <= 20 else "greedy"
     if mode == "exact":
-        return _biclique_exact(G, t_min)
-    if mode == "greedy":
-        return _biclique_greedy(G, t_min)
-    raise ValueError(f"unknown biclique mode {mode!r}")
+        a_mask, b_mask = _biclique_exact(G, mask)
+    elif mode == "greedy":
+        a_mask, b_mask = _biclique_greedy(G, mask)
+    else:
+        raise ValueError(f"unknown biclique mode {mode!r}")
+    t = min(a_mask.bit_count(), b_mask.bit_count())
+    if t < t_min:
+        return None
+    return tuple(bits(a_mask))[:t], tuple(bits(b_mask))[:t]
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +403,7 @@ def half_clique_free_subgraph(G: Graph, r: int,
     params = params or DEFAULT_PARAMS
     if r < 3:
         raise ValueError("forbidden clique size r must be at least 3")
-    _verify_no_clique(G, r)
+    _verify_no_clique(G, G.full_mask, r)
     p_half = (r + 1) // 2
 
     def rec(mask: int) -> int:
@@ -418,11 +415,9 @@ def half_clique_free_subgraph(G: Graph, r: int,
         logn = math.log2(nm)
         if edges_in_mask(G, mask) >= params.c * params.c2 * nm * nm / logn ** 2:
             t_target = max(1, math.ceil(params.c * nm / logn ** 3))
-            H, vs = _subgraph(G, mask)
-            found = find_balanced_biclique(H, t_target)
+            found = find_balanced_biclique(G, t_target, mask=mask)
             if found is not None:
-                a_mask = mask_of(vs[i] for i in found[0])
-                b_mask = mask_of(vs[i] for i in found[1])
+                a_mask, b_mask = mask_of(found[0]), mask_of(found[1])
                 clique_a = clique_in_mask(G, a_mask, p_half)
                 if clique_a is None:
                     return a_mask
@@ -505,28 +500,30 @@ def dense_core(G: Graph, epsilon: float,
 # Complete multipartite covers, built on the complement graph: vertices in
 # different complement components are pairwise adjacent in G.
 
-def multipartite_cover(G: Graph, alpha: float,
-                       params: Optional[AlgorithmParams] = None) -> MultipartiteCover:
+def multipartite_cover(G: Graph, alpha: float, params: Optional[AlgorithmParams] = None,
+                       mask: Optional[int] = None) -> MultipartiteCover:
+    """Complete multipartite cover of G[mask] (all of G when mask is None); n
+    and the edge floor alpha*n^2 count inside mask, parts are in G's indices."""
     params = params or DEFAULT_PARAMS
+    mask = vertex_mask(G, mask)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    n = G.n
+    n = mask.bit_count()
     if n < 2:
         raise ValueError("need at least two vertices")
-    if G.m < alpha * n * n:
+    m = edges_in_mask(G, mask)
+    if m < alpha * n * n:
         raise PreconditionViolated(
-            f"graph has {G.m} edges, below the alpha*n^2 = {alpha * n * n:.2f} floor")
-    full = G.full_mask
-    hadj = tuple((full & ~a & ~(1 << v)) for v, a in enumerate(G.adj))
-    H = Graph(G.labels, hadj)
-    work = full
+            f"graph has {m} edges, below the alpha*n^2 = {alpha * n * n:.2f} floor")
+    H = G.complement()
+    work = mask
     while True:
         comps = components_masked(H, work)
         if len(comps) >= 2:
             break
         if work.bit_count() <= 1:
             raise NoCoverFound("complement peeling exhausted the vertex set")
-        peel = max(bits(work), key=lambda v: ((hadj[v] & work).bit_count(), -v))
+        peel = max(bits(work), key=lambda v: ((H.adj[v] & work).bit_count(), -v))
         work &= ~(1 << peel)
     k = len(comps)
     ordered = sorted(comps, key=lambda c: (-c.bit_count(), c & -c))
@@ -542,7 +539,7 @@ def multipartite_cover(G: Graph, alpha: float,
         if min(loads) >= max(1, threshold):
             cover = MultipartiteCover(
                 parts=tuple(tuple(bits(g)) for g in groups), alpha=alpha)
-            validate_multipartite_cover(G, cover, params.c_dblprime)
+            validate_multipartite_cover(G, cover, params.c_dblprime, mask)
             return cover
     raise NoCoverFound("no power-of-two grouping met the part-size threshold")
 
@@ -584,9 +581,8 @@ def _qindep_rec(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams,
     alpha = params.c_prime * ((s + 1 - q) / logn) ** 2
     best_clique: Optional[VertexSet] = None
     if edges_in_mask(G, mask) > alpha * nm * nm:
-        H, vs = _subgraph(G, mask)
         try:
-            cover = multipartite_cover(H, alpha, params)
+            cover = multipartite_cover(G, alpha, params, mask)
         except NoCoverFound:
             events.append(nm)
             cover = None
@@ -598,22 +594,21 @@ def _qindep_rec(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams,
                     "cover part count contradicts the clique-free certificate")
             p = cover.p
             target = s - p
-            chosen_sub: Optional[int] = None
+            chosen: Optional[int] = None
             part_cliques: list[VertexSet] = []
             for part in cover.parts:
                 part_mask = mask_of(part)
-                clique = clique_in_mask(H, part_mask, 2 ** target)
-                if clique is None and chosen_sub is None:
-                    chosen_sub = part_mask
+                clique = clique_in_mask(G, part_mask, 2 ** target)
+                if clique is None and chosen is None:
+                    chosen = part_mask
                 elif clique is not None:
                     part_cliques.append(clique)
             if part_cliques:
-                assembled = tuple(sorted(vs[i] for cl in part_cliques for i in cl))
+                assembled = tuple(sorted(v for cl in part_cliques for v in cl))
                 best_clique = _bigger(best_clique, assembled)
-            if chosen_sub is None:
+            if chosen is None:
                 raise InternalBoundViolation(
                     "every cover part contains the forbidden clique")
-            chosen = mask_of(vs[i] for i in bits(chosen_sub))
             if target <= q:
                 return chosen, best_clique
             res, child_clique = _qindep_rec(G, chosen, target, q, params, events)
@@ -627,6 +622,19 @@ def _qindep_rec(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams,
     return res, _bigger(best_clique, _bigger(c1, c2))
 
 
+def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
+            ) -> tuple[int, Optional[VertexSet], int]:
+    """K_{2^q}-free subset of G[mask], which must be K_{2^s}-free, as a mask;
+    also the largest clique met on the way and the count of cover fallbacks."""
+    _verify_no_clique(G, mask, 2 ** s)
+    if clique_in_mask(G, mask, 2 ** q) is None:
+        # Already free of the target clique: the whole vertex set qualifies.
+        return mask, None, 0
+    events: list = []
+    res, found = _qindep_rec(G, mask, s, q, params, events)
+    return res, found, len(events)
+
+
 def independent_set(G: Graph, s: int,
                     params: Optional[AlgorithmParams] = None) -> ExtractionWitness:
     params = params or DEFAULT_PARAMS
@@ -634,15 +642,7 @@ def independent_set(G: Graph, s: int,
         raise ValueError("s must be at least 1")
     if G.n < 1:
         raise ValueError("need at least one vertex")
-    _verify_no_clique(G, 2 ** s)
-    if G.m == 0:
-        res: int = G.full_mask
-        fallbacks = 0
-        found: Optional[VertexSet] = None
-    else:
-        events: list = []
-        res, found = _qindep_rec(G, G.full_mask, s, 1, params, events)
-        fallbacks = len(events)
+    res, found, fallbacks = _qindep(G, G.full_mask, s, 1, params)
     witness = ExtractionWitness(
         "independent", tuple(bits(res)),
         {"s": s, "floor": independent_floor(G.n, s, params.c),
@@ -658,16 +658,7 @@ def q_independent_set(G: Graph, s: int, q: int,
         raise ValueError("need s >= q >= 1")
     if G.n < 1:
         raise ValueError("need at least one vertex")
-    _verify_no_clique(G, 2 ** s)
-    if find_clique(G, 2 ** q) is None:
-        # Already free of the target clique: the whole vertex set qualifies.
-        res: int = G.full_mask
-        fallbacks = 0
-        found: Optional[VertexSet] = None
-    else:
-        events: list = []
-        res, found = _qindep_rec(G, G.full_mask, s, q, params, events)
-        fallbacks = len(events)
+    res, found, fallbacks = _qindep(G, G.full_mask, s, q, params)
     witness = ExtractionWitness(
         "q_independent", tuple(bits(res)),
         {"s": s, "q": q, "p": 2 ** q,
@@ -729,16 +720,13 @@ def color_or_clique(G: Graph, epsilon: float,
     clique_threshold = n ** delta
 
     def extractor(remaining: VertexSet) -> VertexSet:
-        H = induced_subgraph(G, remaining)
         try:
-            w = independent_set(H, s, params)
+            res, found, _ = _qindep(G, mask_of(remaining), s, 1, params)
         except PreconditionViolated as exc:
-            verts = exc.witness.vertices if exc.witness is not None else ()
-            raise _CliqueFound(tuple(sorted(remaining[i] for i in verts)))
-        found = w.certificate.get("found_clique")
+            raise _CliqueFound(exc.witness.vertices)
         if found and len(found) >= clique_threshold:
-            raise _CliqueFound(tuple(sorted(remaining[i] for i in found)))
-        return tuple(remaining[i] for i in w.vertices)
+            raise _CliqueFound(found)
+        return tuple(bits(res))
 
     try:
         coloring = greedy_color(G, extractor)

@@ -5,7 +5,9 @@ rationals are "p/q" strings, and decimal literals parse to the exact rational
 they denote. With inexact=True decimal literals are read as IEEE doubles
 instead (then converted to the exact rational of the double). Emission is
 canonical (sorted keys, fixed indentation), so parse-emit round trips are
-byte-stable and reports are reproducible.
+byte-stable and reports are reproducible. Inputs that would be too costly to
+hold or could not be written back are refused with SchemaError: graphs above
+MAX_VERTICES vertices and number literals above MAX_DIGITS digits.
 """
 from __future__ import annotations
 
@@ -21,11 +23,28 @@ from .geometry import Coord, Point, Polyline, StringFamily, exact_coord
 from .graph import Graph
 from .quasiplanar import DrawnEdge, Drawing
 
+MAX_VERTICES = 1_000_000
+# Python's default limit for int <-> str conversion, which json.dumps obeys.
+MAX_DIGITS = 4300
+
 
 # ---------------------------------------------------------------------------
 # Exact numbers.
 
+def _check_digits(text: str) -> None:
+    """Refuse a number literal whose exact value may need more than MAX_DIGITS
+    digits, before anything of that size is computed."""
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    try:
+        scale = abs(int(exponent or 0))
+    except ValueError:  # not a number (left to the caller), or a huge exponent
+        scale = MAX_DIGITS + 1 if exponent.lstrip("+-").isdigit() else 0
+    if sum(ch.isdigit() for ch in mantissa) + scale > MAX_DIGITS:
+        raise SchemaError(f"number literal {text[:24]!r} exceeds {MAX_DIGITS} digits")
+
+
 def _exact_decimal(text: str) -> Fraction:
+    _check_digits(text)
     return Fraction(decimal.Decimal(text))
 
 
@@ -41,6 +60,8 @@ def _loads(text: str, inexact: bool = False):
                           parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except ValueError as exc:  # an integer literal past MAX_DIGITS digits
+        raise SchemaError(f"number literal exceeds {MAX_DIGITS} digits") from exc
 
 
 def _coord_in(value, where: str) -> Coord:
@@ -52,6 +73,7 @@ def _coord_in(value, where: str) -> Coord:
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     if isinstance(value, str):
+        _check_digits(value)
         try:
             return exact_coord(Fraction(value))
         except (ValueError, ZeroDivisionError) as exc:
@@ -216,6 +238,8 @@ def parse_graph_text(text: str) -> Graph:
         raise ParseError("header must hold two integers", line=lineno) from exc
     if n < 0 or m < 0:
         raise SchemaError("vertex and edge counts cannot be negative")
+    if n > MAX_VERTICES:
+        raise SchemaError(f"graph has {n} vertices, above the {MAX_VERTICES} cap")
     if len(rows) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(rows) - 1}",
                          line=rows[-1][0])

@@ -125,6 +125,15 @@ def edge_density(G: Graph) -> Fraction:
 # Masked helpers: operate on a vertex subset of G given as a bitmask, so the
 # recursive extractors never have to re-index vertices.
 
+def vertex_mask(G: Graph, mask: Optional[int]) -> int:
+    """mask itself, or every vertex of G when mask is None."""
+    if mask is None:
+        return G.full_mask
+    if mask < 0 or mask >> G.n:
+        raise UnknownVertex(f"vertex mask reaches outside 0..{G.n - 1}")
+    return mask
+
+
 def edges_in_mask(G: Graph, mask: int) -> int:
     return sum((G.adj[v] & mask).bit_count() for v in bits(mask)) // 2
 

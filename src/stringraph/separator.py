@@ -3,7 +3,7 @@
 A separator partition splits V into S, V1, V2 with no V1-V2 edge and both
 sides of size at most ceil(2n/3). The contract is balance plus non-adjacency;
 separator size is best-effort for the heuristic strategies and minimum for the
-exact one.
+exact one. Strategies work on a vertex mask of the graph, in its own indices.
 """
 from __future__ import annotations
 
@@ -14,9 +14,10 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import TooLarge
-from .graph import Graph, bits, components_masked, mask_of
+from .graph import Graph, bits, components_masked, mask_of, vertex_mask
 
 _EXACT_LIMIT = 14
+STRATEGIES = ("auto", "exact", "bfs_layer", "degree_peel")
 
 
 def balance_cap(n: int) -> int:
@@ -84,10 +85,11 @@ def _pack_two_bins(sizes: Sequence[int], cap: int) -> Optional[list[int]]:
     chosen.reverse()
     return chosen
 
-def _partition_from_separator(G: Graph, s_mask: int) -> Optional[SeparatorPartition]:
-    """Distribute the components of G - S into balanced sides, if possible."""
-    cap = balance_cap(G.n)
-    comps = components_masked(G, G.full_mask & ~s_mask)
+def _partition_from_separator(G: Graph, mask: int, s_mask: int
+                              ) -> Optional[SeparatorPartition]:
+    """Distribute the components of G[mask] - S into balanced sides, if possible."""
+    cap = balance_cap(mask.bit_count())
+    comps = components_masked(G, mask & ~s_mask)
     sizes = [c.bit_count() for c in comps]
     if any(sz > cap for sz in sizes):
         return None
@@ -97,19 +99,25 @@ def _partition_from_separator(G: Graph, s_mask: int) -> Optional[SeparatorPartit
     v1 = 0
     for i in chosen:
         v1 |= comps[i]
-    v2 = G.full_mask & ~s_mask & ~v1
+    v2 = mask & ~s_mask & ~v1
     return SeparatorPartition(S=tuple(bits(s_mask)), V1=tuple(bits(v1)), V2=tuple(bits(v2)))
 
 
-def _exact(G: Graph) -> SeparatorPartition:
-    if G.n > _EXACT_LIMIT:
-        raise TooLarge(f"exact separator strategy capped at n <= {_EXACT_LIMIT}, got {G.n}")
-    for k in range(G.n + 1):
-        for subset in combinations(range(G.n), k):
-            part = _partition_from_separator(G, mask_of(subset))
+def _whole(mask: int) -> SeparatorPartition:
+    """The trivial partition that puts every vertex into S."""
+    return SeparatorPartition(S=tuple(bits(mask)), V1=(), V2=())
+
+
+def _exact(G: Graph, mask: int) -> SeparatorPartition:
+    n = mask.bit_count()
+    if n > _EXACT_LIMIT:
+        raise TooLarge(f"exact separator strategy capped at n <= {_EXACT_LIMIT}, got {n}")
+    for k in range(n + 1):
+        for subset in combinations(tuple(bits(mask)), k):
+            part = _partition_from_separator(G, mask, mask_of(subset))
             if part is not None:
                 return part
-    return SeparatorPartition(S=tuple(range(G.n)), V1=(), V2=())
+    return _whole(mask)
 
 
 def _bfs_layers(G: Graph, root: int, comp: int) -> list[int]:
@@ -134,47 +142,37 @@ def _pseudo_peripheral(G: Graph, comp: int) -> int:
     return root
 
 
-def _bfs_layer(G: Graph) -> SeparatorPartition:
-    cap = balance_cap(G.n)
-    comps = components_masked(G, G.full_mask)
-    sizes = [c.bit_count() for c in comps]
-    big = max(range(len(comps)), key=lambda i: sizes[i]) if comps else -1
-    if big < 0 or sizes[big] <= cap:
-        part = _partition_from_separator(G, 0)
-        if part is not None:
-            return part
+def _bfs_layer(G: Graph, mask: int) -> SeparatorPartition:
+    cap = balance_cap(mask.bit_count())
+    comps = components_masked(G, mask)
+    comp = max(comps, key=int.bit_count)
+    if comp.bit_count() <= cap:
+        part = _partition_from_separator(G, mask, 0)
+        return part if part is not None else _whole(mask)
+    others = [c for c in comps if c != comp]
     best: Optional[SeparatorPartition] = None
-    if big >= 0 and sizes[big] > cap:
-        comp = comps[big]
-        others = [c for i, c in enumerate(comps) if i != big]
-        layers = _bfs_layers(G, _pseudo_peripheral(G, comp), comp)
-        for i, layer in enumerate(layers):
-            below = 0
-            for l in layers[:i]:
-                below |= l
-            above = comp & ~below & ~layer
-            chunks = [c for c in (below, above) if c] + others
-            chunk_sizes = [c.bit_count() for c in chunks]
-            if any(sz > cap for sz in chunk_sizes):
-                continue
-            chosen = _pack_two_bins(chunk_sizes, cap)
-            if chosen is None:
-                continue
-            if best is not None and layer.bit_count() >= len(best.S):
-                continue
-            v1 = 0
-            for j in chosen:
-                v1 |= chunks[j]
-            v2 = G.full_mask & ~layer & ~v1
-            best = SeparatorPartition(S=tuple(bits(layer)), V1=tuple(bits(v1)),
-                                      V2=tuple(bits(v2)))
-        if best is None and others:
-            part = _partition_from_separator(G, comp)
-            if part is not None:
-                best = part
-    if best is None:
-        best = SeparatorPartition(S=tuple(range(G.n)), V1=(), V2=())
-    return best
+    below = 0
+    for layer in _bfs_layers(G, _pseudo_peripheral(G, comp), comp):
+        above = comp & ~below & ~layer
+        chunks = [c for c in (below, above) if c] + others
+        below |= layer
+        chunk_sizes = [c.bit_count() for c in chunks]
+        if any(sz > cap for sz in chunk_sizes):
+            continue
+        chosen = _pack_two_bins(chunk_sizes, cap)
+        if chosen is None:
+            continue
+        if best is not None and layer.bit_count() >= len(best.S):
+            continue
+        v1 = 0
+        for j in chosen:
+            v1 |= chunks[j]
+        v2 = mask & ~layer & ~v1
+        best = SeparatorPartition(S=tuple(bits(layer)), V1=tuple(bits(v1)),
+                                  V2=tuple(bits(v2)))
+    if best is None and others:
+        best = _partition_from_separator(G, mask, comp)
+    return best if best is not None else _whole(mask)
 
 
 def _ffd_two_bins(sizes: Sequence[int], cap: int) -> Optional[list[int]]:
@@ -194,10 +192,10 @@ def _ffd_two_bins(sizes: Sequence[int], cap: int) -> Optional[list[int]]:
     return [i for i in range(len(sizes)) if assign[i] == 0]
 
 
-def _degree_peel(G: Graph) -> SeparatorPartition:
-    cap = balance_cap(G.n)
+def _degree_peel(G: Graph, mask: int) -> SeparatorPartition:
+    cap = balance_cap(mask.bit_count())
     s_mask = 0
-    remaining = G.full_mask
+    remaining = mask
     while True:
         comps = components_masked(G, remaining)
         sizes = [c.bit_count() for c in comps]
@@ -211,28 +209,33 @@ def _degree_peel(G: Graph) -> SeparatorPartition:
                 return SeparatorPartition(S=tuple(bits(s_mask)), V1=tuple(bits(v1)),
                                           V2=tuple(bits(v2)))
         if not remaining:
-            return SeparatorPartition(S=tuple(range(G.n)), V1=(), V2=())
+            return _whole(mask)
         peel = max(bits(remaining), key=lambda v: ((G.adj[v] & remaining).bit_count(), -v))
         s_mask |= 1 << peel
         remaining &= ~(1 << peel)
 
 
-def find_balanced_separator(G: Graph, strategy: str = "auto") -> SeparatorPartition:
-    if G.n < 1:
+def find_balanced_separator(G: Graph, strategy: str = "auto",
+                            mask: Optional[int] = None) -> SeparatorPartition:
+    """Balanced separator of G[mask]; mask None means every vertex of G.
+
+    The balance cap and the exact size limit count the vertices of mask, and
+    S, V1 and V2 are in G's vertex indices.
+    """
+    mask = vertex_mask(G, mask)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown separator strategy {strategy!r}")
+    if not mask:
         raise ValueError("separator needs at least one vertex")
-    if strategy == "exact":
-        return _exact(G)
+    if strategy == "exact" or (strategy == "auto" and mask.bit_count() <= _EXACT_LIMIT):
+        return _exact(G, mask)
     if strategy == "bfs_layer":
-        return _bfs_layer(G)
+        return _bfs_layer(G, mask)
     if strategy == "degree_peel":
-        return _degree_peel(G)
-    if strategy == "auto":
-        if G.n <= _EXACT_LIMIT:
-            return _exact(G)
-        a = _bfs_layer(G)
-        b = _degree_peel(G)
-        return a if len(a.S) <= len(b.S) else b
-    raise ValueError(f"unknown separator strategy {strategy!r}")
+        return _degree_peel(G, mask)
+    a = _bfs_layer(G, mask)
+    b = _degree_peel(G, mask)
+    return a if len(a.S) <= len(b.S) else b
 
 
 def separator_size_survey(spec, sizes: Sequence[int], trials: int = 20,

@@ -168,6 +168,17 @@ def test_unknown_params_key_exit_four(tmp_path):
                  "--params", str(params)]) == 4
 
 
+def test_unknown_strategy_in_params_file_exit_four(tmp_path):
+    params = tmp_path / "p.json"
+    params.write_text('{"separator_strategy": "magic"}')
+    path6 = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
+    sparse40 = Graph.from_edges(40, [(0, 1), (2, 3)])
+    for G in (path6, sparse40):
+        path = _write_graph(tmp_path, G)
+        assert main(["extract", "independent", path, "--s", "2",
+                     "--params", str(params)]) == 4
+
+
 def test_usage_error_exit_four(tmp_path):
     assert main(["separator"]) == 4
     assert main(["qp"]) == 4

@@ -1,6 +1,11 @@
 """Seeded instance generators and exact-number serialization."""
 
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -162,3 +167,34 @@ def test_sha256_digest_stable():
     assert sha256_digest("abc") == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
     assert sha256_digest(b"abc") == sha256_digest("abc")
+
+
+def test_oversized_graph_header_refused_before_allocating():
+    # A child with a 512 MiB address space: a parser that allocates per
+    # declared vertex dies there of MemoryError instead of refusing.
+    code = ("import resource, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from stringraph import SchemaError\n"
+            "from stringraph.fileio import parse_graph_text\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    parse_graph_text('100000000 0\\n')\n"
+            "except SchemaError:\n"
+            "    print(time.perf_counter() - start)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.1
+
+
+def test_oversized_coordinate_literals_refused_fast():
+    template = '{"kind": "family", "strings": [{"id": "a", "points": [[%s, 0], [1, 1]]}]}'
+    for literal in ("1e1000000", '"1e1000000"', '"1/1%s"' % ("0" * 5000), "1" * 5000):
+        start = time.perf_counter()
+        with pytest.raises(SchemaError):
+            parse_family(template % literal)
+        assert time.perf_counter() - start < 0.1
+    fam = parse_family(template % "1e400")
+    assert fam.strings[0].points[0].x == 10 ** 400
+    assert parse_family(family_json(fam)) == fam

@@ -1,0 +1,18 @@
+"""The benchmark's traced self-test still runs against the library.
+
+It wraps library functions by name and checks CLI exit codes, so renaming a
+traced function or changing an exit code fails here.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_perfbench_per_layer_selftest():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py", "BenchmarkSelfTest.test_per_layer_metrics"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
