@@ -223,9 +223,15 @@ def _check_dense_core(G: Graph, vertices: Iterable[int], cert: dict) -> None:
 
 def _split_by_separator(G: Graph, mask: int, params: AlgorithmParams
                         ) -> tuple[int, int, int]:
-    """Separator of G[mask]; returns (S, V1, V2) as masks."""
+    """Separator of G[mask]; returns (S, V1, V2) as masks, each side smaller
+    than mask, so that recursing on the sides always terminates."""
     part = find_balanced_separator(G, params.separator_strategy, mask)
-    return mask_of(part.S), mask_of(part.V1), mask_of(part.V2)
+    s_mask, v1, v2 = mask_of(part.S), mask_of(part.V1), mask_of(part.V2)
+    if mask in (v1, v2):
+        # The cap ceil(2n/3) lets one side hold every vertex only when n <= 2;
+        # fall back to the trivial partition, which puts them all into S.
+        return mask, 0, 0
+    return s_mask, v1, v2
 
 
 def _verify_no_clique(G: Graph, mask: int, r: int) -> None:

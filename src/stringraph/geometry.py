@@ -245,8 +245,16 @@ def segment_intersection_points(p1: Point, p2: Point, q1: Point, q2: Point) -> l
     return seen
 
 
-def intersection_graph(family: StringFamily | Iterable[Polyline], prefilter: bool = True) -> Graph:
-    """Build the intersection graph: one vertex per string, an edge iff the curves meet."""
+def intersection_graph(family: StringFamily | Iterable[Polyline]) -> Graph:
+    """Build the intersection graph: one vertex per string, an edge iff the curves meet.
+
+    One sweep in x over the segments' closed bounding boxes: a segment is
+    tested only against the active segments of other strings whose boxes
+    reach its left x and overlap it in y, and only until the two strings are
+    known to meet. A box is dropped once its right x lies strictly left of the
+    sweep, so touching boxes stay; every candidate pair gets the exact
+    `segments_intersect`, hence the same graph as testing every pair.
+    """
     if isinstance(family, StringFamily):
         strings = family.strings
     else:
@@ -258,10 +266,30 @@ def intersection_graph(family: StringFamily | Iterable[Polyline], prefilter: boo
             seen.add(s.id)
     if not strings:
         raise ValueError("cannot build the intersection graph of an empty family")
-    n = len(strings)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if polylines_intersect(strings[i], strings[j], prefilter=prefilter):
-                edges.append((i, j))
-    return Graph.from_edges(n, edges, labels=tuple(s.id for s in strings))
+    boxes = []
+    for i, s in enumerate(strings):
+        for a, b in zip(s.points, s.points[1:]):
+            x0, x1 = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
+            y0, y1 = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
+            boxes.append((x0, x1, y0, y1, i, a, b))
+    boxes.sort(key=lambda box: box[0])
+    adj = [0] * len(strings)
+    active: list[tuple] = []
+    for box in boxes:
+        x0, _, y0, y1, i, a, b = box
+        met = adj[i] | 1 << i
+        kept = []
+        for other in active:
+            if other[1] < x0:
+                continue
+            kept.append(other)
+            j = other[4]
+            if (met >> j & 1 or other[3] < y0 or y1 < other[2]
+                    or not segments_intersect(a, b, other[5], other[6])):
+                continue
+            met |= 1 << j
+            adj[j] |= 1 << i
+        adj[i] = met & ~(1 << i)
+        kept.append(box)
+        active = kept
+    return Graph(labels=tuple(s.id for s in strings), adj=tuple(adj))

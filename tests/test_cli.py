@@ -72,6 +72,16 @@ def test_extract_operations_verify(tmp_path, op, flags, graph_builder):
     assert report["result"]["outcome"] == "ok"
 
 
+@pytest.mark.parametrize("op", ["kr1free", "halfclique"])
+def test_extract_degree_peel_on_two_isolated_vertices(tmp_path, op):
+    path = tmp_path / "g.txt"
+    path.write_text("2 0\n")
+    code, report = _run(tmp_path, "extract", op, str(path), "--r", "3",
+                        "--strategy", "degree_peel")
+    assert code == 0
+    assert report["verification"]["status"] == "pass"
+
+
 def test_extract_missing_flag_is_usage_error(tmp_path):
     path = _write_graph(tmp_path, er_graph(6, 0.3, 1))
     code, _ = _run(tmp_path, "extract", "independent", path)
@@ -239,3 +249,10 @@ def test_stdin_input_via_subprocess(tmp_path):
         input=fam_json, capture_output=True, text=True)
     assert proc.returncode == 0
     assert parse_graph_text(proc.stdout).n == 5
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "stringraph", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: stringraph")

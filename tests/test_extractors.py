@@ -13,8 +13,10 @@ from stringraph import (AlgorithmParams, ExtractionWitness, ExtractorViolation,
                         kr1_free_subgraph, multipartite_cover,
                         neighborhood_cover_subgraph, q_independent_set,
                         validate_multipartite_cover, validate_witness)
-from stringraph.extract import (cover_floor, half_clique_floor,
-                                independent_floor, q_independent_floor)
+from stringraph.extract import (_split_by_separator, cover_floor,
+                                half_clique_floor, independent_floor,
+                                q_independent_floor)
+from stringraph.separator import STRATEGIES
 from stringraph.graph import clique_in_mask, is_independent, mask_of
 from tests.conftest import er_graph
 
@@ -143,6 +145,31 @@ def test_half_clique_free_subgraph():
         half_clique_free_subgraph(_complete(6), 4)
     with pytest.raises(ValueError):
         half_clique_free_subgraph(G, 2)
+
+
+def test_split_sides_are_smaller_than_the_mask():
+    # On two vertices a balanced separator may put both into one side, which
+    # the recursions would split again forever.
+    for G in (Graph.from_edges(2, []), Graph.from_edges(2, [(0, 1)]),
+              er_graph(6, 0.3, 2)):
+        for strategy in STRATEGIES:
+            params = AlgorithmParams(separator_strategy=strategy)
+            for mask in range(1, 1 << G.n):
+                s_mask, v1, v2 = _split_by_separator(G, mask, params)
+                assert s_mask | v1 | v2 == mask
+                assert v1 != mask and v2 != mask
+                assert not any(G.adj[v] & v2 for v in range(G.n) if v1 >> v & 1)
+
+
+def test_degree_peel_recursions_terminate_on_sparse_graphs():
+    params = AlgorithmParams(separator_strategy="degree_peel")
+    for seed in range(20):
+        G = er_graph(5, 0.2, seed)
+        for w in (half_clique_free_subgraph(G, 5, params),
+                  kr1_free_subgraph(G, 5, params),
+                  neighborhood_cover_subgraph(G, params)):
+            validate_witness(G, w)
+            assert w.vertices
 
 
 def test_find_balanced_biclique_modes():

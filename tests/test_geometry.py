@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from stringraph import (DuplicateId, Point, Polyline, StringFamily,
-                        intersection_graph, orientation_sign,
-                        polylines_intersect, segments_intersect)
+from stringraph import (DuplicateId, GeneratorSpec, Point, Polyline,
+                        StringFamily, generate, intersection_graph,
+                        orientation_sign, polylines_intersect,
+                        segments_intersect)
 from stringraph.geometry import (dist_sq, exact_coord, interpolate,
                                  point_segment_dist_sq,
                                  segment_intersection_points)
+from tests.test_acceptance import _brute_intersection_graph
 
 
 def _pt(x, y):
@@ -132,9 +134,78 @@ def test_prefilter_agrees_with_full_scan(rng):
                 pts.append(_pt(x + 1, y))
             strings.append(Polyline(f"s{k}", tuple(pts)))
         fam = StringFamily(tuple(strings))
-        fast = intersection_graph(fam, prefilter=True)
-        slow = intersection_graph(fam, prefilter=False)
-        assert fast == slow
+        assert intersection_graph(fam) == _brute_intersection_graph(fam)
         for p in strings:
             for q in strings:
                 assert polylines_intersect(p, q) == polylines_intersect(p, q, prefilter=False)
+
+
+def _family(*chains):
+    """Strings s0, s1, ... from chains of (x, y) pairs."""
+    return StringFamily(tuple(
+        Polyline(f"s{k}", tuple(_pt(x, y) for x, y in chain))
+        for k, chain in enumerate(chains)))
+
+
+@pytest.mark.parametrize("kind", ["random_segments", "random_polylines", "grid_paths"])
+def test_sweep_matches_brute_force_on_large_families(kind):
+    for n, seed in ((60, 1), (97, 2), (150, 3)):
+        fam = generate(GeneratorSpec(kind=kind, count=n, seed=seed))
+        G = intersection_graph(fam)
+        assert G == _brute_intersection_graph(fam)
+        assert G.labels == tuple(s.id for s in fam.strings)
+
+
+def test_sweep_on_degenerate_contacts():
+    fam = _family(
+        [(0, 0), (2, 2)],
+        [(2, 5), (4, 7)],      # s1: box meets s0's only at x = 2; no contact
+        [(2, 2), (4, 0)],      # s2: shares s0's endpoint (2, 2)
+        [(12, -3), (12, 3)],   # s3: vertical
+        [(10, 0), (12, 0)],    # s4: box meets s3's only at x = 12; T-contact
+        [(12, 4), (12, 6)],    # s5: vertical at s3's x, gap in y
+        [(12, 6), (12, 9)],    # s6: vertical, touches s5 end to end
+        [(20, 0), (23, 0)],
+        [(21, 0), (25, 0)],    # s8: collinear overlap with s7
+        [(26, 0), (27, 0)],    # s9: collinear with s8, disjoint
+        [(30, 0), (32, 2)],
+        [(30, 0), (32, 2)],    # s11: the same segment as s10
+        [(40, 0), (44, 4), (44, 0), (40, 4)],  # s12: crosses itself
+        [(42, 5), (43, 7)],    # s13: above s12, disjoint
+        [(41, -5), (41, 1)],   # s14: ends on s12's first segment
+    )
+    G = intersection_graph(fam)
+    assert G == _brute_intersection_graph(fam)
+    assert G.edges() == [(0, 2), (3, 4), (5, 6), (7, 8), (10, 11), (12, 14)]
+
+
+def test_sweep_with_fraction_coordinates():
+    third = Fraction(1, 3)
+    tiny = Fraction(1, 10 ** 30)
+    fam = _family(
+        [(0, 0), (1, 1)],
+        [(third, third), (third, 5)],          # starts exactly on s0
+        [(third + tiny, 0), (third + tiny, third)],  # misses s0 by tiny
+        [(Fraction(2, 3), 0), (1, Fraction(-1, 7))],
+        [(Fraction(2, 3), Fraction(2, 3)), (2, 2)],  # collinear with s0, touching
+    )
+    G = intersection_graph(fam)
+    assert G == _brute_intersection_graph(fam)
+    assert G.edges() == [(0, 1), (0, 4)]
+
+
+def test_sweep_matches_brute_force_on_small_coordinate_grid(rng):
+    # Coordinates in 0..4 force many shared endpoints, vertical and
+    # collinear segments and boxes that meet at a single x.
+    for trial in range(12):
+        scale = Fraction(1, 3) if trial % 2 else 1
+        chains = []
+        for _ in range(rng.randrange(20, 61)):
+            chain = [(rng.randrange(5), rng.randrange(5))]
+            while len(chain) < 2 or (len(chain) < 4 and rng.random() < 0.5):
+                nxt = (rng.randrange(5), rng.randrange(5))
+                if nxt != chain[-1]:
+                    chain.append(nxt)
+            chains.append([(x * scale, y * scale) for x, y in chain])
+        fam = _family(*chains)
+        assert intersection_graph(fam) == _brute_intersection_graph(fam)
