@@ -1,14 +1,18 @@
 """Command line: generate inputs, build graphs, run certified extractions.
 
-Every analysis subcommand emits a canonical JSON run report (sorted keys,
-stable layout) holding the parameters, the witness and the verification
-outcome; wall-clock timings only appear with --timings so that identical
-inputs give byte-identical reports.
+Every report command (separator, extract, color-or-clique, qp, oracle) runs
+through one path, `_report`: read and digest the input, load the tuning
+parameters, fix the report's parameters, run the command's function, re-check
+its result with an independent verifier, and emit a canonical JSON run report
+(sorted keys, stable layout) holding the parameters, the result and the
+verification outcome. Wall-clock timings only appear with --timings, so that
+identical inputs give byte-identical reports.
 
 Exit codes: 0 success and verified, 2 verification failure, 3 a declared
-failure outcome with its witness (precondition violated, refinement or cover
-failure, degenerate drawing, bound domain), 4 parse/schema/spec errors, 5
-exact-oracle size-cap refusals.
+failure outcome (precondition violated, refinement or cover failure,
+degenerate drawing, bound domain), which a report command writes as a report
+with its witness, 4 usage, parse, schema and spec errors and output write
+failures, 5 exact-oracle size-cap refusals.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, fields, replace
+from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,7 +62,10 @@ def _read(path: str) -> str:
 
 def _write(path: Optional[str], text: str) -> None:
     if path and path != "-":
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -79,7 +87,7 @@ def _witness_obj(w: ExtractionWitness) -> dict:
 
 def _load_params(args) -> AlgorithmParams:
     values = {}
-    path = getattr(args, "params", None)
+    path = args.params
     if path:
         try:
             obj = json.loads(_read(path))
@@ -91,67 +99,19 @@ def _load_params(args) -> AlgorithmParams:
             if key not in _PARAM_FIELDS:
                 raise SchemaError(f"unknown parameter {key!r}", field=key)
             values[key] = val
-    strategy = getattr(args, "strategy", None)
-    if strategy:
-        values["separator_strategy"] = strategy
+    if args.strategy:
+        values["separator_strategy"] = args.strategy
     try:
-        return AlgorithmParams(**values)
+        params = AlgorithmParams(**values)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad parameters: {exc}") from exc
-
-
-def _emit(args, operation: str, digest: str, parameters: dict, result: dict,
-          verification: dict, started: float) -> None:
-    timings = None
-    if getattr(args, "timings", False):
-        timings = {"wall_seconds": round(time.perf_counter() - started, 6)}
-    report = fileio.RunReport(operation, digest, _jsonable(parameters),
-                              _jsonable(result), _jsonable(verification), timings)
-    _write(getattr(args, "output", None), fileio.report_json(report))
-
-
-def _finish(args, operation: str, digest: str, parameters: dict, result: dict,
-            started: float, verifier) -> int:
-    """Emit a report, re-running the independent verifier when --verify is on."""
-    code = 0
-    if getattr(args, "verify", "on") == "on" and verifier is not None:
-        try:
-            verifier()
-            verification = {"witness_revalidated": True, "status": "pass"}
-        except Exception as exc:
-            verification = {"witness_revalidated": True, "status": "fail",
-                            "message": str(exc)}
-            code = 2
-    elif verifier is None:
-        verification = {"witness_revalidated": False, "status": "pass"}
-    else:
-        verification = {"witness_revalidated": False, "status": "skipped"}
-    _emit(args, operation, digest, parameters, result, verification, started)
-    return code
-
-
-_DECLARED = (PreconditionViolated, RefinementFailed, NoCoverFound,
-             DegenerateDrawing, DomainError)
-
-
-def _with_declared(args, operation: str, digest: str, parameters: dict,
-                   started: float, fn) -> int:
-    try:
-        return fn()
-    except _DECLARED as exc:
-        result = {"outcome": type(exc).__name__, "message": str(exc)}
-        witness = getattr(exc, "witness", None)
-        if isinstance(witness, ExtractionWitness):
-            result["witness"] = _witness_obj(witness)
-        elif witness is not None:
-            result["witness"] = _jsonable(tuple(witness))
-        _emit(args, operation, digest, parameters, result,
-              {"witness_revalidated": False, "status": "not_applicable"}, started)
-        return 3
+    if getattr(args, "delta", None) is not None:
+        params = replace(params, delta=args.delta)
+    return params
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.
+# Commands that write a file, not a report.
 
 def cmd_gen(args) -> int:
     spec = GeneratorSpec(kind=args.kind, count=args.count, seed=args.seed,
@@ -177,196 +137,6 @@ def cmd_build_graph(args) -> int:
     return 0
 
 
-def cmd_separator(args) -> int:
-    started = time.perf_counter()
-    text = _read(args.graph)
-    G = fileio.parse_graph_text(text)
-    digest = fileio.sha256_digest(text)
-    parameters = {"strategy": args.strategy}
-    part = find_balanced_separator(G, args.strategy)
-    result = {"outcome": "ok",
-              "S": list(part.S), "V1": list(part.V1), "V2": list(part.V2),
-              "sizes": {"S": len(part.S), "V1": len(part.V1), "V2": len(part.V2)}}
-    return _finish(args, "separator", digest, parameters, result, started,
-                   lambda: validate_partition(G, part))
-
-
-def cmd_extract(args) -> int:
-    started = time.perf_counter()
-    text = _read(args.graph)
-    G = fileio.parse_graph_text(text)
-    digest = fileio.sha256_digest(text)
-    params = _load_params(args)
-    op = args.op
-    operation = f"extract:{op}"
-    parameters = {"op": op, "params": asdict(params)}
-
-    def need(flag: str):
-        if getattr(args, flag, None) is None:
-            raise ValueError(f"extract {op} needs --{flag}")
-        return getattr(args, flag)
-
-    def go() -> int:
-        if op == "independent":
-            parameters["s"] = need("s")
-            w = independent_set(G, args.s, params)
-        elif op == "qindep":
-            parameters["s"] = need("s")
-            parameters["q"] = need("q")
-            w = q_independent_set(G, args.s, args.q, params)
-        elif op == "kr1free":
-            parameters["r"] = need("r")
-            w = kr1_free_subgraph(G, args.r, params)
-        elif op == "halfclique":
-            parameters["r"] = need("r")
-            w = half_clique_free_subgraph(G, args.r, params)
-        elif op == "densecore":
-            eps = args.epsilon if args.epsilon is not None else params.epsilon
-            parameters["epsilon"] = eps
-            w = dense_core(G, eps, params)
-        else:
-            parameters["alpha"] = need("alpha")
-            cover = multipartite_cover(G, args.alpha, params)
-            w = ExtractionWitness("multipartite", cover.parts,
-                                  {"alpha": cover.alpha, "c_dblprime": params.c_dblprime,
-                                   "t": cover.t, "p": cover.p,
-                                   "covered": sum(len(p) for p in cover.parts)})
-        result = {"outcome": "ok", "witness": _witness_obj(w)}
-        return _finish(args, operation, digest, parameters, result, started,
-                       lambda: validate_witness(G, w))
-
-    return _with_declared(args, operation, digest, parameters, started, go)
-
-
-def cmd_color_or_clique(args) -> int:
-    started = time.perf_counter()
-    text = _read(args.graph)
-    G = fileio.parse_graph_text(text)
-    digest = fileio.sha256_digest(text)
-    params = _load_params(args)
-    if args.delta is not None:
-        params = replace(params, delta=args.delta)
-    parameters = {"epsilon": args.epsilon, "params": asdict(params)}
-
-    def go() -> int:
-        w = color_or_clique(G, args.epsilon, params)
-        result = {"outcome": "ok", "witness": _witness_obj(w)}
-        return _finish(args, "color-or-clique", digest, parameters, result, started,
-                       lambda: validate_witness(G, w))
-
-    return _with_declared(args, "color-or-clique", digest, parameters, started, go)
-
-
-def cmd_qp_check(args) -> int:
-    started = time.perf_counter()
-    text = _read(args.drawing)
-    drawing = fileio.parse_drawing(text, inexact=args.inexact)
-    digest = fileio.sha256_digest(text)
-    parameters = {"r": args.r, "radius": args.radius}
-
-    def go() -> int:
-        ok, witness = is_r_quasiplanar(drawing, args.r, args.radius)
-        result = {"outcome": "ok", "quasiplanar": ok}
-        if witness is not None:
-            result["witness"] = list(witness)
-
-        def verifier():
-            if witness is None:
-                return
-            curves = truncate_edges(drawing, args.radius).strings
-            for i, a in enumerate(witness):
-                for b in witness[i + 1:]:
-                    if not polylines_intersect(curves[a], curves[b]):
-                        raise ExtractorViolation(
-                            f"witness edges {a} and {b} do not cross")
-
-        return _finish(args, "qp:check", digest, parameters, result, started, verifier)
-
-    return _with_declared(args, "qp:check", digest, parameters, started, go)
-
-
-def cmd_qp_sparse(args) -> int:
-    started = time.perf_counter()
-    text = _read(args.drawing)
-    drawing = fileio.parse_drawing(text, inexact=args.inexact)
-    digest = fileio.sha256_digest(text)
-    params = _load_params(args)
-    parameters = {"s": args.s, "params": asdict(params)}
-
-    def go() -> int:
-        w = sparse_subgraph(drawing, args.s, params)
-        result = {"outcome": "ok", "witness": _witness_obj(w)}
-
-        def verifier():
-            cg = crossing_graph(drawing)
-            validate_witness(cg, w)
-
-        return _finish(args, "qp:sparse", digest, parameters, result, started, verifier)
-
-    return _with_declared(args, "qp:sparse", digest, parameters, started, go)
-
-
-def cmd_qp_bound(args) -> int:
-    started = time.perf_counter()
-    parameters = {"n": args.n, "s": args.s, "C": args.C}
-    if args.edges is not None:
-        parameters["edges"] = args.edges
-    if args.epsilon is not None:
-        parameters["epsilon"] = args.epsilon
-    digest = fileio.sha256_digest(
-        f"bound:{args.n}:{args.s}:{args.C}:{args.edges}:{args.epsilon}")
-
-    def go() -> int:
-        result = {"outcome": "ok", "bound": edge_bound(args.n, args.s, args.C)}
-        if args.edges is not None:
-            result["holds"] = bool(args.edges <= result["bound"])
-        if args.epsilon is not None:
-            result["dense_threshold"] = dense_threshold(args.n, args.epsilon)
-        return _finish(args, "qp:bound", digest, parameters, result, started, None)
-
-    return _with_declared(args, "qp:bound", digest, parameters, started, go)
-
-
-def cmd_oracle(args) -> int:
-    started = time.perf_counter()
-    which = args.which
-    parameters: dict = {"oracle": which}
-    if which == "crossings":
-        text = _read(args.drawing)
-        drawing = fileio.parse_drawing(text, inexact=args.inexact)
-        digest = fileio.sha256_digest(text)
-        parameters["r"] = args.r
-        found = pairwise_crossing_exact(drawing, args.r)
-        result = {"outcome": "ok", "found": found is not None}
-        if found is not None:
-            result["edges"] = list(found)
-    else:
-        text = _read(args.graph)
-        G = fileio.parse_graph_text(text)
-        digest = fileio.sha256_digest(text)
-        if which == "mis":
-            vs = max_independent_set_exact(G)
-            result = {"outcome": "ok", "size": len(vs), "vertices": list(vs)}
-        elif which == "clique":
-            vs = max_clique_exact(G)
-            result = {"outcome": "ok", "size": len(vs), "vertices": list(vs)}
-        elif which == "kpfree":
-            parameters["p"] = args.p
-            vs = max_kp_free_subset_exact(G, args.p)
-            result = {"outcome": "ok", "size": len(vs), "vertices": list(vs)}
-        elif which == "sep":
-            part = min_balanced_separator_exact(G)
-            result = {"outcome": "ok", "S": list(part.S), "V1": list(part.V1),
-                      "V2": list(part.V2), "size": len(part.S)}
-        else:
-            a, b = max_balanced_biclique_exact(G)
-            result = {"outcome": "ok", "t": len(a), "A": list(a), "B": list(b)}
-    _emit(args, f"oracle:{which}", digest, parameters, result,
-          {"witness_revalidated": False, "status": "pass", "exhaustive": True},
-          started)
-    return 0
-
-
 def cmd_survey(args) -> int:
     sizes = []
     for tok in args.sizes.split(","):
@@ -384,6 +154,197 @@ def cmd_survey(args) -> int:
     lines.append(f"# fitted_beta={beta:.6f}")
     _write(args.output, "\n".join(lines) + "\n")
     return 0
+
+
+# ---------------------------------------------------------------------------
+# Report commands. Each sets two parser defaults: args.parameters(args, params)
+# gives the report's parameters, and args.run(input, parameters, params)
+# returns (result, verifier), where a verifier of None means the result needs
+# no re-check.
+
+_DECLARED = (PreconditionViolated, RefinementFailed, NoCoverFound,
+             DegenerateDrawing, DomainError)
+
+
+def _verification(args, verifier) -> tuple[dict, int]:
+    """Verification block and exit code of a run that produced a result."""
+    if verifier is None:
+        block = {"witness_revalidated": False, "status": "pass"}
+        if args.command == "oracle":
+            block["exhaustive"] = True
+        return block, 0
+    if args.verify == "off":
+        return {"witness_revalidated": False, "status": "skipped"}, 0
+    try:
+        verifier()
+    except Exception as exc:
+        return {"witness_revalidated": True, "status": "fail", "message": str(exc)}, 2
+    return {"witness_revalidated": True, "status": "pass"}, 0
+
+
+def _report(args) -> int:
+    """Run one report command and write its report.
+
+    Reads and digests the input, loads the tuning parameters where the
+    command takes them, and fixes the report's parameters before anything
+    runs, so a declared failure reports the same parameters as a success.
+    `args.run` returns the result and its verifier; a declared failure
+    becomes the exit-3 report that carries its witness.
+    """
+    started = time.perf_counter()
+    if hasattr(args, "graph"):
+        text = _read(args.graph)
+        data = fileio.parse_graph_text(text)
+    elif hasattr(args, "drawing"):
+        text = _read(args.drawing)
+        data = fileio.parse_drawing(text, inexact=args.inexact)
+    else:
+        text = f"bound:{args.n}:{args.s}:{args.C}:{args.edges}:{args.epsilon}"
+        data = None
+    params = _load_params(args) if hasattr(args, "params") else None
+    parameters = args.parameters(args, params)
+    if params is not None:
+        parameters["params"] = asdict(params)
+    try:
+        result, verifier = args.run(data, parameters, params)
+    except _DECLARED as exc:
+        result = {"outcome": type(exc).__name__, "message": str(exc)}
+        witness = getattr(exc, "witness", None)
+        if isinstance(witness, ExtractionWitness):
+            result["witness"] = _witness_obj(witness)
+        elif witness is not None:
+            result["witness"] = _jsonable(tuple(witness))
+        verification, code = {"witness_revalidated": False, "status": "not_applicable"}, 3
+    else:
+        verification, code = _verification(args, verifier)
+    sub = getattr(args, "op", None) or getattr(args, "which", None)
+    operation = f"{args.command}:{sub}" if sub else args.command
+    timings = None
+    if args.timings:
+        timings = {"wall_seconds": round(time.perf_counter() - started, 6)}
+    report = fileio.RunReport(operation, fileio.sha256_digest(text),
+                              _jsonable(parameters), _jsonable(result),
+                              _jsonable(verification), timings)
+    _write(args.output, fileio.report_json(report))
+    return code
+
+
+def _given(args, *names) -> dict:
+    """The named options that have a value, by name."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name, None) is not None}
+
+
+def _separator(G, v, params):
+    part = find_balanced_separator(G, v["strategy"])
+    result = {"outcome": "ok",
+              "S": list(part.S), "V1": list(part.V1), "V2": list(part.V2),
+              "sizes": {"S": len(part.S), "V1": len(part.V1), "V2": len(part.V2)}}
+    return result, lambda: validate_partition(G, part)
+
+
+def _cover_witness(cover, params) -> ExtractionWitness:
+    return ExtractionWitness("multipartite", cover.parts,
+                             {"alpha": cover.alpha, "c_dblprime": params.c_dblprime,
+                              "t": cover.t, "p": cover.p,
+                              "covered": sum(len(p) for p in cover.parts)})
+
+
+# extract op -> (options it needs, call). Each call names its library
+# function when it runs, so a module global replaced after import (a tracer
+# wrapping it, say) is the function that runs.
+_EXTRACT_OPS = {
+    "independent": (("s",), lambda G, v, p: independent_set(G, v["s"], p)),
+    "qindep": (("s", "q"), lambda G, v, p: q_independent_set(G, v["s"], v["q"], p)),
+    "kr1free": (("r",), lambda G, v, p: kr1_free_subgraph(G, v["r"], p)),
+    "halfclique": (("r",), lambda G, v, p: half_clique_free_subgraph(G, v["r"], p)),
+    "densecore": (("epsilon",), lambda G, v, p: dense_core(G, v["epsilon"], p)),
+    "multipartite": (("alpha",), lambda G, v, p: _cover_witness(
+        multipartite_cover(G, v["alpha"], p), p)),
+}
+
+
+def _extract_parameters(args, params) -> dict:
+    parameters = {"op": args.op}
+    for flag in _EXTRACT_OPS[args.op][0]:
+        # An option left out takes the tuning constant of its name, if any.
+        value = getattr(args, flag)
+        if value is None:
+            value = getattr(params, flag, None)
+        if value is None:
+            raise ValueError(f"extract {args.op} needs --{flag}")
+        parameters[flag] = value
+    return parameters
+
+
+def _witnessed(G, w: ExtractionWitness):
+    return {"outcome": "ok", "witness": _witness_obj(w)}, lambda: validate_witness(G, w)
+
+
+def _extract(G, v, params):
+    return _witnessed(G, _EXTRACT_OPS[v["op"]][1](G, v, params))
+
+
+def _color_or_clique(G, v, params):
+    return _witnessed(G, color_or_clique(G, v["epsilon"], params))
+
+
+def _qp_check(drawing, v, params):
+    ok, witness = is_r_quasiplanar(drawing, v["r"], v["radius"])
+    result = {"outcome": "ok", "quasiplanar": ok}
+    if witness is not None:
+        result["witness"] = list(witness)
+
+    def verifier():
+        if witness is None:
+            return
+        curves = truncate_edges(drawing, v["radius"]).strings
+        for a, b in combinations(witness, 2):
+            if not polylines_intersect(curves[a], curves[b]):
+                raise ExtractorViolation(f"witness edges {a} and {b} do not cross")
+
+    return result, verifier
+
+
+def _qp_sparse(drawing, v, params):
+    w = sparse_subgraph(drawing, v["s"], params)
+    return ({"outcome": "ok", "witness": _witness_obj(w)},
+            lambda: validate_witness(crossing_graph(drawing), w))
+
+
+def _qp_bound(_, v, params):
+    result = {"outcome": "ok", "bound": edge_bound(v["n"], v["s"], v["C"])}
+    if "edges" in v:
+        result["holds"] = bool(v["edges"] <= result["bound"])
+    if "epsilon" in v:
+        result["dense_threshold"] = dense_threshold(v["n"], v["epsilon"])
+    return result, None
+
+
+def _oracle(data, v, params):
+    """Exhaustive answers are exact by construction, so there is no verifier."""
+    which = v["oracle"]
+    if which == "crossings":
+        found = pairwise_crossing_exact(data, v["r"])
+        result = {"outcome": "ok", "found": found is not None}
+        if found is not None:
+            result["edges"] = list(found)
+    elif which == "sep":
+        part = min_balanced_separator_exact(data)
+        result = {"outcome": "ok", "S": list(part.S), "V1": list(part.V1),
+                  "V2": list(part.V2), "size": len(part.S)}
+    elif which == "biclique":
+        a, b = max_balanced_biclique_exact(data)
+        result = {"outcome": "ok", "t": len(a), "A": list(a), "B": list(b)}
+    else:
+        if which == "mis":
+            vs = max_independent_set_exact(data)
+        elif which == "clique":
+            vs = max_clique_exact(data)
+        else:
+            vs = max_kp_free_subset_exact(data, v["p"])
+        result = {"outcome": "ok", "size": len(vs), "vertices": list(vs)}
+    return result, None
 
 
 # ---------------------------------------------------------------------------
@@ -430,26 +391,27 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="balanced separator with validation")
     p.add_argument("graph")
     p.add_argument("--strategy", choices=STRATEGIES, default="auto")
-    p.set_defaults(func=cmd_separator)
+    p.set_defaults(func=_report, run=_separator,
+                   parameters=lambda a, _: _given(a, "strategy"))
 
     p = sub.add_parser("extract", parents=[report, tuning],
                        help="certified extraction operations")
-    p.add_argument("op", choices=("independent", "qindep", "kr1free",
-                                  "halfclique", "densecore", "multipartite"))
+    p.add_argument("op", choices=tuple(_EXTRACT_OPS))
     p.add_argument("graph")
     p.add_argument("--s", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--alpha", type=float)
-    p.set_defaults(func=cmd_extract)
+    p.set_defaults(func=_report, run=_extract, parameters=_extract_parameters)
 
     p = sub.add_parser("color-or-clique", parents=[report, tuning],
                        help="small coloring or large clique, certified")
     p.add_argument("graph")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float)
-    p.set_defaults(func=cmd_color_or_clique)
+    p.set_defaults(func=_report, run=_color_or_clique,
+                   parameters=lambda a, _: _given(a, "epsilon"))
 
     qp = sub.add_parser("qp", help="quasiplanarity of drawings").add_subparsers(
         dest="which", required=True)
@@ -459,14 +421,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--radius", default="auto")
     p.add_argument("--inexact", action="store_true")
-    p.set_defaults(func=cmd_qp_check)
+    p.set_defaults(func=_report, run=_qp_check,
+                   parameters=lambda a, _: _given(a, "r", "radius"))
 
     p = qp.add_parser("sparse", parents=[report, tuning],
                       help="4-quasiplanar edge subset of a 2^s-quasiplanar drawing")
     p.add_argument("drawing")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--inexact", action="store_true")
-    p.set_defaults(func=cmd_qp_sparse)
+    p.set_defaults(func=_report, run=_qp_sparse, parameters=lambda a, _: _given(a, "s"))
 
     p = qp.add_parser("bound", parents=[report], help="edge-count bound evaluation")
     p.add_argument("--n", type=int, required=True)
@@ -474,21 +437,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--edges", type=int)
     p.add_argument("--epsilon", type=float)
-    p.set_defaults(func=cmd_qp_bound)
+    p.set_defaults(func=_report, run=_qp_bound, parameters=lambda a, _: _given(
+        a, "n", "s", "C", "edges", "epsilon"))
 
     orc = sub.add_parser("oracle", help="exact brute-force baselines").add_subparsers(
         dest="which", required=True)
+    oracle_defaults = dict(func=_report, run=_oracle, parameters=lambda a, _: {
+        "oracle": a.which, **_given(a, "r", "p")})
     for name in ("mis", "clique", "kpfree", "sep", "biclique"):
         p = orc.add_parser(name, parents=[report])
         p.add_argument("graph")
         if name == "kpfree":
             p.add_argument("--p", type=int, required=True)
-        p.set_defaults(func=cmd_oracle)
+        p.set_defaults(**oracle_defaults)
     p = orc.add_parser("crossings", parents=[report])
     p.add_argument("drawing")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--inexact", action="store_true")
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(**oracle_defaults)
 
     p = sub.add_parser("survey", parents=[out],
                        help="separator size scaling over generated families")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import DuplicateId
 from .graph import Graph
@@ -48,9 +48,6 @@ class Point:
             if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
                 raise TypeError(f"coordinates must be int or Fraction, got {type(c).__name__}")
 
-    def translated(self, dx: Coord, dy: Coord) -> "Point":
-        return Point(self.x + dx, self.y + dy)
-
 
 @dataclass(frozen=True)
 class Polyline:
@@ -71,14 +68,6 @@ class Polyline:
     def segments(self) -> list[tuple[Point, Point]]:
         return list(zip(self.points, self.points[1:]))
 
-    def bbox(self) -> tuple[Coord, Coord, Coord, Coord]:
-        xs = [p.x for p in self.points]
-        ys = [p.y for p in self.points]
-        return min(xs), min(ys), max(xs), max(ys)
-
-    def translated(self, dx: Coord, dy: Coord) -> "Polyline":
-        return Polyline(self.id, tuple(p.translated(dx, dy) for p in self.points))
-
 
 @dataclass(frozen=True)
 class StringFamily:
@@ -95,9 +84,6 @@ class StringFamily:
 
     def __len__(self):
         return len(self.strings)
-
-    def translated(self, dx: Coord, dy: Coord) -> "StringFamily":
-        return StringFamily(tuple(s.translated(dx, dy) for s in self.strings))
 
 
 def orientation_sign(o: Point, a: Point, b: Point) -> int:
@@ -138,35 +124,15 @@ def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     return False
 
 
-def polylines_intersect(p: Polyline, q: Polyline, prefilter: bool = True) -> bool:
+def polylines_intersect(p: Polyline, q: Polyline) -> bool:
     """True iff some segment of p meets some segment of q.
 
-    The bounding-box prefilter only skips pairs whose boxes are disjoint, so
-    it never changes the answer.
+    Tests every segment pair; `intersection_graph` must agree with it on
+    every pair of strings.
     """
-    if prefilter:
-        px0, py0, px1, py1 = p.bbox()
-        qx0, qy0, qx1, qy1 = q.bbox()
-        if px1 < qx0 or qx1 < px0 or py1 < qy0 or qy1 < py0:
-            return False
-    psegs = p.segments()
     qsegs = q.segments()
-    if prefilter:
-        qboxes = [(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y)) for a, b in qsegs]
-        for a, b in psegs:
-            ax0, ax1 = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-            ay0, ay1 = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-            for (c, d), (bx0, by0, bx1, by1) in zip(qsegs, qboxes):
-                if ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0:
-                    continue
-                if segments_intersect(a, b, c, d):
-                    return True
-        return False
-    for a, b in psegs:
-        for c, d in qsegs:
-            if segments_intersect(a, b, c, d):
-                return True
-    return False
+    return any(segments_intersect(a, b, c, d)
+               for a, b in p.segments() for c, d in qsegs)
 
 
 def dist_sq(p: Point, q: Point) -> Coord:
@@ -245,7 +211,7 @@ def segment_intersection_points(p1: Point, p2: Point, q1: Point, q2: Point) -> l
     return seen
 
 
-def intersection_graph(family: StringFamily | Iterable[Polyline]) -> Graph:
+def intersection_graph(family: StringFamily) -> Graph:
     """Build the intersection graph: one vertex per string, an edge iff the curves meet.
 
     One sweep in x over the segments' closed bounding boxes: a segment is
@@ -255,15 +221,7 @@ def intersection_graph(family: StringFamily | Iterable[Polyline]) -> Graph:
     sweep, so touching boxes stay; every candidate pair gets the exact
     `segments_intersect`, hence the same graph as testing every pair.
     """
-    if isinstance(family, StringFamily):
-        strings = family.strings
-    else:
-        strings = tuple(family)
-        seen = set()
-        for s in strings:
-            if s.id in seen:
-                raise DuplicateId(f"duplicate string id {s.id!r}")
-            seen.add(s.id)
+    strings = family.strings
     if not strings:
         raise ValueError("cannot build the intersection graph of an empty family")
     boxes = []

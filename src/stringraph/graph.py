@@ -83,17 +83,6 @@ class Graph:
         return Graph(labels=self.labels,
                      adj=tuple((full & ~a & ~(1 << v)) for v, a in enumerate(self.adj)))
 
-    def validate(self) -> None:
-        n = self.n
-        for v, a in enumerate(self.adj):
-            if a >> n:
-                raise UnknownVertex(f"adjacency of {v} references vertices >= {n}")
-            if a >> v & 1:
-                raise ValueError(f"self-loop at vertex {v}")
-            for u in bits(a):
-                if not (self.adj[u] >> v & 1):
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
-
 
 def induced_subgraph(G: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph on the given vertices (sorted order), labels carried over."""
@@ -113,12 +102,6 @@ def average_degree(G: Graph) -> Fraction:
     if G.n < 1:
         raise DegenerateGraph("average degree needs at least one vertex")
     return Fraction(2 * G.m, G.n)
-
-
-def edge_density(G: Graph) -> Fraction:
-    if G.n < 2:
-        raise DegenerateGraph("edge density needs at least two vertices")
-    return Fraction(G.m, G.n * (G.n - 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import DegenerateDrawing, DomainError, ExtractorViolation, PreconditionViolated
 from .extract import DEFAULT_PARAMS, AlgorithmParams, ExtractionWitness, q_independent_set
@@ -259,7 +259,7 @@ def edge_bound(n: int, s: int, C: float = 1.0) -> float:
         raise ValueError("C must be strictly positive")
     if n < 2 ** s:
         raise DomainError(f"bound needs n >= 2^s = {2 ** s}, got n = {n}")
-    return n * (C * math.log2(n) / s) ** (2 * s - 4)
+    return _finite(lambda: n * (C * math.log2(n) / s) ** (2 * s - 4), "edge bound")
 
 
 def edge_bound_holds(n: int, m: int, s: int, C: float = 1.0) -> bool:
@@ -276,7 +276,18 @@ def dense_threshold(n: int, epsilon: float) -> float:
         raise ValueError("n must be at least 1")
     if epsilon <= 0:
         raise ValueError("epsilon must be strictly positive")
-    return 3.0 * n ** (1.0 + epsilon)
+    return _finite(lambda: 3.0 * n ** (1.0 + epsilon), "dense threshold")
+
+
+def _finite(formula: Callable[[], float], name: str) -> float:
+    """formula(), or DomainError when it is not a finite float."""
+    try:
+        value = formula()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{name} is not a finite float for these arguments")
+    return value
 
 
 def convex_interleaving_graph(n: int) -> Graph:

@@ -37,7 +37,7 @@ _FAMILY_KINDS = ("random_segments", "random_polylines", "grid_paths",
 def _brute_intersection_graph(family) -> Graph:
     strings = family.strings
     edges = [(i, j) for i, j in combinations(range(len(strings)), 2)
-             if polylines_intersect(strings[i], strings[j], prefilter=False)]
+             if polylines_intersect(strings[i], strings[j])]
     return Graph.from_edges(len(strings), edges,
                             labels=tuple(s.id for s in strings))
 

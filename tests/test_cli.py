@@ -131,6 +131,18 @@ def test_qp_bound_report(tmp_path):
     assert report["result"]["holds"] is True
 
 
+@pytest.mark.parametrize("flags", [
+    ["--n", "300", "--s", "8", "--C", "1e300"],
+    ["--n", str(10 ** 400), "--s", "3"],
+    ["--n", str(10 ** 400), "--s", "3", "--epsilon", "0.5"],
+    ["--n", str(2 * 10 ** 205), "--s", "3", "--epsilon", "0.5"],
+])
+def test_qp_bound_overflow_is_a_declared_outcome(tmp_path, flags):
+    code, report = _run(tmp_path, "qp", "bound", *flags)
+    assert code == 3
+    assert report["result"]["outcome"] == "DomainError"
+
+
 def test_oracle_commands(tmp_path):
     C5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     path = _write_graph(tmp_path, C5)
@@ -168,6 +180,14 @@ def test_parse_failures_exit_four(tmp_path):
     badgraph = tmp_path / "bad.txt"
     badgraph.write_text("2 1\n0 9\n")
     assert main(["separator", str(badgraph)]) == 4
+
+
+def test_unwritable_output_exit_four(tmp_path, capsys):
+    dest = tmp_path / "missing" / "out.json"
+    for argv in (["gen", "--kind", "random_segments", "--count", "5"],
+                 ["qp", "bound", "--n", "256", "--s", "3"]):
+        assert main([*argv, "-o", str(dest)]) == 4
+        assert capsys.readouterr().err.startswith(f"error: cannot write {dest}: ")
 
 
 def test_unknown_params_key_exit_four(tmp_path):

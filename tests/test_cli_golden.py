@@ -1,0 +1,244 @@
+"""Golden CLI corpus: exit code and report bytes of every report command.
+
+Each case runs `cli.main` in a directory holding a fixed set of inputs
+(`gen` output at fixed seeds plus hand-made graphs and drawings) and
+compares the exit code and the sha256 of what the command wrote to stdout
+and to stderr with recorded values. A refactor of the command plumbing must
+leave every entry unchanged. Usage errors caught by argparse record no
+stderr digest, since argparse words its own messages.
+"""
+
+import hashlib
+
+import pytest
+
+from stringraph.cli import main
+
+C5 = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
+K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+# Complement of a perfect matching on six vertices: K_{2,2,2}.
+OCTAHEDRON = "6 12\n" + "".join(
+    f"{u} {v}\n" for u in range(6) for v in range(u + 1, 6) if v - u != 3)
+EDGELESS = "4 0\n"
+# Vertex 2 lies on the straight curve of edge (0, 1).
+DEGENERATE = ('{"kind": "drawing", "vertices": [[0, 0], [4, 0], [2, 0], [2, 3]], '
+              '"edges": [{"u": 0, "v": 1, "points": [[0, 0], [4, 0]]}, '
+              '{"u": 2, "v": 3, "points": [[2, 0], [2, 3]]}]}\n')
+HAND_FILES = {
+    "c5.txt": C5,
+    "k4.txt": K4,
+    "octa.txt": OCTAHEDRON,
+    "edgeless.txt": EDGELESS,
+    "empty.txt": "0 0\n",
+    "bad.txt": "2 1\n0 9\n",
+    "degenerate.json": DEGENERATE,
+    "params.json": '{"c": 0.02, "separator_strategy": "bfs_layer"}',
+    "badparams.json": '{"c_quadruple": 1}',
+}
+GEN_FILES = {
+    "segs.json": ["--kind", "random_segments", "--count", "14", "--seed", "5"],
+    "polys.json": ["--kind", "random_polylines", "--count", "12", "--seed", "2"],
+    "grid.json": ["--kind", "grid_paths", "--count", "16", "--seed", "3"],
+    "big.json": ["--kind", "random_segments", "--count", "30", "--seed", "9"],
+    "chords.json": ["--kind", "convex_chords", "--count", "6", "--seed", "1"],
+}
+BUILT = {"segs.txt": "segs.json", "polys.txt": "polys.json",
+         "grid.txt": "grid.json", "big.txt": "big.json"}
+
+# sha256 of an empty stream.
+QUIET = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# name: (argv, exit code, sha256 of stdout, sha256 of stderr or None).
+CASES = {
+    "gen-segments": ("gen --kind random_segments --count 6 --seed 4", 0,
+        "17582c4bd9632322d9448b4a97e19bfb1ce2bb158b857329dec59c555a0455b8", QUIET),
+    "gen-chords": ("gen --kind convex_chords --count 5 --seed 2", 0,
+        "1c93fc2ab18672f80823a420805d940b337244950547a9f7e7b93ccd20993f95", QUIET),
+    "build-graph-family": ("build-graph segs.json", 0,
+        "0bacca2a35294c917da2a16ab08109fd10011f085dafa59bce804b75de106b71", QUIET),
+    "build-graph-drawing": ("build-graph chords.json", 0,
+        "69e89ce564253a492ca480fb25c258c92052aa2aec0396ad5eced885b9dd033e", QUIET),
+    "separator-auto": ("separator segs.txt", 0,
+        "5b800aa94eb32cb8300207c99128498e94021e5bef2a83214ce2272b9bcfc62f", QUIET),
+    "separator-bfs-layer": ("separator big.txt --strategy bfs_layer", 0,
+        "bef4d0220f5da456cfcd44658721658982c7c48ddd6f83c3593d5a9d49edd5d4", QUIET),
+    "separator-degree-peel": ("separator grid.txt --strategy degree_peel", 0,
+        "ebcbfb61f25d26b0efdb9ebe8beb3e2be073c095d358a63f315a3e07cab9cb2a", QUIET),
+    "separator-verify-off": ("separator polys.txt --verify off", 0,
+        "3085cb0e30ad3ad07006f06010c890d13795c5f6c84037685e78199173c032f9", QUIET),
+    "extract-independent": ("extract independent c5.txt --s 2", 0,
+        "31dad591f268ce0292fa565ea4742447e0ecfbbdefd1d8dd1453ead98e53aa56", QUIET),
+    "extract-independent-big": ("extract independent big.txt --s 3", 0,
+        "7fd77c46e1d0c28104cdb95b747737ec447db8ae2d90cc6180eea2e227cadf06", QUIET),
+    "extract-independent-strategy": ("extract independent segs.txt --s 3 --strategy degree_peel", 0,
+        "797508c2469a6232a247ebef126b5434c355b34f15a9e0a1931c9c3e345bb4d3", QUIET),
+    "extract-qindep": ("extract qindep segs.txt --s 3 --q 2", 0,
+        "e12cd57e91ca6f90feb502c3011c18b0a018694d0c607f26f78c2ba3d6a24aaf", QUIET),
+    "extract-qindep-verify-off": ("extract qindep segs.txt --s 3 --q 2 --verify off", 0,
+        "d4cf5c2d71d90665c823f91f1fa07d2e613b76376f71a20aca6cac1c09d76a5b", QUIET),
+    "extract-kr1free": ("extract kr1free c5.txt --r 3", 0,
+        "41456fc9dc161983deb423c58e667014cd7bebb8a6e37e70cf5d9212678957bb", QUIET),
+    "extract-kr1free-grid": ("extract kr1free grid.txt --r 5", 0,
+        "1206f923d37858059180ed20f2ce7ee881a34d22f2665b4d05c16be410a64d15", QUIET),
+    "extract-halfclique": ("extract halfclique c5.txt --r 3", 0,
+        "5573d4b1de74d0dc22557ab5ea5aaaeea32472257948525e835dcc8923f467a8", QUIET),
+    "extract-halfclique-grid": ("extract halfclique grid.txt --r 5", 0,
+        "a90e7d0db48d8481b014b9628247de1d1f8352ae8a205a3516106c63e61a52d5", QUIET),
+    "declared-halfclique-polys": ("extract halfclique polys.txt --r 4", 3,
+        "6a56e9ce0b28b503be762c76243a465fffc00264d7e754c2c87b424db4839bd0", QUIET),
+    "declared-verify-off": ("extract kr1free k4.txt --r 3 --verify off", 3,
+        "b20677dd90df090383cc4f776a0056fa19b36b88d44b0947b7159609a9a821f1", QUIET),
+    "extract-densecore": ("extract densecore big.txt --epsilon 0.5", 0,
+        "467b0ffdf439830cdff5c4ebdf81da60d3ba687d0d1b0bddf34ee059a0e03a77", QUIET),
+    "extract-densecore-default-epsilon": ("extract densecore segs.txt", 0,
+        "3441ddb89c26931e035c0164e0f958b81a76a0c4af98c67f23f504e215634556", QUIET),
+    "extract-densecore-params-file": ("extract densecore big.txt --epsilon 0.5 --params params.json", 0,
+        "6e87d12b371896b0814c6eab5283a581ee0ac722da69453ed8172c85758a0baf", QUIET),
+    "extract-multipartite": ("extract multipartite octa.txt --alpha 0.3", 0,
+        "032890b3fd956569886932c61bda386c96f71293f904137be8bf52f4d4eeeff2", QUIET),
+    "extract-multipartite-big": ("extract multipartite big.txt --alpha 0.05", 0,
+        "97149febf04fe2d13bdcb2a088317a84ae034b57407fe38e91292b9ff07e43cb", QUIET),
+    "color-or-clique": ("color-or-clique big.txt --epsilon 0.5", 0,
+        "daf4ed4d8f5bc44763f00b1ca7e51c54b99ec2d2fbd2f1d6f97dc1509b2cd238", QUIET),
+    "verify-fail-color-or-clique-delta": ("color-or-clique segs.txt --epsilon 0.5 --delta 0.3", 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "3711a568633c451d842c2e79119a927c00c75d1ad51f085eaa32e8e337b98d25"),
+    "color-or-clique-params-file": ("color-or-clique polys.txt --epsilon 0.4 --params params.json", 0,
+        "dd822c9a132258df36ba0551d969131e51676756e9006ff58a38b2e4db9fc7f3", QUIET),
+    "qp-check-r3": ("qp check chords.json --r 3", 0,
+        "03c9225d52d336f9276e0351a531d2482237b4dd6c1df7d93d16002eecb68ec1", QUIET),
+    "qp-check-r4": ("qp check chords.json --r 4", 0,
+        "23339ebea9c511c728d51db447410e83960a3f04eb31146a5551de158b45a3e8", QUIET),
+    "qp-check-radius": ("qp check chords.json --r 3 --radius 1/100", 0,
+        "b70eafdc7f3f44eacb022ad959d6caefeb42416e44f618a4e7a7bcad9eca8372", QUIET),
+    "qp-check-verify-off": ("qp check chords.json --r 3 --verify off", 0,
+        "b594e5a24cfc7b7386a5be8265cf577861f634b6c0ffb998e6957b24b7bf34cf", QUIET),
+    "qp-sparse": ("qp sparse chords.json --s 3", 0,
+        "b9b222942ecf832c151ff28a4f31c53cb2c326aa5443ba2baf66b9beae7c840f", QUIET),
+    "qp-sparse-params-file": ("qp sparse chords.json --s 3 --params params.json", 0,
+        "1403e1aa1ddb15062c4aabf57a3c0838d5dadb7b942370d8b1729fea7f0c6bcf", QUIET),
+    "qp-bound": ("qp bound --n 256 --s 3 --edges 1820", 0,
+        "04f86b99c7f6c3e6435533813820b97619d17b81e9cf5a202caf12a14ecb4477", QUIET),
+    "qp-bound-epsilon": ("qp bound --n 300 --s 4 --C 0.5 --epsilon 0.25", 0,
+        "90e0207b852ec11000e1f14a1bfe5c6693c828a6484010fb1dffe16a8db61904", QUIET),
+    "qp-bound-verify-off": ("qp bound --n 256 --s 3 --verify off", 0,
+        "2b35959ddf6e65bcc5faa8b53744a155718c249c80cfd41f659485ffc9ca4419", QUIET),
+    "oracle-mis": ("oracle mis c5.txt", 0,
+        "d6c2f7c298d2e9f163612b4583ba5e425619bba1799a4791a4ccdf9659fb017b", QUIET),
+    "oracle-mis-segments": ("oracle mis segs.txt", 0,
+        "eac9b9656980c709a2140d559bc7149fc17fa4a7b24750a98497bf068363608c", QUIET),
+    "oracle-clique": ("oracle clique big.txt", 0,
+        "dd99def07e3fc1e82547940acd651b19a63f190003eeaeb8b02d041bdc3ee28d", QUIET),
+    "oracle-kpfree": ("oracle kpfree segs.txt --p 3", 0,
+        "95779ea9caee0054878fdf8fae2f64edc3a4a2178524c1c8bc2477bd8197badb", QUIET),
+    "oracle-sep": ("oracle sep c5.txt", 0,
+        "d1a0c4f4e470136965ce246fbda83fd100d3b9619b7ba236b7bdd49e066a720c", QUIET),
+    "oracle-biclique": ("oracle biclique octa.txt", 0,
+        "4d1e03e69951104b2cad592b07a59688cfd0b0efa79bd6e1bb0ffa2959657786", QUIET),
+    "oracle-crossings-r3": ("oracle crossings chords.json --r 3", 0,
+        "88bd13510ccaf1b7f400f8f77b15d445e3059bf5883ccf78b7cedb57585c5b40", QUIET),
+    "oracle-crossings-r4": ("oracle crossings chords.json --r 4", 0,
+        "d4e7dfc5195aa76d8eacd219edca614cfd47cda6bbb5fd27b9d878c3bfa66841", QUIET),
+    "oracle-verify-off": ("oracle mis c5.txt --verify off", 0,
+        "d6c2f7c298d2e9f163612b4583ba5e425619bba1799a4791a4ccdf9659fb017b", QUIET),
+    "declared-kr1free-k4": ("extract kr1free k4.txt --r 3", 3,
+        "b20677dd90df090383cc4f776a0056fa19b36b88d44b0947b7159609a9a821f1", QUIET),
+    "declared-independent-k4": ("extract independent k4.txt --s 2", 3,
+        "2338d2f759bfc9558b8e501d0311c7a6caaa50617b30c1659485bdee5fc7f49d", QUIET),
+    "declared-multipartite-sparse": ("extract multipartite c5.txt --alpha 0.9", 3,
+        "d415991a44c3c0e10ba2816bbb2a84257c00e3b73afb41c711d4968c9f5fa4fe", QUIET),
+    "declared-densecore-refinement": ("extract densecore edgeless.txt --epsilon 0.5 --strategy degree_peel", 3,
+        "1a74db98fade07ffea2ef1c7d4caf6178ed9c9950682c323f1f877d8d4757e7b", QUIET),
+    "declared-qp-bound-domain": ("qp bound --n 4 --s 3", 3,
+        "d99531c3f85a2e6032b6503eb4ca00ba3ad4ea14def99ec4e453a492903a04d6", QUIET),
+    "declared-qp-check-degenerate": ("qp check degenerate.json --r 3", 3,
+        "216de1248062df91abd6d9e9b2ebf56f12772f7b5c59c61130d93fdcc9c9b742", QUIET),
+    "declared-qp-check-radius": ("qp check chords.json --r 3 --radius 100000000", 3,
+        "c1b6c342fa9fbd0cb2b88b929628df9dd2153b0c801e78d7c1edafbacabdc0c7", QUIET),
+    "declared-qp-sparse-degenerate": ("qp sparse degenerate.json --s 3", 3,
+        "0d89e8d442304744cf95dc89a0bec85646d422517bd143cfa2c1b0627802b3ae", QUIET),
+    "declared-oracle-crossings-degenerate": ("oracle crossings degenerate.json --r 3", 3,
+        "c7633f4906a4b295be09921b420f251b569837fc2f30e9a6a1c84d016fe870f4", QUIET),
+    "declared-build-graph-degenerate": ("build-graph degenerate.json", 3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "0352f00a783bef5f136fc1e5fe8df00ecfa55ebe4b522b6d4fa679c9dda2e43c"),
+    "usage-no-command": ("", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
+    "usage-separator-no-graph": ("separator", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
+    "usage-qp-no-subcommand": ("qp", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
+    "usage-unknown-op": ("extract nope c5.txt", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
+    "usage-missing-s": ("extract independent c5.txt", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "03962868d936cab9efac19e3954355fa5da0dcc1f13ed8b21ccfebb09da758f1"),
+    "usage-missing-q": ("extract qindep c5.txt --s 2", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "5f560ff7c4b4373712646ca76fdd0ba5592f8af1c2b78217ad1038d4188b7727"),
+    "usage-missing-r": ("extract halfclique c5.txt", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "33cc5b5031807169cf9242109b6a73e7a978aba333d329b56f5055b6e930ce90"),
+    "usage-missing-alpha": ("extract multipartite c5.txt", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "ddf77afbade24f1cb25e75ab749f6197535243ae6d951bb3bbfb773969a04727"),
+    "usage-bound-s-below-three": ("qp bound --n 100 --s 2", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "4e8a2b8cde40723ce8006452adc983a051f050a42f421838a9ee4443b37dec3e"),
+    "usage-independent-s-zero": ("extract independent c5.txt --s 0", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "d03d6cda40d4be77d9adf55657086c978854df80cf10a53e3c540ed91077e492"),
+    "usage-negative-delta": ("color-or-clique segs.txt --epsilon 0.5 --delta -1", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "ca7f4077e9d22e31b1cbaaf4adf3a3a86256113a5772ec1a86bfb44f3e24a74a"),
+    "usage-bad-epsilon-in-params": ("color-or-clique segs.txt --epsilon 2", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "4c50be6af0714c3ac7ef0fae08161bd88f70687edade23db0c2ac153999d3975"),
+    "usage-densecore-bad-epsilon": ("extract densecore segs.txt --epsilon 2", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "4c50be6af0714c3ac7ef0fae08161bd88f70687edade23db0c2ac153999d3975"),
+    "usage-bound-C-zero": ("qp bound --n 256 --s 3 --C 0", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "a5eefd4e36d11fd0776329c9181447a41d492fdbca60e10785e59892122e22c4"),
+    "usage-qp-check-r-one": ("qp check chords.json --r 1", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "419f2e260c8a339343ace5723b6135a1386c5746e6113b1cb262165446fb1836"),
+    "usage-oracle-crossings-r-one": ("oracle crossings chords.json --r 1", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "3bca6d0a5a42f236b329ed84f9ec7ca2597abef8a49def881d261ccd2fff16e3"),
+    "usage-separator-empty-graph": ("separator empty.txt", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "27bd6484ece7c269caf6043cd7d1faa762cfe2b950d0a6093ce62cd6662446fb"),
+    "parse-bad-graph": ("separator bad.txt", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "406114734ad5bdca15be30bce4139edd827496a513878b3faa83ee5c2c4c9cdc"),
+    "parse-missing-graph": ("separator nope.txt", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "496e185461a9d6a29c9b1a3d1d43d72e527ccc22692e3adfbf7843012c1a0fac"),
+    "parse-before-params": ("extract independent bad.txt --params badparams.json", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "406114734ad5bdca15be30bce4139edd827496a513878b3faa83ee5c2c4c9cdc"),
+    "params-before-missing-s": ("extract independent c5.txt --params badparams.json", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "631290a71a248750291c9841902fa24970ef8a5a2eb611d65e8a69834399e974"),
+    "params-missing-file": ("extract densecore c5.txt --params nope.json", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "c1a58e9127a1c49433386bea478cfba01e1933b86e98ab74801cc281553455ee"),
+    "parse-graph-as-drawing": ("qp check c5.txt --r 3", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "514f512732eac24e99ba1c00fdc65ea8b1fd39109391b8e5a5895402bc62c0b8"),
+    "parse-family-as-drawing": ("qp sparse segs.json --s 3", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "df83f5d885e402c1eb141840e92db56d1db63dff33505131b4847788cf5932e9"),
+    "parse-oracle-bad-graph": ("oracle clique bad.txt", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "406114734ad5bdca15be30bce4139edd827496a513878b3faa83ee5c2c4c9cdc"),
+    "oracle-cap-sep": ("oracle sep big.txt", 5,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "00953077d4c69e67eba6b0fa9857eb620cdf7843509f972691997f427b05baff"),
+    "oracle-cap-kpfree": ("oracle kpfree big.txt --p 3", 5,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "fb5dd12c6a1c587b2b9bace461db3bb20e03a7bbcb837a1637882bca37dd367f"),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    for name, text in HAND_FILES.items():
+        (root / name).write_text(text)
+    for name, flags in GEN_FILES.items():
+        assert main(["gen", *flags, "-o", str(root / name)]) == 0
+    for name, source in BUILT.items():
+        assert main(["build-graph", str(root / source), "-o", str(root / name)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name, corpus, monkeypatch, capsys):
+    argv, code, out_sha, err_sha = CASES[name]
+    monkeypatch.chdir(corpus)
+    assert main(argv.split()) == code
+    out, err = capsys.readouterr()
+    assert _sha(out) == out_sha
+    if err_sha is not None:
+        assert _sha(err) == err_sha

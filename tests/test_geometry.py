@@ -6,8 +6,7 @@ import pytest
 
 from stringraph import (DuplicateId, GeneratorSpec, Point, Polyline,
                         StringFamily, generate, intersection_graph,
-                        orientation_sign, polylines_intersect,
-                        segments_intersect)
+                        orientation_sign, segments_intersect)
 from stringraph.geometry import (dist_sq, exact_coord, interpolate,
                                  point_segment_dist_sq,
                                  segment_intersection_points)
@@ -135,9 +134,6 @@ def test_prefilter_agrees_with_full_scan(rng):
             strings.append(Polyline(f"s{k}", tuple(pts)))
         fam = StringFamily(tuple(strings))
         assert intersection_graph(fam) == _brute_intersection_graph(fam)
-        for p in strings:
-            for q in strings:
-                assert polylines_intersect(p, q) == polylines_intersect(p, q, prefilter=False)
 
 
 def _family(*chains):

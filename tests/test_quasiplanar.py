@@ -162,10 +162,19 @@ def test_edge_bound_values():
         edge_bound(256, 2, 1)
     with pytest.raises(ValueError):
         edge_bound(256, 3, 0)
+    # Values beyond the float range: an overflowing power, an n with no
+    # float value, an infinite C.
+    for n, s, C in ((300, 8, 1e300), (10 ** 400, 3, 1.0), (256, 3, float("inf"))):
+        with pytest.raises(DomainError):
+            edge_bound(n, s, C)
 
 
 def test_dense_threshold():
     assert dense_threshold(16, 0.5) == pytest.approx(192.0)
+    # n with no float value, n^1.5 beyond the float range, 3 * n^1.5 beyond it.
+    for n in (10 ** 400, 10 ** 250, 2 * 10 ** 205):
+        with pytest.raises(DomainError):
+            dense_threshold(n, 0.5)
 
 
 def test_interleaving_graph_matches_crossing_oracle():
