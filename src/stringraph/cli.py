@@ -34,7 +34,7 @@ from .extract import (AlgorithmParams, ExtractionWitness,
                       color_or_clique, dense_core, half_clique_free_subgraph,
                       independent_set, kr1_free_subgraph, multipartite_cover,
                       q_independent_set, validate_witness)
-from .generators import KINDS, GeneratorSpec, generate
+from .generators import FAMILY_KINDS, KINDS, GeneratorSpec, generate
 from .geometry import intersection_graph, polylines_intersect
 from .graph import Graph
 from .oracles import (max_balanced_biclique_exact, max_clique_exact,
@@ -458,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", parents=[out],
                        help="separator size scaling over generated families")
-    p.add_argument("--kind", required=True, choices=KINDS)
+    p.add_argument("--kind", required=True, choices=FAMILY_KINDS)
     p.add_argument("--sizes", required=True,
                    help="comma-separated family sizes, e.g. 50,100,200")
     p.add_argument("--trials", type=int, default=20)

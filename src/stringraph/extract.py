@@ -16,7 +16,7 @@ from .errors import (ExtractorViolation, InternalBoundViolation, NoCoverFound,
                      PreconditionViolated, RefinementFailed)
 from .graph import (Coloring, Graph, average_degree, bits, clique_in_mask,
                     components_masked, edges_in_mask, greedy_color, mask_of,
-                    validate_coloring, vertex_mask)
+                    most_adjacent, validate_coloring, vertex_mask)
 from .separator import STRATEGIES, find_balanced_separator
 
 
@@ -252,9 +252,8 @@ def _cover_rec(G: Graph, mask: int, params: AlgorithmParams
         return 0, {}
     if nm == 1:
         return mask, {}
-    threshold = max(1.0, params.c * nm / math.log2(nm) ** 2)
-    hub = max(bits(mask), key=lambda v: ((G.adj[v] & mask).bit_count(), -v))
-    if (G.adj[hub] & mask).bit_count() >= threshold:
+    hub = most_adjacent(G, mask, mask)
+    if (G.adj[hub] & mask).bit_count() >= cover_floor(nm, params.c):
         w = G.adj[hub] & mask
         apexes = {}
         for comp in components_masked(G, w):
@@ -333,7 +332,8 @@ def _biclique_exact(G: Graph, mask: int) -> tuple[int, int]:
     return best
 
 
-def _biclique_grow(adj: tuple[int, ...], mask: int, u: int, v: int) -> tuple[int, int]:
+def _biclique_grow(G: Graph, mask: int, u: int, v: int) -> tuple[int, int]:
+    adj = G.adj
     amask = 1 << u
     bmask = 1 << v
     cand_a = adj[v] & mask & ~amask & ~bmask
@@ -345,11 +345,11 @@ def _biclique_grow(adj: tuple[int, ...], mask: int, u: int, v: int) -> tuple[int
         if not grow_a and not cand_b:
             grow_a = True
         if grow_a:
-            x = max(bits(cand_a), key=lambda w: ((adj[w] & cand_b).bit_count(), -w))
+            x = most_adjacent(G, cand_a, cand_b)
             amask |= 1 << x
             cand_b &= adj[x]
         else:
-            x = max(bits(cand_b), key=lambda w: ((adj[w] & cand_a).bit_count(), -w))
+            x = most_adjacent(G, cand_b, cand_a)
             bmask |= 1 << x
             cand_a &= adj[x]
         cand_a &= ~(1 << x)
@@ -366,7 +366,7 @@ def _biclique_greedy(G: Graph, mask: int) -> tuple[int, int]:
     best_t = 0
     best = (0, 0)
     for u, v in seeds:
-        amask, bmask = _biclique_grow(adj, mask, u, v)
+        amask, bmask = _biclique_grow(G, mask, u, v)
         t = min(amask.bit_count(), bmask.bit_count())
         if t > best_t:
             best_t, best = t, (amask, bmask)
@@ -420,7 +420,7 @@ def half_clique_free_subgraph(G: Graph, r: int,
             return mask
         logn = math.log2(nm)
         if edges_in_mask(G, mask) >= params.c * params.c2 * nm * nm / logn ** 2:
-            t_target = max(1, math.ceil(params.c * nm / logn ** 3))
+            t_target = math.ceil(half_clique_floor(nm, params.c))
             found = find_balanced_biclique(G, t_target, mask=mask)
             if found is not None:
                 a_mask, b_mask = mask_of(found[0]), mask_of(found[1])
@@ -529,7 +529,7 @@ def multipartite_cover(G: Graph, alpha: float, params: Optional[AlgorithmParams]
             break
         if work.bit_count() <= 1:
             raise NoCoverFound("complement peeling exhausted the vertex set")
-        peel = max(bits(work), key=lambda v: ((H.adj[v] & work).bit_count(), -v))
+        peel = most_adjacent(H, work, work)
         work &= ~(1 << peel)
     k = len(comps)
     ordered = sorted(comps, key=lambda c: (-c.bit_count(), c & -c))

@@ -19,6 +19,8 @@ from .quasiplanar import DrawnEdge, Drawing
 
 KINDS = ("random_segments", "random_polylines", "convex_chords",
          "grid_paths", "disjoint_segments", "all_crossing_segments")
+# The kinds that generate a StringFamily; convex_chords generates a Drawing.
+FAMILY_KINDS = tuple(kind for kind in KINDS if kind != "convex_chords")
 
 # Mean segment length is this factor times region_size / sqrt(count), which
 # keeps the expected number of crossings per string roughly constant as the

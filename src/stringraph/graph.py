@@ -140,6 +140,13 @@ def components_masked(G: Graph, mask: int) -> list[int]:
     return comps
 
 
+def most_adjacent(G: Graph, among: int, into: int) -> int:
+    """The vertex of the nonempty mask among with the most neighbours in into,
+    ties to the lowest index."""
+    adj = G.adj
+    return max(bits(among), key=lambda v: ((adj[v] & into).bit_count(), -v))
+
+
 def _greedy_color_classes(G: Graph, cand: int) -> int:
     """Number of greedy color classes of G[cand]; an upper bound on its clique number."""
     classes: list[int] = []

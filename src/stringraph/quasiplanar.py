@@ -257,8 +257,10 @@ def edge_bound(n: int, s: int, C: float = 1.0) -> float:
         raise ValueError("s must be at least 3")
     if C <= 0:
         raise ValueError("C must be strictly positive")
-    if n < 2 ** s:
-        raise DomainError(f"bound needs n >= 2^s = {2 ** s}, got n = {n}")
+    if n >> s < 1:
+        # n < 2^s, tested without building 2^s, which a large s makes huge.
+        power = 2 ** s if s <= 64 else f"2^{s}"
+        raise DomainError(f"bound needs n >= 2^s = {power}, got n = {n}")
     return _finite(lambda: n * (C * math.log2(n) / s) ** (2 * s - 4), "edge bound")
 
 

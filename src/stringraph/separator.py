@@ -14,7 +14,8 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import TooLarge
-from .graph import Graph, bits, components_masked, mask_of, vertex_mask
+from .graph import (Graph, bits, components_masked, mask_of, most_adjacent,
+                     vertex_mask)
 
 _EXACT_LIMIT = 14
 STRATEGIES = ("auto", "exact", "bfs_layer", "degree_peel")
@@ -85,12 +86,13 @@ def _pack_two_bins(sizes: Sequence[int], cap: int) -> Optional[list[int]]:
     chosen.reverse()
     return chosen
 
-def _partition_from_separator(G: Graph, mask: int, s_mask: int
-                              ) -> Optional[SeparatorPartition]:
-    """Distribute the components of G[mask] - S into balanced sides, if possible."""
+
+def _split(mask: int, s_mask: int, chunks: Sequence[int]
+           ) -> Optional[SeparatorPartition]:
+    """S plus the chunks of mask - S packed into two sides closest to half,
+    or None when no packing keeps both sides within the balance cap."""
     cap = balance_cap(mask.bit_count())
-    comps = components_masked(G, mask & ~s_mask)
-    sizes = [c.bit_count() for c in comps]
+    sizes = [c.bit_count() for c in chunks]
     if any(sz > cap for sz in sizes):
         return None
     chosen = _pack_two_bins(sizes, cap)
@@ -98,9 +100,15 @@ def _partition_from_separator(G: Graph, mask: int, s_mask: int
         return None
     v1 = 0
     for i in chosen:
-        v1 |= comps[i]
+        v1 |= chunks[i]
     v2 = mask & ~s_mask & ~v1
     return SeparatorPartition(S=tuple(bits(s_mask)), V1=tuple(bits(v1)), V2=tuple(bits(v2)))
+
+
+def _partition_from_separator(G: Graph, mask: int, s_mask: int
+                              ) -> Optional[SeparatorPartition]:
+    """Distribute the components of G[mask] - S into balanced sides, if possible."""
+    return _split(mask, s_mask, components_masked(G, mask & ~s_mask))
 
 
 def _whole(mask: int) -> SeparatorPartition:
@@ -143,11 +151,10 @@ def _pseudo_peripheral(G: Graph, comp: int) -> int:
 
 
 def _bfs_layer(G: Graph, mask: int) -> SeparatorPartition:
-    cap = balance_cap(mask.bit_count())
     comps = components_masked(G, mask)
     comp = max(comps, key=int.bit_count)
-    if comp.bit_count() <= cap:
-        part = _partition_from_separator(G, mask, 0)
+    if comp.bit_count() <= balance_cap(mask.bit_count()):
+        part = _split(mask, 0, comps)
         return part if part is not None else _whole(mask)
     others = [c for c in comps if c != comp]
     best: Optional[SeparatorPartition] = None
@@ -156,63 +163,22 @@ def _bfs_layer(G: Graph, mask: int) -> SeparatorPartition:
         above = comp & ~below & ~layer
         chunks = [c for c in (below, above) if c] + others
         below |= layer
-        chunk_sizes = [c.bit_count() for c in chunks]
-        if any(sz > cap for sz in chunk_sizes):
-            continue
-        chosen = _pack_two_bins(chunk_sizes, cap)
-        if chosen is None:
-            continue
         if best is not None and layer.bit_count() >= len(best.S):
             continue
-        v1 = 0
-        for j in chosen:
-            v1 |= chunks[j]
-        v2 = mask & ~layer & ~v1
-        best = SeparatorPartition(S=tuple(bits(layer)), V1=tuple(bits(v1)),
-                                  V2=tuple(bits(v2)))
+        best = _split(mask, layer, chunks) or best
     if best is None and others:
-        best = _partition_from_separator(G, mask, comp)
+        best = _split(mask, comp, others)
     return best if best is not None else _whole(mask)
 
 
-def _ffd_two_bins(sizes: Sequence[int], cap: int) -> Optional[list[int]]:
-    """First-fit-decreasing into two bins; returns bin-one chunk indices."""
-    order = sorted(range(len(sizes)), key=lambda i: (-sizes[i], i))
-    loads = [0, 0]
-    assign: list[int] = [0] * len(sizes)
-    for i in order:
-        if loads[0] + sizes[i] <= cap:
-            loads[0] += sizes[i]
-            assign[i] = 0
-        elif loads[1] + sizes[i] <= cap:
-            loads[1] += sizes[i]
-            assign[i] = 1
-        else:
-            return None
-    return [i for i in range(len(sizes)) if assign[i] == 0]
-
-
 def _degree_peel(G: Graph, mask: int) -> SeparatorPartition:
-    cap = balance_cap(mask.bit_count())
+    """Move the vertex with the most neighbours in the rest into S until the
+    components of the rest pack into balanced sides."""
     s_mask = 0
-    remaining = mask
-    while True:
-        comps = components_masked(G, remaining)
-        sizes = [c.bit_count() for c in comps]
-        if all(sz <= cap for sz in sizes):
-            chosen = _ffd_two_bins(sizes, cap)
-            if chosen is not None:
-                v1 = 0
-                for i in chosen:
-                    v1 |= comps[i]
-                v2 = remaining & ~v1
-                return SeparatorPartition(S=tuple(bits(s_mask)), V1=tuple(bits(v1)),
-                                          V2=tuple(bits(v2)))
-        if not remaining:
-            return _whole(mask)
-        peel = max(bits(remaining), key=lambda v: ((G.adj[v] & remaining).bit_count(), -v))
-        s_mask |= 1 << peel
-        remaining &= ~(1 << peel)
+    while (part := _partition_from_separator(G, mask, s_mask)) is None:
+        rest = mask & ~s_mask
+        s_mask |= 1 << most_adjacent(G, rest, rest)
+    return part
 
 
 def find_balanced_separator(G: Graph, strategy: str = "auto",
@@ -247,8 +213,13 @@ def separator_size_survey(spec, sizes: Sequence[int], trials: int = 20,
     """
     from dataclasses import replace
 
-    from .generators import generate
+    from .generators import FAMILY_KINDS, generate
     from .geometry import intersection_graph
+
+    if spec.kind not in FAMILY_KINDS:
+        raise ValueError(f"survey needs a string family kind, not {spec.kind!r}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
 
     rows = []
     for size in sizes:

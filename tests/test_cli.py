@@ -80,6 +80,7 @@ def test_extract_degree_peel_on_two_isolated_vertices(tmp_path, op):
                         "--strategy", "degree_peel")
     assert code == 0
     assert report["verification"]["status"] == "pass"
+    assert report["result"]["witness"]["vertices"] == [0, 1]
 
 
 def test_extract_missing_flag_is_usage_error(tmp_path):
@@ -136,6 +137,7 @@ def test_qp_bound_report(tmp_path):
     ["--n", str(10 ** 400), "--s", "3"],
     ["--n", str(10 ** 400), "--s", "3", "--epsilon", "0.5"],
     ["--n", str(2 * 10 ** 205), "--s", "3", "--epsilon", "0.5"],
+    ["--n", "5", "--s", "20000"],
 ])
 def test_qp_bound_overflow_is_a_declared_outcome(tmp_path, flags):
     code, report = _run(tmp_path, "qp", "bound", *flags)
@@ -257,6 +259,17 @@ def test_survey_csv_shape(tmp_path):
     lines = dest.read_text().strip().splitlines()
     assert lines[0] == "size,median_edges,median_separator"
     assert len(lines) == 4 and lines[-1].startswith("# fitted_beta=")
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--kind", "convex_chords", "--sizes", "10", "--trials", "1"], "--kind"),
+    (["--kind", "random_segments", "--sizes", "10", "--trials", "0"], "trials"),
+])
+def test_survey_refuses_drawing_kinds_and_no_trials(tmp_path, capsys, flags, named):
+    dest = tmp_path / "survey.csv"
+    assert main(["survey", *flags, "-o", str(dest)]) == 4
+    assert not dest.exists()
+    assert named in capsys.readouterr().err
 
 
 def test_stdin_input_via_subprocess(tmp_path):

@@ -63,7 +63,7 @@ CASES = {
     "separator-bfs-layer": ("separator big.txt --strategy bfs_layer", 0,
         "bef4d0220f5da456cfcd44658721658982c7c48ddd6f83c3593d5a9d49edd5d4", QUIET),
     "separator-degree-peel": ("separator grid.txt --strategy degree_peel", 0,
-        "ebcbfb61f25d26b0efdb9ebe8beb3e2be073c095d358a63f315a3e07cab9cb2a", QUIET),
+        "53f7a2d812bc8c41bbfda3c5778dfbd84f5468e3be513ff0e41b39d789161281", QUIET),
     "separator-verify-off": ("separator polys.txt --verify off", 0,
         "3085cb0e30ad3ad07006f06010c890d13795c5f6c84037685e78199173c032f9", QUIET),
     "extract-independent": ("extract independent c5.txt --s 2", 0,
@@ -94,6 +94,8 @@ CASES = {
         "3441ddb89c26931e035c0164e0f958b81a76a0c4af98c67f23f504e215634556", QUIET),
     "extract-densecore-params-file": ("extract densecore big.txt --epsilon 0.5 --params params.json", 0,
         "6e87d12b371896b0814c6eab5283a581ee0ac722da69453ed8172c85758a0baf", QUIET),
+    "extract-densecore-edgeless-one-vertex": ("extract densecore edgeless.txt --epsilon 0.5 --strategy degree_peel", 0,
+        "7b5e5b34fd523a6b715a7dec55f50903dae8d8210ed91c43c165a12a1fc34188", QUIET),
     "extract-multipartite": ("extract multipartite octa.txt --alpha 0.3", 0,
         "032890b3fd956569886932c61bda386c96f71293f904137be8bf52f4d4eeeff2", QUIET),
     "extract-multipartite-big": ("extract multipartite big.txt --alpha 0.05", 0,
@@ -146,8 +148,6 @@ CASES = {
         "2338d2f759bfc9558b8e501d0311c7a6caaa50617b30c1659485bdee5fc7f49d", QUIET),
     "declared-multipartite-sparse": ("extract multipartite c5.txt --alpha 0.9", 3,
         "d415991a44c3c0e10ba2816bbb2a84257c00e3b73afb41c711d4968c9f5fa4fe", QUIET),
-    "declared-densecore-refinement": ("extract densecore edgeless.txt --epsilon 0.5 --strategy degree_peel", 3,
-        "1a74db98fade07ffea2ef1c7d4caf6178ed9c9950682c323f1f877d8d4757e7b", QUIET),
     "declared-qp-bound-domain": ("qp bound --n 4 --s 3", 3,
         "d99531c3f85a2e6032b6503eb4ca00ba3ad4ea14def99ec4e453a492903a04d6", QUIET),
     "declared-qp-check-degenerate": ("qp check degenerate.json --r 3", 3,

@@ -172,6 +172,15 @@ def test_degree_peel_recursions_terminate_on_sparse_graphs():
             assert w.vertices
 
 
+def test_dense_core_on_edgeless_graphs_under_degree_peel():
+    params = AlgorithmParams(separator_strategy="degree_peel")
+    for n in range(2, 7):
+        G = Graph.from_edges(n, [])
+        w = dense_core(G, 0.5, params)
+        validate_witness(G, w)
+        assert len(w.vertices) == 1
+
+
 def test_find_balanced_biclique_modes():
     k33 = Graph.from_edges(6, [(u, v + 3) for u in range(3) for v in range(3)])
     got = find_balanced_biclique(k33, 3, mode="exact")

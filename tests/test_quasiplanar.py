@@ -158,6 +158,9 @@ def test_edge_bound_values():
     assert not edge_bound_holds(256, 1821, 3, 1)
     with pytest.raises(DomainError):
         edge_bound(7, 3, 1)
+    # 2^s is too large to build or print.
+    with pytest.raises(DomainError, match=r"2\^s = 2\^20000, got n = 5"):
+        edge_bound(5, 20000, 1)
     with pytest.raises(ValueError):
         edge_bound(256, 2, 1)
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Balanced separators: validation, strategies, exact search, survey."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -82,6 +82,19 @@ def test_exact_matches_reference_minimum(rng):
         assert part.size == _min_separator_size(G)
 
 
+@pytest.mark.parametrize("strategy", ["exact", "degree_peel"])
+def test_sides_split_the_rest_closest_to_half(strategy, rng):
+    for trial in range(25):
+        G = er_graph(rng.randrange(2, 15), rng.uniform(0.05, 0.6), 500 + trial)
+        part = find_balanced_separator(G, strategy)
+        validate_partition(G, part)
+        sizes = [c.bit_count() for c in
+                 components_masked(G, G.full_mask & ~mask_of(part.S))]
+        best = min(abs(sum(sz if side else -sz for sz, side in zip(sizes, sides)))
+                   for sides in product((0, 1), repeat=len(sizes)))
+        assert abs(len(part.V1) - len(part.V2)) == best
+
+
 @pytest.mark.parametrize("strategy", ["auto", "bfs_layer", "degree_peel"])
 def test_heuristics_always_validate(strategy, rng):
     for trial in range(15):
@@ -108,6 +121,10 @@ def test_survey_rows_and_determinism():
     assert rows == again
     assert [r[0] for r in rows] == [30, 60]
     assert all(r[1] >= 0 and r[2] >= 0 for r in rows)
+    with pytest.raises(ValueError, match="trials"):
+        separator_size_survey(spec, (30,), trials=0)
+    with pytest.raises(ValueError, match="family kind"):
+        separator_size_survey(GeneratorSpec(kind="convex_chords", count=10), (10,), 1)
 
 
 def test_loglog_slope_fit():
