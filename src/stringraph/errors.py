@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-float guard
+that turns an overflowing formula into DomainError."""
+
+import math
+from typing import Callable
 
 
 class StringraphError(Exception):
@@ -47,6 +51,17 @@ class DegenerateDrawing(StringraphError):
 
 class DomainError(StringraphError):
     """Numeric arguments outside the formula's domain."""
+
+
+def finite_value(formula: Callable[[], float], name: str) -> float:
+    """formula(), or DomainError when it overflows or is not a finite float."""
+    try:
+        value = formula()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{name} is not a finite float for these arguments")
+    return value
 
 
 class TooLarge(StringraphError):

@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import (ExtractorViolation, InternalBoundViolation, NoCoverFound,
-                     PreconditionViolated, RefinementFailed)
+                     PreconditionViolated, RefinementFailed, finite_value)
 from .graph import (Coloring, Graph, average_degree, bits, clique_in_mask,
                     components_masked, edges_in_mask, greedy_color, mask_of,
                     most_adjacent, validate_coloring, vertex_mask)
@@ -98,14 +98,17 @@ def half_clique_floor(n: int, c: float) -> float:
 def independent_floor(n: int, s: int, c: float) -> int:
     if n < 2:
         return 1
-    return max(1, math.floor(n * (c * s / math.log2(n)) ** (2 * s - 2)))
+    return max(1, math.floor(finite_value(
+        lambda: n * (c * s / math.log2(n)) ** (2 * s - 2), "independent-set floor")))
 
 
 def q_independent_floor(n: int, s: int, q: int, c: float) -> int:
     if n < 2:
         return 1
-    frac = (c * (s + 1 - q) / math.log2(n)) ** (2 * s - 2 * q)
-    return max(1, math.floor(n * frac / 2 ** (2 * s)))
+    # Dividing by 2^(2s) on the float's exponent never builds 2^(2s).
+    return max(1, math.floor(finite_value(lambda: math.ldexp(
+        n * (c * (s + 1 - q) / math.log2(n)) ** (2 * s - 2 * q), -2 * s),
+        "q-independent floor")))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +237,24 @@ def _split_by_separator(G: Graph, mask: int, params: AlgorithmParams
     return s_mask, v1, v2
 
 
+def _divide(G: Graph, mask: int, params: AlgorithmParams,
+            step: Callable[[int], Optional[int]]) -> int:
+    """The separator recursion behind every extractor except dense_core.
+
+    A mask of at most one vertex is its own answer. Otherwise step(mask)
+    answers for G[mask], or returns None to split G[mask] by a balanced
+    separator, recurse on both sides and unite their answers; the lowest
+    vertex of mask stands in when both sides answer empty.
+    """
+    if mask.bit_count() <= 1:
+        return mask
+    answer = step(mask)
+    if answer is not None:
+        return answer
+    _, v1, v2 = _split_by_separator(G, mask, params)
+    return _divide(G, v1, params, step) | _divide(G, v2, params, step) or mask & -mask
+
+
 def _verify_no_clique(G: Graph, mask: int, r: int) -> None:
     clique = clique_in_mask(G, mask, r)
     if clique is not None:
@@ -245,29 +266,22 @@ def _verify_no_clique(G: Graph, mask: int, r: int) -> None:
 # ---------------------------------------------------------------------------
 # Neighborhood covers and K_{r-1}-free subgraphs.
 
-def _cover_rec(G: Graph, mask: int, params: AlgorithmParams
-               ) -> tuple[int, dict[int, int]]:
-    nm = mask.bit_count()
-    if nm == 0:
-        return 0, {}
-    if nm == 1:
-        return mask, {}
-    hub = most_adjacent(G, mask, mask)
-    if (G.adj[hub] & mask).bit_count() >= cover_floor(nm, params.c):
+def _cover(G: Graph, params: AlgorithmParams) -> tuple[int, dict[int, int]]:
+    """The cover as a mask, and the apex of each of its components that has
+    at least two vertices, keyed by the component's lowest vertex."""
+    apexes: dict[int, int] = {}
+
+    def step(mask: int) -> Optional[int]:
+        hub = most_adjacent(G, mask, mask)
         w = G.adj[hub] & mask
-        apexes = {}
+        if w.bit_count() < cover_floor(mask.bit_count(), params.c):
+            return None
         for comp in components_masked(G, w):
             if comp.bit_count() >= 2:
                 apexes[(comp & -comp).bit_length() - 1] = hub
-        return w, apexes
-    _, v1, v2 = _split_by_separator(G, mask, params)
-    w1, a1 = _cover_rec(G, v1, params)
-    w2, a2 = _cover_rec(G, v2, params)
-    w = w1 | w2
-    if w == 0:
-        return mask & -mask, {}
-    a1.update(a2)
-    return w, a1
+        return w
+
+    return _divide(G, G.full_mask, params, step), apexes
 
 
 def neighborhood_cover_subgraph(G: Graph,
@@ -278,7 +292,7 @@ def neighborhood_cover_subgraph(G: Graph,
     params = params or DEFAULT_PARAMS
     if G.n < 1:
         raise ValueError("need at least one vertex")
-    w, apexes = _cover_rec(G, G.full_mask, params)
+    w, apexes = _cover(G, params)
     witness = ExtractionWitness(
         "neighborhood_cover", tuple(bits(w)),
         {"apexes": apexes, "bound": cover_floor(G.n, params.c), "c": params.c})
@@ -294,7 +308,7 @@ def kr1_free_subgraph(G: Graph, r: int,
     if r < 3:
         raise ValueError("forbidden clique size r must be at least 3")
     _verify_no_clique(G, G.full_mask, r)
-    w, apexes = _cover_rec(G, G.full_mask, params)
+    w, apexes = _cover(G, params)
     if clique_in_mask(G, w, r - 1) is not None:
         raise ExtractorViolation("cover output unexpectedly contains K_{r-1}")
     witness = ExtractionWitness(
@@ -412,36 +426,29 @@ def half_clique_free_subgraph(G: Graph, r: int,
     _verify_no_clique(G, G.full_mask, r)
     p_half = (r + 1) // 2
 
-    def rec(mask: int) -> int:
+    def step(mask: int) -> Optional[int]:
+        # A dense G[mask] with a large balanced biclique keeps a side that
+        # avoids K_{p_half}; two such cliques would assemble a K_r.
         nm = mask.bit_count()
-        if nm == 0:
-            return 0
-        if nm == 1:
-            return mask
-        logn = math.log2(nm)
-        if edges_in_mask(G, mask) >= params.c * params.c2 * nm * nm / logn ** 2:
-            t_target = math.ceil(half_clique_floor(nm, params.c))
-            found = find_balanced_biclique(G, t_target, mask=mask)
-            if found is not None:
-                a_mask, b_mask = mask_of(found[0]), mask_of(found[1])
-                clique_a = clique_in_mask(G, a_mask, p_half)
-                if clique_a is None:
-                    return a_mask
-                clique_b = clique_in_mask(G, b_mask, p_half)
-                if clique_b is None:
-                    return b_mask
-                assembled = tuple(sorted(clique_a + clique_b))
-                raise PreconditionViolated(
-                    f"both biclique sides contain K_{p_half}; assembled K_{len(assembled)}",
-                    witness=ExtractionWitness("clique", assembled,
-                                              {"size": len(assembled)}))
-        _, v1, v2 = _split_by_separator(G, mask, params)
-        w = rec(v1) | rec(v2)
-        if w == 0:
-            return mask & -mask
-        return w
+        if edges_in_mask(G, mask) < params.c * params.c2 * nm * nm / math.log2(nm) ** 2:
+            return None
+        found = find_balanced_biclique(G, math.ceil(half_clique_floor(nm, params.c)),
+                                       mask=mask)
+        if found is None:
+            return None
+        a_mask, b_mask = mask_of(found[0]), mask_of(found[1])
+        clique_a = clique_in_mask(G, a_mask, p_half)
+        if clique_a is None:
+            return a_mask
+        clique_b = clique_in_mask(G, b_mask, p_half)
+        if clique_b is None:
+            return b_mask
+        assembled = tuple(sorted(clique_a + clique_b))
+        raise PreconditionViolated(
+            f"both biclique sides contain K_{p_half}; assembled K_{len(assembled)}",
+            witness=ExtractionWitness("clique", assembled, {"size": len(assembled)}))
 
-    w = rec(G.full_mask)
+    w = _divide(G, G.full_mask, params, step)
     if clique_in_mask(G, w, p_half) is not None:
         raise ExtractorViolation("output unexpectedly contains the forbidden clique")
     witness = ExtractionWitness(
@@ -562,83 +569,65 @@ def _merge_groups(cover: MultipartiteCover) -> MultipartiteCover:
 # sparse graphs split by separator, dense graphs split by multipartite cover
 # into parts, one of which must avoid the next forbidden clique size.
 
-def _bigger(a: Optional[VertexSet], b: Optional[VertexSet]) -> Optional[VertexSet]:
-    if a is None:
-        return b
-    if b is None or len(b) < len(a):
-        return a
-    return b
+def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
+            ) -> tuple[int, Optional[VertexSet], int]:
+    """K_{2^q}-free subset of G[mask], which must be K_{2^s}-free, as a mask;
+    also the latest of the largest cliques met on the way and the count of
+    cover fallbacks."""
+    _verify_no_clique(G, mask, 2 ** s)
+    if clique_in_mask(G, mask, 2 ** q) is None:
+        # Already free of the target clique: the whole vertex set qualifies.
+        return mask, None, 0
+    found: Optional[VertexSet] = None
+    fallbacks = 0
 
-
-def _qindep_rec(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams,
-                events: list) -> tuple[int, Optional[VertexSet]]:
-    """G[mask] must be K_{2^s}-free (certified by the caller)."""
-    nm = mask.bit_count()
-    if nm == 0:
-        return 0, None
-    if s == q:
-        return mask, None
-    if nm <= 10:
-        # Base case: keep everything when the block is already clique-free.
-        if clique_in_mask(G, mask, 2 ** q) is None:
-            return mask, None
-        return mask & -mask, None
-    logn = math.log2(nm)
-    alpha = params.c_prime * ((s + 1 - q) / logn) ** 2
-    best_clique: Optional[VertexSet] = None
-    if edges_in_mask(G, mask) > alpha * nm * nm:
-        try:
-            cover = multipartite_cover(G, alpha, params, mask)
-        except NoCoverFound:
-            events.append(nm)
-            cover = None
-        if cover is not None:
+    def _qindep_rec(mask: int, s: int) -> int:
+        # G[mask] is K_{2^s}-free with s > q.
+        def step(mask: int) -> Optional[int]:
+            nonlocal found, fallbacks
+            nm = mask.bit_count()
+            if nm <= 10:
+                # Base case: keep everything when the block is already clique-free.
+                if clique_in_mask(G, mask, 2 ** q) is None:
+                    return mask
+                return mask & -mask
+            alpha = params.c_prime * ((s + 1 - q) / math.log2(nm)) ** 2
+            if edges_in_mask(G, mask) <= alpha * nm * nm:
+                return None
+            try:
+                cover = multipartite_cover(G, alpha, params, mask)
+            except NoCoverFound:
+                fallbacks += 1
+                return None
             while cover.p >= s and cover.t > 2:
                 cover = _merge_groups(cover)
             if cover.p >= s:
                 raise InternalBoundViolation(
                     "cover part count contradicts the clique-free certificate")
-            p = cover.p
-            target = s - p
+            # One part avoids K_{2^target}; the parts' cliques assemble one
+            # clique, since the parts are complete to each other.
+            target = s - cover.p
             chosen: Optional[int] = None
             part_cliques: list[VertexSet] = []
             for part in cover.parts:
                 part_mask = mask_of(part)
                 clique = clique_in_mask(G, part_mask, 2 ** target)
-                if clique is None and chosen is None:
-                    chosen = part_mask
-                elif clique is not None:
+                if clique is not None:
                     part_cliques.append(clique)
+                elif chosen is None:
+                    chosen = part_mask
             if part_cliques:
                 assembled = tuple(sorted(v for cl in part_cliques for v in cl))
-                best_clique = _bigger(best_clique, assembled)
+                if found is None or len(assembled) >= len(found):
+                    found = assembled
             if chosen is None:
                 raise InternalBoundViolation(
                     "every cover part contains the forbidden clique")
-            if target <= q:
-                return chosen, best_clique
-            res, child_clique = _qindep_rec(G, chosen, target, q, params, events)
-            return res, _bigger(best_clique, child_clique)
-    _, v1, v2 = _split_by_separator(G, mask, params)
-    r1, c1 = _qindep_rec(G, v1, s, q, params, events)
-    r2, c2 = _qindep_rec(G, v2, s, q, params, events)
-    res = r1 | r2
-    if res == 0:
-        res = mask & -mask
-    return res, _bigger(best_clique, _bigger(c1, c2))
+            return chosen if target <= q else _qindep_rec(chosen, target)
 
+        return _divide(G, mask, params, step)
 
-def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
-            ) -> tuple[int, Optional[VertexSet], int]:
-    """K_{2^q}-free subset of G[mask], which must be K_{2^s}-free, as a mask;
-    also the largest clique met on the way and the count of cover fallbacks."""
-    _verify_no_clique(G, mask, 2 ** s)
-    if clique_in_mask(G, mask, 2 ** q) is None:
-        # Already free of the target clique: the whole vertex set qualifies.
-        return mask, None, 0
-    events: list = []
-    res, found = _qindep_rec(G, mask, s, q, params, events)
-    return res, found, len(events)
+    return _qindep_rec(mask, s), found, fallbacks
 
 
 def independent_set(G: Graph, s: int,
@@ -648,11 +637,11 @@ def independent_set(G: Graph, s: int,
         raise ValueError("s must be at least 1")
     if G.n < 1:
         raise ValueError("need at least one vertex")
+    floor = independent_floor(G.n, s, params.c)
     res, found, fallbacks = _qindep(G, G.full_mask, s, 1, params)
     witness = ExtractionWitness(
         "independent", tuple(bits(res)),
-        {"s": s, "floor": independent_floor(G.n, s, params.c),
-         "fallbacks": fallbacks, "found_clique": found})
+        {"s": s, "floor": floor, "fallbacks": fallbacks, "found_clique": found})
     validate_witness(G, witness)
     return witness
 
@@ -664,11 +653,11 @@ def q_independent_set(G: Graph, s: int, q: int,
         raise ValueError("need s >= q >= 1")
     if G.n < 1:
         raise ValueError("need at least one vertex")
+    floor = q_independent_floor(G.n, s, q, params.c)
     res, found, fallbacks = _qindep(G, G.full_mask, s, q, params)
     witness = ExtractionWitness(
         "q_independent", tuple(bits(res)),
-        {"s": s, "q": q, "p": 2 ** q,
-         "floor": q_independent_floor(G.n, s, q, params.c),
+        {"s": s, "q": q, "p": 2 ** q, "floor": floor,
          "fallbacks": fallbacks, "found_clique": found})
     validate_witness(G, witness)
     return witness
@@ -722,8 +711,8 @@ def color_or_clique(G: Graph, epsilon: float,
     if n < 1:
         raise ValueError("need at least one vertex")
     delta = params.delta if params.delta is not None else choose_delta(epsilon, params.c)
+    clique_threshold = finite_value(lambda: n ** delta, "clique threshold n^delta")
     s = max(1, math.ceil(delta * math.log2(n))) if n >= 2 else 1
-    clique_threshold = n ** delta
 
     def extractor(remaining: VertexSet) -> VertexSet:
         try:

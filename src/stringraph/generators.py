@@ -14,6 +14,7 @@ from itertools import combinations
 from typing import Union
 
 from .errors import BadSpec
+from .fileio import MAX_VERTICES
 from .geometry import Point, Polyline, StringFamily, exact_coord
 from .quasiplanar import DrawnEdge, Drawing
 
@@ -57,6 +58,11 @@ class GeneratorSpec:
             raise BadSpec("bends must be a non-negative integer")
         if self.kind == "convex_chords" and self.count > _MAX_CONVEX:
             raise BadSpec(f"convex_chords supports at most {_MAX_CONVEX} vertices")
+        # The count cap above keeps a convex_chords drawing far below this.
+        per_string = {"random_polylines": self.bends + 1, "grid_paths": 4}.get(self.kind, 1)
+        if self.count * per_string > MAX_VERTICES:
+            raise BadSpec(f"family would have {self.count * per_string} segments, "
+                          f"above the {MAX_VERTICES} cap")
 
 
 def generate(spec: GeneratorSpec) -> Union[StringFamily, Drawing]:

@@ -14,9 +14,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
-from .errors import DegenerateDrawing, DomainError, ExtractorViolation, PreconditionViolated
+from .errors import (DegenerateDrawing, DomainError, ExtractorViolation,
+                     PreconditionViolated, finite_value)
 from .extract import DEFAULT_PARAMS, AlgorithmParams, ExtractionWitness, q_independent_set
 from .geometry import (Point, Polyline, StringFamily, dist_sq, exact_coord,
                        interpolate, intersection_graph, point_segment_dist_sq,
@@ -81,6 +82,13 @@ def _auto_radius_sq(drawing: Drawing) -> Fraction:
     away from a shared endpoint, and half the closest vertex-vertex distance.
     The last term keeps every curve strictly longer than four radii, so both
     cuts exist and leave a curve of positive length.
+
+    Of the contact terms only those from a shared endpoint can set the
+    minimum. A contact x lies on both curves, so for a vertex w that is not
+    an endpoint of one of them, dist(w, x) is at least w's distance to that
+    curve, which is a clearance of the first kind. Nor can a contact lie on
+    another vertex's point: that vertex would lie on a curve that does not
+    end there, which the first loop refuses before any contact is measured.
     """
     verts = drawing.vertices
     best: Optional[Fraction] = None
@@ -101,21 +109,16 @@ def _auto_radius_sq(drawing: Drawing) -> Fraction:
                     raise DegenerateDrawing(
                         f"vertex {w} lies on the curve of edge ({e.u}, {e.v})")
                 shrink(d2)
-    vset = set(verts)
-    for i in range(drawing.m):
-        for j in range(i + 1, drawing.m):
-            ei, ej = drawing.edges[i], drawing.edges[j]
-            shared = {ei.u, ei.v} & {ej.u, ej.v}
+    incident: list[list[DrawnEdge]] = [[] for _ in verts]
+    for e in drawing.edges:
+        incident[e.u].append(e)
+        incident[e.v].append(e)
+    for pw, edges in zip(verts, incident):
+        for ei, ej in itertools.combinations(edges, 2):
             for a, b in ei.curve.segments():
                 for c, d in ej.curve.segments():
                     for x in segment_intersection_points(a, b, c, d):
-                        if any(x == verts[t] for t in shared):
-                            continue
-                        if x in vset:
-                            raise DegenerateDrawing(
-                                f"edges ({ei.u}, {ei.v}) and ({ej.u}, {ej.v}) "
-                                "meet at a vertex point")
-                        for pw in verts:
+                        if x != pw:
                             shrink(dist_sq(pw, x))
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
@@ -261,7 +264,7 @@ def edge_bound(n: int, s: int, C: float = 1.0) -> float:
         # n < 2^s, tested without building 2^s, which a large s makes huge.
         power = 2 ** s if s <= 64 else f"2^{s}"
         raise DomainError(f"bound needs n >= 2^s = {power}, got n = {n}")
-    return _finite(lambda: n * (C * math.log2(n) / s) ** (2 * s - 4), "edge bound")
+    return finite_value(lambda: n * (C * math.log2(n) / s) ** (2 * s - 4), "edge bound")
 
 
 def edge_bound_holds(n: int, m: int, s: int, C: float = 1.0) -> bool:
@@ -278,18 +281,7 @@ def dense_threshold(n: int, epsilon: float) -> float:
         raise ValueError("n must be at least 1")
     if epsilon <= 0:
         raise ValueError("epsilon must be strictly positive")
-    return _finite(lambda: 3.0 * n ** (1.0 + epsilon), "dense threshold")
-
-
-def _finite(formula: Callable[[], float], name: str) -> float:
-    """formula(), or DomainError when it is not a finite float."""
-    try:
-        value = formula()
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"{name} is not a finite float for these arguments")
-    return value
+    return finite_value(lambda: 3.0 * n ** (1.0 + epsilon), "dense threshold")
 
 
 def convex_interleaving_graph(n: int) -> Graph:

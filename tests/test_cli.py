@@ -145,6 +145,21 @@ def test_qp_bound_overflow_is_a_declared_outcome(tmp_path, flags):
     assert report["result"]["outcome"] == "DomainError"
 
 
+@pytest.mark.parametrize("args,name", [
+    (["extract", "independent", "--s", "600"], "independent-set floor"),
+    (["extract", "qindep", "--s", "600", "--q", "1"], "q-independent floor"),
+    (["color-or-clique", "--epsilon", "0.5", "--delta", "1000"],
+     "clique threshold n^delta"),
+])
+def test_extract_formula_overflow_is_a_declared_outcome(tmp_path, args, name):
+    path = _write_graph(tmp_path, Graph.from_edges(3, [(0, 1)]))
+    code, report = _run(tmp_path, *args, path)
+    assert code == 3
+    assert report["result"] == {
+        "outcome": "DomainError",
+        "message": f"{name} is not a finite float for these arguments"}
+
+
 def test_oracle_commands(tmp_path):
     C5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     path = _write_graph(tmp_path, C5)

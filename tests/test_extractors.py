@@ -16,6 +16,8 @@ from stringraph import (AlgorithmParams, ExtractionWitness, ExtractorViolation,
 from stringraph.extract import (_split_by_separator, cover_floor,
                                 half_clique_floor, independent_floor,
                                 q_independent_floor)
+from stringraph.generators import GeneratorSpec, generate
+from stringraph.geometry import intersection_graph
 from stringraph.separator import STRATEGIES
 from stringraph.graph import clique_in_mask, is_independent, mask_of
 from tests.conftest import er_graph
@@ -91,6 +93,19 @@ def test_q_independent_set_recursion_output_is_kp_free(rng):
         validate_witness(G, w)
         assert clique_in_mask(G, mask_of(w.vertices), 4) is None
         assert len(w.vertices) >= q_independent_floor(14, 3, 2, 0.01)
+
+
+@pytest.mark.parametrize("kind,fallbacks,size", [
+    ("random_segments", 4, 5),
+    ("grid_paths", 6, 8),
+])
+def test_independent_set_counts_cover_fallbacks(kind, fallbacks, size):
+    # A part-size constant this large leaves no multipartite cover, so every
+    # dense block falls back to the separator split and is counted.
+    G = intersection_graph(generate(GeneratorSpec(kind, 60, seed=3)))
+    w = independent_set(G, 4, AlgorithmParams(c_dblprime=1e3))
+    assert (w.certificate["fallbacks"], len(w.vertices)) == (fallbacks, size)
+    assert w.certificate["found_clique"] is None
 
 
 def test_q_independent_set_argument_checks():

@@ -12,7 +12,7 @@ import pytest
 from stringraph import (BadSpec, Drawing, GeneratorSpec, Graph, ParseError,
                         Point, Polyline, SchemaError, StringFamily, generate,
                         intersection_graph)
-from stringraph.fileio import (RunReport, drawing_json,
+from stringraph.fileio import (MAX_VERTICES, RunReport, drawing_json,
                                family_json, graph_text,
                                parse_drawing, parse_family, parse_graph_text,
                                parse_input, report_json, sha256_digest)
@@ -70,6 +70,38 @@ def test_bad_specs_rejected():
         GeneratorSpec(kind="convex_chords", count=65)
     with pytest.raises(BadSpec):
         GeneratorSpec(kind="random_polylines", count=3, bends=-1)
+
+
+def test_spec_segment_cap():
+    # Exactly MAX_VERTICES segments are accepted; one string or bend more is refused.
+    specs = [(kind, MAX_VERTICES // per_string, 2) for kind, per_string in (
+        ("random_segments", 1), ("disjoint_segments", 1),
+        ("all_crossing_segments", 1), ("grid_paths", 4))]
+    specs.append(("random_polylines", MAX_VERTICES // 10, 9))
+    for kind, count, bends in specs:
+        GeneratorSpec(kind=kind, count=count, bends=bends)
+        with pytest.raises(BadSpec, match="segments, above the 1000000 cap"):
+            GeneratorSpec(kind=kind, count=count + 1, bends=bends)
+    with pytest.raises(BadSpec, match="segments, above the 1000000 cap"):
+        GeneratorSpec(kind="random_polylines", count=MAX_VERTICES // 10, bends=10)
+
+
+def test_oversized_gen_refused_before_generating(tmp_path):
+    # A child with a 512 MiB address space: a generator that builds the
+    # strings first dies there of MemoryError instead of refusing.
+    out = tmp_path / "fam.json"
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from stringraph.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for flags in (["--kind", "random_segments", "--count", "1000000000"],
+                  ["--kind", "random_polylines", "--count", "2", "--bends", "1000000000"]):
+        proc = subprocess.run([sys.executable, "-c", code, "gen", *flags, "-o", str(out)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 4, proc.stderr
+        assert "above the 1000000 cap" in proc.stderr
+        assert not out.exists()
 
 
 def test_family_json_roundtrip():

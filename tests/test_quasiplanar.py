@@ -1,5 +1,6 @@
 """Edge truncation, crossing graphs and quasiplanarity checks."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,7 +12,9 @@ from stringraph import (DegenerateDrawing, DomainError, DrawnEdge, Drawing,
                         edge_bound_holds, find_clique, is_r_quasiplanar,
                         sparse_subgraph, truncate_edges)
 from stringraph.generators import GeneratorSpec, generate
+from stringraph.geometry import dist_sq, point_segment_dist_sq, segment_intersection_points
 from stringraph.graph import clique_in_mask, mask_of
+from stringraph.quasiplanar import _auto_radius_sq
 
 
 def _draw(coords, pairs, curves=None):
@@ -191,3 +194,74 @@ def test_interleaving_graph_matches_crossing_oracle():
                 assert inter
     assert find_clique(G, 3) is not None
     assert find_clique(G, 4) is None
+
+
+def _radius_sq_all_terms(drawing):
+    """The automatic radius with every contact of every edge pair measured
+    from every vertex, as the clearance is defined."""
+    verts = drawing.vertices
+    terms = []
+    for w, pw in enumerate(verts):
+        for e in drawing.edges:
+            if w in (e.u, e.v):
+                continue
+            for a, b in e.curve.segments():
+                d2 = point_segment_dist_sq(pw, a, b)
+                if d2 == 0:
+                    raise DegenerateDrawing(
+                        f"vertex {w} lies on the curve of edge ({e.u}, {e.v})")
+                terms.append(Fraction(d2))
+    for ei, ej in combinations(drawing.edges, 2):
+        shared = {ei.u, ei.v} & {ej.u, ej.v}
+        for a, b in ei.curve.segments():
+            for c, d in ej.curve.segments():
+                for x in segment_intersection_points(a, b, c, d):
+                    if any(x == verts[t] for t in shared):
+                        continue
+                    if x in verts:
+                        raise DegenerateDrawing(
+                            f"edges ({ei.u}, {ei.v}) and ({ej.u}, {ej.v}) "
+                            "meet at a vertex point")
+                    terms.extend(Fraction(dist_sq(pw, x)) for pw in verts)
+    terms.extend(Fraction(dist_sq(p, q), 4) for p, q in combinations(verts, 2))
+    if not terms:
+        raise DegenerateDrawing("drawing has no clearance to truncate within")
+    return min(terms) / 4
+
+
+def _bent_grid_drawing(rng):
+    """Random drawing on a 6x6 grid: each edge bends at up to two grid points."""
+    cells = [(x, y) for x in range(6) for y in range(6)]
+    coords = rng.sample(cells, rng.randint(3, 6))
+    pairs = [p for p in combinations(range(len(coords)), 2) if rng.random() < 0.5]
+    curves = []
+    for u, v in pairs:
+        pts = [coords[u]]
+        for _ in range(rng.randint(0, 2)):
+            bend = rng.choice(cells)
+            if bend != pts[-1]:
+                pts.append(bend)
+        if pts[-1] == coords[v]:
+            pts.pop()
+        pts.append(coords[v])
+        curves.append(tuple(Point(x, y) for x, y in pts))
+    return _draw(coords, pairs, curves)
+
+
+def _radius_or_message(radius_sq, drawing):
+    try:
+        return radius_sq(drawing)
+    except DegenerateDrawing as exc:
+        return str(exc)
+
+
+def test_auto_radius_matches_every_term():
+    rng = random.Random(20211203)
+    drawings = [generate(GeneratorSpec("convex_chords", n, seed=n)) for n in range(4, 13)]
+    drawings += [_bent_grid_drawing(rng) for _ in range(320)]
+    outcomes = set()
+    for D in drawings:
+        got = _radius_or_message(_auto_radius_sq, D)
+        assert got == _radius_or_message(_radius_sq_all_terms, D)
+        outcomes.add(type(got))
+    assert outcomes == {Fraction, str}
