@@ -16,7 +16,8 @@ from .errors import (ExtractorViolation, InternalBoundViolation, NoCoverFound,
                      PreconditionViolated, RefinementFailed, finite_value)
 from .graph import (Coloring, Graph, average_degree, bits, clique_in_mask,
                     components_masked, edges_in_mask, greedy_color, mask_of,
-                    most_adjacent, validate_coloring, vertex_mask)
+                    most_adjacent, peel_order, validate_coloring,
+                    vertex_mask)
 from .separator import STRATEGIES, find_balanced_separator
 
 
@@ -528,16 +529,15 @@ def multipartite_cover(G: Graph, alpha: float, params: Optional[AlgorithmParams]
     if m < alpha * n * n:
         raise PreconditionViolated(
             f"graph has {m} edges, below the alpha*n^2 = {alpha * n * n:.2f} floor")
+    # Peel the vertex with the most complement neighbours in work, which is
+    # the one with the fewest neighbours in G, until the complement falls apart.
     H = G.complement()
     work = mask
-    while True:
-        comps = components_masked(H, work)
-        if len(comps) >= 2:
-            break
+    order = peel_order(G, mask, fewest=True)
+    while len(comps := components_masked(H, work)) < 2:
         if work.bit_count() <= 1:
             raise NoCoverFound("complement peeling exhausted the vertex set")
-        peel = most_adjacent(H, work, work)
-        work &= ~(1 << peel)
+        work &= ~(1 << next(order))
     k = len(comps)
     ordered = sorted(comps, key=lambda c: (-c.bit_count(), c & -c))
     for p in range(1, k.bit_length()):
@@ -569,13 +569,21 @@ def _merge_groups(cover: MultipartiteCover) -> MultipartiteCover:
 # sparse graphs split by separator, dense graphs split by multipartite cover
 # into parts, one of which must avoid the next forbidden clique size.
 
+def _power_size(mask: int, e: int) -> int:
+    """2^e, or |mask| + 1 when 2^e is larger: no clique inside mask reaches
+    either, so both sizes give the same clique search. A huge e never builds
+    2^e."""
+    size = mask.bit_count()
+    return 1 << e if size >> e else size + 1
+
+
 def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
             ) -> tuple[int, Optional[VertexSet], int]:
     """K_{2^q}-free subset of G[mask], which must be K_{2^s}-free, as a mask;
     also the latest of the largest cliques met on the way and the count of
     cover fallbacks."""
-    _verify_no_clique(G, mask, 2 ** s)
-    if clique_in_mask(G, mask, 2 ** q) is None:
+    _verify_no_clique(G, mask, _power_size(mask, s))
+    if clique_in_mask(G, mask, _power_size(mask, q)) is None:
         # Already free of the target clique: the whole vertex set qualifies.
         return mask, None, 0
     found: Optional[VertexSet] = None
@@ -588,7 +596,7 @@ def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
             nm = mask.bit_count()
             if nm <= 10:
                 # Base case: keep everything when the block is already clique-free.
-                if clique_in_mask(G, mask, 2 ** q) is None:
+                if clique_in_mask(G, mask, _power_size(mask, q)) is None:
                     return mask
                 return mask & -mask
             alpha = params.c_prime * ((s + 1 - q) / math.log2(nm)) ** 2
@@ -611,7 +619,7 @@ def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
             part_cliques: list[VertexSet] = []
             for part in cover.parts:
                 part_mask = mask_of(part)
-                clique = clique_in_mask(G, part_mask, 2 ** target)
+                clique = clique_in_mask(G, part_mask, _power_size(part_mask, target))
                 if clique is not None:
                     part_cliques.append(clique)
                 elif chosen is None:
@@ -653,6 +661,9 @@ def q_independent_set(G: Graph, s: int, q: int,
         raise ValueError("need s >= q >= 1")
     if G.n < 1:
         raise ValueError("need at least one vertex")
+    # The certificate records p = 2^q, so q is held to a finite float's range,
+    # as the floors are, before 2^q is built.
+    finite_value(lambda: math.ldexp(1.0, q), "forbidden clique size 2^q")
     floor = q_independent_floor(G.n, s, q, params.c)
     res, found, fallbacks = _qindep(G, G.full_mask, s, q, params)
     witness = ExtractionWitness(

@@ -123,6 +123,7 @@ def edges_in_mask(G: Graph, mask: int) -> int:
 
 def components_masked(G: Graph, mask: int) -> list[int]:
     """Connected components of G[mask] as masks, ordered by smallest member."""
+    adj = G.adj
     comps = []
     remaining = mask
     while remaining:
@@ -130,10 +131,16 @@ def components_masked(G: Graph, mask: int) -> list[int]:
         comp = start
         frontier = start
         while frontier:
-            neighbors = 0
+            # missing holds the unseen vertices no frontier vertex scanned so
+            # far is adjacent to. Once it is empty the rest of the frontier
+            # cannot add to the next one; on a dense graph that happens after
+            # a vertex or two.
+            unseen = missing = remaining & ~comp
             for v in bits(frontier):
-                neighbors |= G.adj[v]
-            frontier = neighbors & remaining & ~comp
+                missing ^= missing & adj[v]
+                if not missing:
+                    break
+            frontier = unseen ^ missing
             comp |= frontier
         comps.append(comp)
         remaining &= ~comp
@@ -145,6 +152,41 @@ def most_adjacent(G: Graph, among: int, into: int) -> int:
     ties to the lowest index."""
     adj = G.adj
     return max(bits(among), key=lambda v: ((adj[v] & into).bit_count(), -v))
+
+
+def peel_order(G: Graph, mask: int, fewest: bool = False) -> Iterator[int]:
+    """The vertices of mask, each with the most (fewest, when fewest is set)
+    neighbours among those not yet yielded, ties to the lowest index.
+
+    Repeating most_adjacent(G, rest, rest) and removing the answer gives the
+    same order. Here each vertex sits in the bucket mask of its degree in the
+    rest, and yielding a vertex moves only its neighbours down one bucket, so
+    the whole order costs O(n + m) bucket updates.
+    """
+    adj = G.adj
+    degree = {v: (adj[v] & mask).bit_count() for v in bits(mask)}
+    buckets = [0] * (max(degree.values(), default=0) + 1)
+    for v, d in degree.items():
+        buckets[d] |= 1 << v
+    rest = mask
+    d = 0 if fewest else len(buckets) - 1
+    while rest:
+        # The largest degree never grows; the smallest falls by at most one
+        # per vertex yielded, which the step back below allows for.
+        while not buckets[d]:
+            d += 1 if fewest else -1
+        low = buckets[d] & -buckets[d]
+        v = low.bit_length() - 1
+        yield v
+        buckets[d] ^= low
+        rest ^= low
+        for u in bits(adj[v] & rest):
+            du = degree[u]
+            buckets[du] ^= 1 << u
+            buckets[du - 1] |= 1 << u
+            degree[u] = du - 1
+        if fewest and d:
+            d -= 1
 
 
 def _greedy_color_classes(G: Graph, cand: int) -> int:

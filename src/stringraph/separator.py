@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import TooLarge
-from .graph import (Graph, bits, components_masked, mask_of, most_adjacent,
+from .graph import (Graph, bits, components_masked, mask_of, peel_order,
                      vertex_mask)
 
 _EXACT_LIMIT = 14
@@ -172,13 +172,25 @@ def _bfs_layer(G: Graph, mask: int) -> SeparatorPartition:
 
 
 def _degree_peel(G: Graph, mask: int) -> SeparatorPartition:
-    """Move the vertex with the most neighbours in the rest into S until the
-    components of the rest pack into balanced sides."""
-    s_mask = 0
-    while (part := _partition_from_separator(G, mask, s_mask)) is None:
-        rest = mask & ~s_mask
-        s_mask |= 1 << most_adjacent(G, rest, rest)
-    return part
+    """S is the shortest prefix of peel_order(G, mask), the vertex with the
+    most neighbours in the rest first, whose rest packs into balanced sides.
+
+    Packing is monotone in the prefix: peeling one more vertex only splits and
+    shrinks the pieces of the rest, and each new piece can stay in the side of
+    the piece it came from. So the shortest prefix is found by bisection, with O(log n)
+    component computations; the prefix of every vertex always packs.
+    """
+    order = list(peel_order(G, mask))
+    lo, hi = 0, len(order)
+    best = _whole(mask)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        part = _partition_from_separator(G, mask, mask_of(order[:mid]))
+        if part is None:
+            lo = mid + 1
+        else:
+            hi, best = mid, part
+    return best
 
 
 def find_balanced_separator(G: Graph, strategy: str = "auto",

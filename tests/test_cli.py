@@ -1,8 +1,10 @@
 """End-to-end command line behavior: pipelines, reports, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +160,43 @@ def test_extract_formula_overflow_is_a_declared_outcome(tmp_path, args, name):
     assert report["result"] == {
         "outcome": "DomainError",
         "message": f"{name} is not a finite float for these arguments"}
+
+
+@pytest.mark.parametrize("graph,params,args,code", [
+    (Graph.from_edges(3, [(0, 1)]), {"c": 1e-12},
+     ["independent", "--s", "10000000000"], 0),
+    (Graph.from_edges(3, [(0, 1)]), {"c": 1e-12},
+     ["qindep", "--s", "10000000000", "--q", "1"], 0),
+    (Graph.from_edges(3, [(0, 1)]), {"c": 1e-12},
+     ["qindep", "--s", "10000000000", "--q", "10000000000"], 3),
+    # A tiny c_prime sends K_12 through the cover branch, whose parts are
+    # searched for K_{2^(s-1)}.
+    (Graph.from_edges(12, [(u, v) for u in range(12) for v in range(u + 1, 12)]),
+     {"c": 1e-12, "c_prime": 1e-30}, ["independent", "--s", "10000000000"], 0),
+])
+def test_huge_clique_exponents_never_build_the_power(tmp_path, graph, params, args, code):
+    # A child with a 512 MiB address space: building 2^s or 2^q for these
+    # exponents dies there of MemoryError instead of answering or refusing.
+    path = _write_graph(tmp_path, graph)
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(params))
+    out = tmp_path / "out.json"
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+             "from stringraph.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", child, "extract", *args, path,
+                           "--params", str(params_path), "-o", str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    result = json.loads(out.read_text())["result"]
+    if code == 0:
+        assert result["outcome"] == "ok" and result["witness"]["vertices"]
+    else:
+        assert result == {
+            "outcome": "DomainError",
+            "message": "forbidden clique size 2^q is not a finite float for these arguments"}
 
 
 def test_oracle_commands(tmp_path):

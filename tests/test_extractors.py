@@ -5,9 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from stringraph import (AlgorithmParams, ExtractionWitness, ExtractorViolation,
-                        Graph, InternalBoundViolation, MultipartiteCover,
-                        PreconditionViolated, choose_delta, color_or_clique,
+from stringraph import (AlgorithmParams, DomainError, ExtractionWitness,
+                        ExtractorViolation, Graph, InternalBoundViolation,
+                        MultipartiteCover, NoCoverFound, PreconditionViolated, choose_delta, color_or_clique,
                         dense_core, find_balanced_biclique,
                         half_clique_free_subgraph, independent_set,
                         kr1_free_subgraph, multipartite_cover,
@@ -19,8 +19,9 @@ from stringraph.extract import (_split_by_separator, cover_floor,
 from stringraph.generators import GeneratorSpec, generate
 from stringraph.geometry import intersection_graph
 from stringraph.separator import STRATEGIES
-from stringraph.graph import clique_in_mask, is_independent, mask_of
-from tests.conftest import er_graph
+from stringraph.graph import (clique_in_mask, components_masked,
+                              is_independent, mask_of, most_adjacent)
+from tests.conftest import FAMILIES, er_graph, er_masked, family_graph
 
 
 def _cycle(n):
@@ -313,3 +314,41 @@ def test_color_or_clique_default_params_always_verified(rng):
             assert len(w.vertices) >= w.certificate["threshold"]
         else:
             assert len(w.vertices) <= 40 ** 0.5
+
+
+def _peeled_work_reference(G, mask):
+    """The loop multipartite_cover's peel replaced: remove the vertex with the
+    most complement neighbours, by most_adjacent on the complement, until the
+    complement of the rest is disconnected; None when the rest runs out."""
+    H = G.complement()
+    work = mask
+    while len(components_masked(H, work)) < 2:
+        if work.bit_count() <= 1:
+            return None
+        work &= ~(1 << most_adjacent(H, work, work))
+    return work
+
+
+def test_multipartite_cover_peels_like_the_complement_loop(rng):
+    # With alpha = 0 the first grouping always qualifies, so the cover is two
+    # parts whose union is the peeled set; the grouping is a function of it.
+    instances = [(G, mask) for G, mask in er_masked(rng) if mask.bit_count() >= 2]
+    for kind in FAMILIES:
+        G = family_graph(kind, 200, 7)
+        instances += [(G, G.full_mask), (G, rng.getrandbits(G.n))]
+    for G, mask in instances:
+        want = _peeled_work_reference(G, mask)
+        if want is None:
+            with pytest.raises(NoCoverFound):
+                multipartite_cover(G, 0.0, mask=mask)
+        else:
+            cover = multipartite_cover(G, 0.0, mask=mask)
+            assert mask_of(v for part in cover.parts for v in part) == want
+
+
+def test_q_independent_set_holds_q_to_a_finite_float():
+    G = Graph.from_edges(3, [(0, 1)])
+    w = q_independent_set(G, 1023, 1023)
+    assert w.vertices == (0, 1, 2) and w.certificate["p"] == 2 ** 1023
+    with pytest.raises(DomainError, match="forbidden clique size 2\\^q"):
+        q_independent_set(G, 1024, 1024)

@@ -9,8 +9,9 @@ from stringraph import (Coloring, ExtractorViolation, Graph, UnknownVertex,
                         find_clique, greedy_color, validate_coloring)
 from stringraph.graph import (average_degree, bits, clique_in_mask,
                               components_masked, edges_in_mask,
-                              induced_subgraph, is_independent, mask_of)
-from tests.conftest import er_graph
+                              induced_subgraph, is_independent, mask_of,
+                              most_adjacent, peel_order)
+from tests.conftest import FAMILIES, er_graph, er_masked, family_graph
 
 
 def test_bits_and_mask_roundtrip():
@@ -111,3 +112,64 @@ def test_validate_coloring_rejects_bad_classes():
         validate_coloring(G, Coloring(((0,), (2,))))
     with pytest.raises(ValueError):
         validate_coloring(G, Coloring(((0, 2), (1, 2))))
+
+
+def _peel_reference(G, mask, fewest):
+    """The loop peel_order replaces: take most_adjacent(G, rest, rest), or its
+    fewest-neighbours analogue, out of the rest until the rest is empty."""
+    rest = mask
+    order = []
+    while rest:
+        if fewest:
+            v = min(bits(rest), key=lambda u: ((G.adj[u] & rest).bit_count(), u))
+        else:
+            v = most_adjacent(G, rest, rest)
+        order.append(v)
+        rest &= ~(1 << v)
+    return order
+
+
+def test_peel_order_matches_the_repeated_most_adjacent_loop(rng):
+    instances = list(er_masked(rng))
+    instances += [(G, G.full_mask) for G in
+                  (family_graph(kind, 200, 4) for kind in FAMILIES)]
+    for G, mask in instances:
+        for fewest in (False, True):
+            assert list(peel_order(G, mask, fewest)) == _peel_reference(G, mask, fewest)
+
+
+def test_peel_order_breaks_ties_to_the_lowest_index():
+    assert list(peel_order(Graph.from_edges(4, []), 0b1111)) == [0, 1, 2, 3]
+    assert list(peel_order(Graph.from_edges(4, []), 0b1111, fewest=True)) == [0, 1, 2, 3]
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert list(peel_order(path, path.full_mask)) == [1, 2, 0, 3]
+    assert list(peel_order(path, path.full_mask, fewest=True)) == [0, 1, 2, 3]
+    assert list(peel_order(path, 0)) == []
+
+
+def _components_reference(G, mask):
+    """Components of G[mask] by a breadth-first search that scans every
+    frontier vertex."""
+    comps = []
+    remaining = mask
+    while remaining:
+        comp = frontier = remaining & -remaining
+        while frontier:
+            neighbors = 0
+            for v in bits(frontier):
+                neighbors |= G.adj[v]
+            frontier = neighbors & remaining & ~comp
+            comp |= frontier
+        comps.append(comp)
+        remaining &= ~comp
+    return comps
+
+
+def test_components_match_a_full_scan_on_sparse_graphs_and_complements(rng):
+    instances = [(G, mask) for G, mask in er_masked(rng)]
+    for kind in FAMILIES:
+        G = family_graph(kind, 200, 5)
+        instances += [(G, G.full_mask), (G, rng.getrandbits(G.n))]
+    for G, mask in instances:
+        for graph in (G, G.complement()):
+            assert components_masked(graph, mask) == _components_reference(graph, mask)

@@ -1,5 +1,6 @@
 """Balanced separators: validation, strategies, exact search, survey."""
 
+import math
 from itertools import combinations, product
 
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from stringraph import (Graph, SeparatorPartition, TooLarge, balance_cap,
                         find_balanced_separator, fit_loglog_slope,
                         separator_size_survey, validate_partition)
+from stringraph import separator as separator_module
 from stringraph.generators import GeneratorSpec
-from stringraph.graph import components_masked, mask_of
-from tests.conftest import er_graph
+from stringraph.graph import components_masked, mask_of, most_adjacent
+from stringraph.separator import _degree_peel, _partition_from_separator
+from tests.conftest import FAMILIES, er_graph, er_masked, family_graph
 
 
 def _min_separator_size(G: Graph) -> int:
@@ -133,3 +136,38 @@ def test_loglog_slope_fit():
     assert fit_loglog_slope(pts) == pytest.approx(0.5, abs=1e-9)
     assert fit_loglog_slope([(10, 0), (100, 0)]) == 0.0
     assert fit_loglog_slope([(10, 5)]) == 0.0
+
+
+def _degree_peel_reference(G, mask):
+    """The linear loop _degree_peel replaces: move the vertex with the most
+    neighbours in the rest into S until the rest packs into balanced sides."""
+    s_mask = 0
+    while (part := _partition_from_separator(G, mask, s_mask)) is None:
+        rest = mask & ~s_mask
+        s_mask |= 1 << most_adjacent(G, rest, rest)
+    return part
+
+
+def test_degree_peel_bisection_matches_the_linear_loop(rng):
+    instances = [(G, mask) for G, mask in er_masked(rng) if mask]
+    for kind in FAMILIES:
+        G = family_graph(kind, 200, 6)
+        instances += [(G, G.full_mask), (G, rng.getrandbits(G.n))]
+    for G, mask in instances:
+        assert _degree_peel(G, mask) == _degree_peel_reference(G, mask)
+
+
+def test_degree_peel_computes_components_logarithmically_often(monkeypatch):
+    # The linear loop computes the components once per vertex moved into S;
+    # bisecting the peel order needs about log2(n + 1) of them.
+    G = family_graph("random_segments", 1600, 3)
+    calls = []
+
+    def counted(graph, mask):
+        calls.append(mask)
+        return components_masked(graph, mask)
+
+    monkeypatch.setattr(separator_module, "components_masked", counted)
+    part = _degree_peel(G, G.full_mask)
+    bound = math.ceil(math.log2(G.n + 1)) + 1
+    assert 1 <= len(calls) <= bound < part.size
