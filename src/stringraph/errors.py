@@ -54,10 +54,11 @@ class DomainError(StringraphError):
 
 
 def finite_value(formula: Callable[[], float], name: str) -> float:
-    """formula(), or DomainError when it overflows or is not a finite float."""
+    """formula(), or DomainError when it overflows or is not a finite float.
+    A division by a power that underflowed to zero counts as an overflow."""
     try:
         value = formula()
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"{name} is not a finite float for these arguments")

@@ -1,9 +1,13 @@
 """Constructive extraction procedures with certified witnesses.
 
 Each operation returns an ExtractionWitness whose claimed property is
-re-verified against the input graph before returning; the tunable constants
-only influence guaranteed sizes, never correctness. All recursions work on
-vertex bitmasks of the original graph, so witnesses stay in original indices.
+checked against the input graph exactly once before returning: by the final
+validate_witness call, or for a cover and for color-or-clique by the check
+that stands in for it (validate_multipartite_cover, greedy_color's check of
+every class, _check_clique). No step re-checks what a later check covers.
+The tunable constants only influence guaranteed sizes, never correctness.
+All recursions work on vertex bitmasks of the original graph, so witnesses
+stay in original indices.
 """
 from __future__ import annotations
 
@@ -48,11 +52,24 @@ class AlgorithmParams:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.delta is not None and self.delta <= 0:
             raise ValueError("delta must be strictly positive when given")
+        for name in ("c1", "c2", "c", "c_prime", "c_dblprime", "delta"):
+            if not _finite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.separator_strategy not in STRATEGIES:
             raise ValueError(f"unknown separator strategy {self.separator_strategy!r}")
 
     def C_refine(self, epsilon: float) -> float:
-        return max((12 * self.c1) ** 2, 4 * self.c1 ** 2 / epsilon ** 2)
+        return finite_value(
+            lambda: max((12 * self.c1) ** 2, 4 * self.c1 ** 2 / epsilon ** 2),
+            "refinement constant C")
+
+
+def _finite(value: Optional[float]) -> bool:
+    """Whether value is None or a number within a finite float's range."""
+    try:
+        return value is None or math.isfinite(value)
+    except OverflowError:  # an int past a float's range
+        return False
 
 
 DEFAULT_PARAMS = AlgorithmParams()
@@ -87,13 +104,13 @@ class MultipartiteCover:
 def cover_floor(n: int, c: float) -> float:
     if n < 2:
         return 1.0
-    return max(1.0, c * n / math.log2(n) ** 2)
+    return max(1.0, finite_value(lambda: c * n / math.log2(n) ** 2, "cover floor"))
 
 
 def half_clique_floor(n: int, c: float) -> float:
     if n < 2:
         return 1.0
-    return max(1.0, c * n / math.log2(n) ** 3)
+    return max(1.0, finite_value(lambda: c * n / math.log2(n) ** 3, "half-clique floor"))
 
 
 def independent_floor(n: int, s: int, c: float) -> int:
@@ -293,10 +310,11 @@ def neighborhood_cover_subgraph(G: Graph,
     params = params or DEFAULT_PARAMS
     if G.n < 1:
         raise ValueError("need at least one vertex")
+    bound = cover_floor(G.n, params.c)
     w, apexes = _cover(G, params)
     witness = ExtractionWitness(
         "neighborhood_cover", tuple(bits(w)),
-        {"apexes": apexes, "bound": cover_floor(G.n, params.c), "c": params.c})
+        {"apexes": apexes, "bound": bound, "c": params.c})
     validate_witness(G, witness)
     return witness
 
@@ -309,13 +327,12 @@ def kr1_free_subgraph(G: Graph, r: int,
     if r < 3:
         raise ValueError("forbidden clique size r must be at least 3")
     _verify_no_clique(G, G.full_mask, r)
+    bound = cover_floor(G.n, params.c)
     w, apexes = _cover(G, params)
-    if clique_in_mask(G, w, r - 1) is not None:
-        raise ExtractorViolation("cover output unexpectedly contains K_{r-1}")
     witness = ExtractionWitness(
         "kp_free", tuple(bits(w)),
         {"p": r - 1, "apexes": apexes, "source": "neighborhood_cover",
-         "bound": cover_floor(G.n, params.c)})
+         "bound": bound})
     validate_witness(G, witness)
     return witness
 
@@ -425,6 +442,7 @@ def half_clique_free_subgraph(G: Graph, r: int,
     if r < 3:
         raise ValueError("forbidden clique size r must be at least 3")
     _verify_no_clique(G, G.full_mask, r)
+    bound = half_clique_floor(G.n, params.c)
     p_half = (r + 1) // 2
 
     def step(mask: int) -> Optional[int]:
@@ -438,24 +456,12 @@ def half_clique_free_subgraph(G: Graph, r: int,
         if found is None:
             return None
         a_mask, b_mask = mask_of(found[0]), mask_of(found[1])
-        clique_a = clique_in_mask(G, a_mask, p_half)
-        if clique_a is None:
-            return a_mask
-        clique_b = clique_in_mask(G, b_mask, p_half)
-        if clique_b is None:
-            return b_mask
-        assembled = tuple(sorted(clique_a + clique_b))
-        raise PreconditionViolated(
-            f"both biclique sides contain K_{p_half}; assembled K_{len(assembled)}",
-            witness=ExtractionWitness("clique", assembled, {"size": len(assembled)}))
+        return a_mask if clique_in_mask(G, a_mask, p_half) is None else b_mask
 
     w = _divide(G, G.full_mask, params, step)
-    if clique_in_mask(G, w, p_half) is not None:
-        raise ExtractorViolation("output unexpectedly contains the forbidden clique")
     witness = ExtractionWitness(
         "kp_free", tuple(bits(w)),
-        {"p": p_half, "source": "balanced_biclique",
-         "bound": half_clique_floor(G.n, params.c)})
+        {"p": p_half, "source": "balanced_biclique", "bound": bound})
     validate_witness(G, witness)
     return witness
 
@@ -522,6 +528,8 @@ def multipartite_cover(G: Graph, alpha: float, params: Optional[AlgorithmParams]
     mask = vertex_mask(G, mask)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
+    if not _finite(alpha):
+        raise ValueError("alpha must be finite")
     n = mask.bit_count()
     if n < 2:
         raise ValueError("need at least two vertices")
@@ -555,13 +563,6 @@ def multipartite_cover(G: Graph, alpha: float, params: Optional[AlgorithmParams]
             validate_multipartite_cover(G, cover, params.c_dblprime, mask)
             return cover
     raise NoCoverFound("no power-of-two grouping met the part-size threshold")
-
-
-def _merge_groups(cover: MultipartiteCover) -> MultipartiteCover:
-    merged = []
-    for i in range(0, cover.t, 2):
-        merged.append(tuple(sorted(cover.parts[i] + cover.parts[i + 1])))
-    return MultipartiteCover(parts=tuple(merged), alpha=cover.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +608,7 @@ def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
             except NoCoverFound:
                 fallbacks += 1
                 return None
-            while cover.p >= s and cover.t > 2:
-                cover = _merge_groups(cover)
+            # t <= k complement components; one vertex of each is a K_k, so k < 2^s.
             if cover.p >= s:
                 raise InternalBoundViolation(
                     "cover part count contradicts the clique-free certificate")
@@ -748,7 +748,6 @@ def color_or_clique(G: Graph, epsilon: float,
     if coloring.num_colors > n ** epsilon:
         raise InternalBoundViolation(
             f"{coloring.num_colors} color classes exceed n^epsilon = {n ** epsilon:.2f}")
-    validate_coloring(G, coloring)
     return ExtractionWitness(
         "coloring", coloring.classes,
         {"epsilon": epsilon, "delta": delta, "s": s,

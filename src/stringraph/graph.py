@@ -245,8 +245,6 @@ def clique_in_mask(G: Graph, mask: int, k: int) -> Optional[tuple[int, ...]]:
 
 def find_clique(G: Graph, k: int) -> Optional[tuple[int, ...]]:
     """Exact: k pairwise-adjacent vertices of G, or None when no k-clique exists."""
-    if k <= 0:
-        raise ValueError("clique size must be positive")
     return clique_in_mask(G, G.full_mask, k)
 
 

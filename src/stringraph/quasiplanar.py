@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import (DegenerateDrawing, DomainError, ExtractorViolation,
-                     PreconditionViolated, finite_value)
+from .errors import DegenerateDrawing, DomainError, PreconditionViolated, finite_value
 from .extract import DEFAULT_PARAMS, AlgorithmParams, ExtractionWitness, q_independent_set
 from .geometry import (Point, Polyline, StringFamily, dist_sq, exact_coord,
                        interpolate, intersection_graph, point_segment_dist_sq,
                        segment_intersection_points)
-from .graph import Graph, clique_in_mask, find_clique, mask_of
+from .graph import Graph, find_clique
 
 Radius = Union[str, int, float, Fraction]
 
@@ -212,13 +211,8 @@ def is_r_quasiplanar(drawing: Drawing, r: int,
     """Whether no r edges pairwise cross; if some do, also return r edge indices."""
     if r < 2:
         raise ValueError("r must be at least 2")
-    cg = crossing_graph(drawing, radius)
-    if cg.n == 0:
-        return True, None
-    witness = find_clique(cg, r)
-    if witness is None:
-        return True, None
-    return False, witness
+    witness = find_clique(crossing_graph(drawing, radius), r)
+    return witness is None, witness
 
 
 def sparse_subgraph(drawing: Drawing, s: int,
@@ -227,8 +221,8 @@ def sparse_subgraph(drawing: Drawing, s: int,
 
     The drawing must be 2^s-quasiplanar (verified; violations raise
     PreconditionViolated carrying 2^s pairwise crossing edges). The witness
-    vertices are edge indices, and the restricted crossing graph is
-    re-checked to contain no 4 pairwise crossing edges before returning.
+    vertices are edge indices; q_independent_set's own validation has
+    checked that no 4 of them pairwise cross before it returns.
     """
     params = params or DEFAULT_PARAMS
     if s < 3:
@@ -244,9 +238,6 @@ def sparse_subgraph(drawing: Drawing, s: int,
     except PreconditionViolated as exc:
         raise PreconditionViolated(
             f"drawing is not {2 ** s}-quasiplanar", witness=exc.witness) from exc
-    bad = clique_in_mask(cg, mask_of(inner.vertices), 4)
-    if bad is not None:
-        raise ExtractorViolation("extracted edges still contain 4 pairwise crossings")
     cert = dict(inner.certificate)
     cert["edges_total"] = cg.n
     cert["four_quasiplanar"] = True

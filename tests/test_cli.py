@@ -343,3 +343,45 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: stringraph")
+
+
+def _strict_json(text):
+    """Parse a report, refusing the NaN and Infinity literals JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"non-finite literal {name} in report")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("args,params,code,message", [
+    (["extract", "kr1free", "--r", "3"], '{"c": NaN}', 4, None),
+    (["extract", "kr1free", "--r", "3"], '{"c": 1' + "0" * 400 + "}", 4, None),
+    (["extract", "multipartite", "--alpha", "0.1"], '{"c_dblprime": NaN}', 4, None),
+    (["extract", "multipartite", "--alpha", "nan"], None, 4, None),
+    (["extract", "multipartite", "--alpha", "inf"], None, 4, None),
+    (["color-or-clique", "--epsilon", "0.5"], '{"delta": Infinity}', 4, None),
+    (["extract", "kr1free", "--r", "3"], '{"c": 1e308}', 3, "cover floor"),
+    (["extract", "halfclique", "--r", "3"], '{"c": 1e308}', 3, "half-clique floor"),
+    (["extract", "densecore", "--epsilon", "0.5"], '{"c1": 1e200}', 3,
+     "refinement constant C"),
+    (["extract", "densecore", "--epsilon", "1e-200"], None, 3, "refinement constant C"),
+], ids=["kr1free-c-nan", "kr1free-c-int-1e400", "multipartite-c_dblprime-nan",
+        "multipartite-alpha-nan", "multipartite-alpha-inf", "color-or-clique-delta-inf",
+        "kr1free-c-1e308", "halfclique-c-1e308", "densecore-c1-1e200",
+        "densecore-epsilon-1e-200"])
+def test_non_finite_numbers_never_reach_a_report(tmp_path, capsys, args, params, code,
+                                                 message):
+    path = _write_graph(tmp_path, Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))
+    extra = []
+    if params is not None:
+        params_path = tmp_path / "params.json"
+        params_path.write_text(params)
+        extra = ["--params", str(params_path)]
+    dest = tmp_path / "out.json"
+    assert main([*args, path, *extra, "-o", str(dest)]) == code
+    if code == 4:
+        assert not dest.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+    else:
+        assert _strict_json(dest.read_text())["result"] == {
+            "outcome": "DomainError",
+            "message": f"{message} is not a finite float for these arguments"}

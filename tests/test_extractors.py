@@ -19,8 +19,10 @@ from stringraph.extract import (_split_by_separator, cover_floor,
 from stringraph.generators import GeneratorSpec, generate
 from stringraph.geometry import intersection_graph
 from stringraph.separator import STRATEGIES
-from stringraph.graph import (clique_in_mask, components_masked,
-                              is_independent, mask_of, most_adjacent)
+from stringraph.graph import (bits, clique_in_mask, components_masked,
+                              induced_subgraph, is_independent, mask_of,
+                              most_adjacent)
+from stringraph.oracles import max_clique_exact
 from tests.conftest import FAMILIES, er_graph, er_masked, family_graph
 
 
@@ -352,3 +354,75 @@ def test_q_independent_set_holds_q_to_a_finite_float():
     assert w.vertices == (0, 1, 2) and w.certificate["p"] == 2 ** 1023
     with pytest.raises(DomainError, match="forbidden clique size 2\\^q"):
         q_independent_set(G, 1024, 1024)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("c", math.nan, "c must be finite"),
+    ("c1", math.inf, "c1 must be finite"),
+    ("c2", math.nan, "c2 must be finite"),
+    ("c_prime", math.inf, "c_prime must be finite"),
+    ("c_dblprime", math.nan, "c_dblprime must be finite"),
+    ("c", 10 ** 400, "c must be finite"),
+    ("delta", math.nan, "delta must be finite"),
+    ("delta", math.inf, "delta must be finite"),
+    ("c", -math.inf, "c must be strictly positive"),
+], ids=["c-nan", "c1-inf", "c2-nan", "c_prime-inf", "c_dblprime-nan", "c-int-1e400",
+        "delta-nan", "delta-inf", "c-minus-inf"])
+def test_params_refuse_non_finite_constants(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AlgorithmParams(**{field: value})
+
+
+def test_multipartite_cover_refuses_non_finite_alpha():
+    G = _complete(4)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            multipartite_cover(G, alpha)
+    with pytest.raises(ValueError, match="^alpha must be nonnegative$"):
+        multipartite_cover(G, -math.inf)
+
+
+def test_floors_and_refinement_constant_refuse_overflow():
+    with pytest.raises(DomainError, match="^cover floor is not a finite float"):
+        cover_floor(5, 1e308)
+    with pytest.raises(DomainError, match="^half-clique floor is not a finite float"):
+        half_clique_floor(5, 1e308)
+    with pytest.raises(DomainError, match="^refinement constant C is not a finite float"):
+        AlgorithmParams(c1=1e200).C_refine(0.5)
+    # epsilon ** 2 underflows to zero: the quotient is past any float.
+    with pytest.raises(DomainError, match="^refinement constant C is not a finite float"):
+        AlgorithmParams().C_refine(1e-200)
+
+
+def test_extractors_refuse_an_overflowing_floor_before_recursing():
+    G = _cycle(5)
+    params = AlgorithmParams(c=1e308)
+    for extract in (kr1_free_subgraph, half_clique_free_subgraph):
+        with pytest.raises(DomainError):
+            extract(G, 3, params)
+    with pytest.raises(DomainError):
+        neighborhood_cover_subgraph(G, params)
+    with pytest.raises(DomainError):
+        dense_core(G, 0.5, AlgorithmParams(c1=1e200))
+
+
+def test_cover_part_count_never_exceeds_the_clique_number(rng):
+    # _qindep needs p < s for a cover of a K_{2^s}-free mask. It holds because
+    # t is at most the number of complement components, and one vertex from
+    # each is a clique of G[mask]; the exact oracle checks t <= omega.
+    returned = 0
+    for n in range(6, 31):
+        for p in (0.5, 0.7, 0.85, 0.95):
+            G = er_graph(n, p, rng.randrange(1 << 30))
+            for mask in (G.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
+                if mask.bit_count() < 2:
+                    continue
+                for alpha in (0.0, 0.05, 0.2):
+                    try:
+                        cover = multipartite_cover(G, alpha, mask=mask)
+                    except (NoCoverFound, PreconditionViolated):
+                        continue
+                    returned += 1
+                    omega = len(max_clique_exact(induced_subgraph(G, bits(mask))))
+                    assert cover.t <= omega
+    assert returned >= 100

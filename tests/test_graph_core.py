@@ -173,3 +173,10 @@ def test_components_match_a_full_scan_on_sparse_graphs_and_complements(rng):
     for G, mask in instances:
         for graph in (G, G.complement()):
             assert components_masked(graph, mask) == _components_reference(graph, mask)
+
+
+def test_find_clique_refuses_non_positive_sizes():
+    G = Graph.from_edges(3, [(0, 1)])
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="^clique size must be positive$"):
+            find_clique(G, k)

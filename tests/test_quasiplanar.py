@@ -265,3 +265,10 @@ def test_auto_radius_matches_every_term():
         assert got == _radius_or_message(_radius_sq_all_terms, D)
         outcomes.add(type(got))
     assert outcomes == {Fraction, str}
+
+
+@pytest.mark.parametrize("coords", [(), ((0, 0), (1, 0))])
+def test_drawings_without_edges_are_quasiplanar(coords):
+    D = _draw(coords, [])
+    for r in (2, 3, 4):
+        assert is_r_quasiplanar(D, r) == (True, None)
