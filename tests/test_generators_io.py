@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from stringraph import (BadSpec, Drawing, GeneratorSpec, Graph, ParseError,
-                        Point, Polyline, SchemaError, StringFamily, generate,
+                        Point, Polyline, SchemaError, StringFamily,
+                        StringraphError, generate,
                         intersection_graph)
 from stringraph.fileio import (MAX_VERTICES, RunReport, drawing_json,
                                family_json, graph_text,
@@ -167,19 +168,47 @@ def test_graph_text_roundtrip():
     assert parse_graph_text(text) == G
     commented = "# a comment\n\n" + text
     assert parse_graph_text(commented) == G
+    inline = "4 2  # n m\n# edges follow\n0 1 # first\n\n2 3\n"
+    assert parse_graph_text(inline) == G
+    empty = Graph.from_edges(0, [])
+    assert graph_text(empty) == "0 0\n"
+    assert parse_graph_text(graph_text(empty)) == empty
+
+
+GRAPH_TEXT_ERRORS = [
+    ("", ParseError, "line 1: empty graph file", 1),
+    ("3\n", ParseError, "line 1: header must be 'n m'", 1),
+    ("3 1 4\n", ParseError, "line 1: header must be 'n m'", 1),
+    ("3 x\n", ParseError, "line 1: header must hold two integers", 1),
+    ("-1 0\n", SchemaError, "vertex and edge counts cannot be negative", None),
+    ("2 -1\n", SchemaError, "vertex and edge counts cannot be negative", None),
+    ("2 1\n", ParseError, "line 1: expected 1 edge lines, found 0", 1),
+    ("3 1\n0 1\n# note\n1 2\n", ParseError,
+     "line 4: expected 1 edge lines, found 2", 4),
+    ("2 1\n0 1 1\n", ParseError, "line 2: edge line must be 'u v'", 2),
+    ("# c\n2 1\n\n0 x\n", ParseError, "line 4: edge line must hold two integers", 4),
+    ("2 1\n0 5\n", SchemaError, "edge (0, 5) outside 0..1", None),
+    ("2 1\n-1 0\n", SchemaError, "edge (-1, 0) outside 0..1", None),
+    ("0 1\n0 0\n", SchemaError, "edge (0, 0) outside 0..-1", None),
+    ("2 1\n1 1\n", SchemaError, "self-loop at vertex 1", None),
+    ("2 2\n0 1\n0 1\n", SchemaError, "duplicate edge (0, 1)", None),
+    ("2 2\n0 1\n1 0\n", SchemaError, "duplicate edge (1, 0)", None),
+    # Lines are checked in order: the first bad line decides the error.
+    ("3 3\n0 1\n1 0\n0 9\n", SchemaError, "duplicate edge (1, 0)", None),
+    ("3 2\n0 9\n1 1\n", SchemaError, "edge (0, 9) outside 0..2", None),
+]
 
 
 def test_graph_text_errors():
-    with pytest.raises(ParseError):
-        parse_graph_text("3\n")
-    with pytest.raises(ParseError):
-        parse_graph_text("2 1\n")  # missing edge line
-    with pytest.raises(SchemaError):
-        parse_graph_text("2 1\n0 5\n")
-    with pytest.raises(SchemaError):
-        parse_graph_text("2 1\n1 1\n")
-    with pytest.raises(SchemaError):
-        parse_graph_text("2 2\n0 1\n1 0\n")
+    """Each malformed graph text raises one exact error type and message,
+    with the line number where the error carries one."""
+    for text, error, message, line in GRAPH_TEXT_ERRORS:
+        with pytest.raises(StringraphError) as exc:
+            parse_graph_text(text)
+        assert type(exc.value) is error, text
+        assert str(exc.value) == message, text
+        if error is ParseError:
+            assert exc.value.line == line, text
 
 
 def test_report_json_is_canonical():
