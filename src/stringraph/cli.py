@@ -41,7 +41,8 @@ from .oracles import (max_balanced_biclique_exact, max_clique_exact,
                       max_independent_set_exact, max_kp_free_subset_exact,
                       min_balanced_separator_exact, pairwise_crossing_exact)
 from .quasiplanar import (Drawing, crossing_graph, dense_threshold, edge_bound,
-                          is_r_quasiplanar, sparse_subgraph, truncate_edges)
+                          edge_bound_holds, is_r_quasiplanar, sparse_subgraph,
+                          truncate_edges)
 from .separator import (STRATEGIES, find_balanced_separator, fit_loglog_slope,
                         separator_size_survey, validate_partition)
 
@@ -130,7 +131,7 @@ def cmd_build_graph(args) -> int:
     if isinstance(loaded, Drawing):
         G = crossing_graph(loaded)
     elif len(loaded) == 0:
-        G = Graph((), ())
+        G = Graph(())
     else:
         G = intersection_graph(loaded)
     _write(args.output, fileio.graph_text(G))
@@ -290,6 +291,8 @@ def _color_or_clique(G, v, params):
 
 
 def _qp_check(drawing, v, params):
+    if v["radius"] != "auto":
+        fileio.check_digits(v["radius"])
     ok, witness = is_r_quasiplanar(drawing, v["r"], v["radius"])
     result = {"outcome": "ok", "quasiplanar": ok}
     if witness is not None:
@@ -315,7 +318,7 @@ def _qp_sparse(drawing, v, params):
 def _qp_bound(_, v, params):
     result = {"outcome": "ok", "bound": edge_bound(v["n"], v["s"], v["C"])}
     if "edges" in v:
-        result["holds"] = bool(v["edges"] <= result["bound"])
+        result["holds"] = edge_bound_holds(v["n"], v["edges"], v["s"], v["C"])
     if "epsilon" in v:
         result["dense_threshold"] = dense_threshold(v["n"], v["epsilon"])
     return result, None

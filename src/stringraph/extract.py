@@ -600,7 +600,9 @@ def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
                 if clique_in_mask(G, mask, _power_size(mask, q)) is None:
                     return mask
                 return mask & -mask
-            alpha = params.c_prime * ((s + 1 - q) / math.log2(nm)) ** 2
+            alpha = finite_value(
+                lambda: params.c_prime * ((s + 1 - q) / math.log2(nm)) ** 2,
+                "dense-branch trigger alpha")
             if edges_in_mask(G, mask) <= alpha * nm * nm:
                 return None
             try:
@@ -725,14 +727,14 @@ def color_or_clique(G: Graph, epsilon: float,
     clique_threshold = finite_value(lambda: n ** delta, "clique threshold n^delta")
     s = max(1, math.ceil(delta * math.log2(n))) if n >= 2 else 1
 
-    def extractor(remaining: VertexSet) -> VertexSet:
+    def extractor(remaining: int) -> int:
         try:
-            res, found, _ = _qindep(G, mask_of(remaining), s, 1, params)
+            res, found, _ = _qindep(G, remaining, s, 1, params)
         except PreconditionViolated as exc:
             raise _CliqueFound(exc.witness.vertices)
         if found and len(found) >= clique_threshold:
             raise _CliqueFound(found)
-        return tuple(bits(res))
+        return res
 
     try:
         coloring = greedy_color(G, extractor)

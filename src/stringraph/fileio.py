@@ -31,7 +31,7 @@ MAX_DIGITS = 4300
 # ---------------------------------------------------------------------------
 # Exact numbers.
 
-def _check_digits(text: str) -> None:
+def check_digits(text: str) -> None:
     """Refuse a number literal whose exact value may need more than MAX_DIGITS
     digits, before anything of that size is computed."""
     mantissa, _, exponent = text.strip().lower().partition("e")
@@ -44,7 +44,7 @@ def _check_digits(text: str) -> None:
 
 
 def _exact_decimal(text: str) -> Fraction:
-    _check_digits(text)
+    check_digits(text)
     return Fraction(decimal.Decimal(text))
 
 
@@ -73,7 +73,7 @@ def _coord_in(value, where: str) -> Coord:
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     if isinstance(value, str):
-        _check_digits(value)
+        check_digits(value)
         try:
             return exact_coord(Fraction(value))
         except (ValueError, ZeroDivisionError) as exc:
@@ -243,8 +243,7 @@ def parse_graph_text(text: str) -> Graph:
     if len(rows) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(rows) - 1}",
                          line=rows[-1][0])
-    edges = []
-    seen = set()
+    adj = [0] * n
     for lineno, body in rows[1:]:
         parts = body.split()
         if len(parts) != 2:
@@ -257,12 +256,11 @@ def parse_graph_text(text: str) -> Graph:
             raise SchemaError(f"edge ({u}, {v}) outside 0..{n - 1}")
         if u == v:
             raise SchemaError(f"self-loop at vertex {u}")
-        key = frozenset((u, v))
-        if key in seen:
+        if adj[u] >> v & 1:
             raise SchemaError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(tuple(adj))
 
 
 # ---------------------------------------------------------------------------

@@ -250,4 +250,4 @@ def intersection_graph(family: StringFamily) -> Graph:
         adj[i] = met & ~(1 << i)
         kept.append(box)
         active = kept
-    return Graph(labels=tuple(s.id for s in strings), adj=tuple(adj))
+    return Graph(tuple(adj))

@@ -1,8 +1,8 @@
 """Bitset-backed simple undirected graphs.
 
-Adjacency is one Python int per vertex, so neighborhood intersection,
-independence checks and clique search all reduce to integer bit operations.
-Graphs are immutable after construction.
+A graph is its adjacency masks: one Python int per vertex, so neighborhood
+intersection, independence checks and clique search all reduce to integer
+bit operations. Graphs are immutable after construction.
 """
 from __future__ import annotations
 
@@ -30,18 +30,12 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class Graph:
-    labels: tuple[str, ...]
     adj: tuple[int, ...]
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]],
-                   labels: Optional[tuple[str, ...]] = None) -> "Graph":
+    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if labels is None:
-            labels = tuple(f"v{i}" for i in range(n))
-        if len(labels) != n:
-            raise ValueError("label count must equal vertex count")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -50,7 +44,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return Graph(labels=tuple(labels), adj=tuple(adj))
+        return Graph(tuple(adj))
 
     @property
     def n(self) -> int:
@@ -80,12 +74,11 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = self.full_mask
-        return Graph(labels=self.labels,
-                     adj=tuple((full & ~a & ~(1 << v)) for v, a in enumerate(self.adj)))
+        return Graph(tuple((full & ~a & ~(1 << v)) for v, a in enumerate(self.adj)))
 
 
 def induced_subgraph(G: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph on the given vertices (sorted order), labels carried over."""
+    """Subgraph on the given vertices: vertex i is the i-th smallest of them."""
     vs = sorted(set(vertices))
     if any(v < 0 or v >= G.n for v in vs):
         raise UnknownVertex(f"vertex set {vs} not contained in 0..{G.n - 1}")
@@ -95,7 +88,7 @@ def induced_subgraph(G: Graph, vertices: Iterable[int]) -> Graph:
     for v in vs:
         for u in bits(G.adj[v] & vmask):
             adj[pos[v]] |= 1 << pos[u]
-    return Graph(labels=tuple(G.labels[v] for v in vs), adj=tuple(adj))
+    return Graph(tuple(adj))
 
 
 def average_degree(G: Graph) -> Fraction:
@@ -277,24 +270,23 @@ def validate_coloring(G: Graph, coloring: Coloring) -> None:
         raise ValueError("color classes do not cover all vertices")
 
 
-def greedy_color(G: Graph, extractor: Callable[[tuple[int, ...]], Iterable[int]]) -> Coloring:
+def greedy_color(G: Graph, extractor: Callable[[int], int]) -> Coloring:
     """Color by repeatedly extracting an independent set from the remaining vertices.
 
-    The extractor receives the remaining vertices (original indices) and must
-    return a non-empty subset that is independent in G; its output is checked
-    every round rather than trusted.
+    The extractor receives the mask of the remaining vertices and must return
+    the mask of a non-empty subset of them that is independent in G; its
+    output is checked every round rather than trusted.
     """
     remaining = G.full_mask
     classes: list[tuple[int, ...]] = []
     while remaining:
-        chosen = tuple(sorted(extractor(tuple(bits(remaining)))))
-        cmask = mask_of(chosen)
+        chosen = extractor(remaining)
         if not chosen:
             raise ExtractorViolation("extractor returned an empty set")
-        if cmask & ~remaining:
+        if chosen & ~remaining:
             raise ExtractorViolation("extractor returned vertices outside the remaining set")
-        if not is_independent(G, chosen):
+        if any(G.adj[v] & chosen for v in bits(chosen)):
             raise ExtractorViolation("extractor returned a non-independent set")
-        classes.append(chosen)
-        remaining &= ~cmask
+        classes.append(tuple(bits(chosen)))
+        remaining &= ~chosen
     return Coloring(classes=tuple(classes))

@@ -202,7 +202,7 @@ def truncate_edges(drawing: Drawing, radius: Radius = "auto") -> StringFamily:
 def crossing_graph(drawing: Drawing, radius: Radius = "auto") -> Graph:
     """Graph on the drawing's edges, adjacent iff their truncated curves meet."""
     if drawing.m == 0:
-        return Graph((), ())
+        return Graph(())
     return intersection_graph(truncate_edges(drawing, radius))
 
 
@@ -288,5 +288,4 @@ def convex_interleaving_graph(n: int) -> Graph:
             c, d = chords[j]
             if a < c < b < d or c < a < d < b:
                 edges.append((i, j))
-    labels = tuple(f"e{k}" for k in range(len(chords)))
-    return Graph.from_edges(len(chords), edges, labels=labels)
+    return Graph.from_edges(len(chords), edges)

@@ -38,8 +38,7 @@ def _brute_intersection_graph(family) -> Graph:
     strings = family.strings
     edges = [(i, j) for i, j in combinations(range(len(strings)), 2)
              if polylines_intersect(strings[i], strings[j])]
-    return Graph.from_edges(len(strings), edges,
-                            labels=tuple(s.id for s in strings))
+    return Graph.from_edges(len(strings), edges)
 
 
 def _probe_free_s(G: Graph, cap: int = 4) -> int:

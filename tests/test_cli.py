@@ -109,6 +109,29 @@ def test_color_or_clique_command(tmp_path):
     assert report["verification"]["status"] == "pass"
 
 
+def test_oversized_radius_literal_refused_fast(tmp_path):
+    # A child with a 512 MiB address space: building Fraction("1e999999999")
+    # does not finish there.
+    drawing = tmp_path / "d.json"
+    main(["gen", "--kind", "convex_chords", "--count", "6", "--seed", "1",
+          "-o", str(drawing)])
+    code = ("import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from stringraph.cli import main\n"
+            "start = time.perf_counter()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, time.perf_counter() - start)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, "qp", "check", str(drawing),
+                           "--r", "3", "--radius", "1e999999999",
+                           "-o", str(tmp_path / "out.json")],
+                          capture_output=True, text=True, env=env, timeout=20)
+    exit_code, seconds = proc.stdout.split()
+    assert exit_code == "4"
+    assert "exceeds 4300 digits" in proc.stderr
+    assert float(seconds) < 0.1
+
+
 def test_qp_check_and_sparse(tmp_path):
     drawing = tmp_path / "d.json"
     main(["gen", "--kind", "convex_chords", "--count", "6", "--seed", "1",
@@ -147,6 +170,13 @@ def test_qp_bound_overflow_is_a_declared_outcome(tmp_path, flags):
     assert report["result"]["outcome"] == "DomainError"
 
 
+def test_qp_bound_refuses_negative_edges(tmp_path, capsys):
+    code, report = _run(tmp_path, "qp", "bound", "--n", "256", "--s", "3",
+                        "--edges", "-5")
+    assert (code, report) == (4, "")
+    assert "edge count cannot be negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args,name", [
     (["extract", "independent", "--s", "600"], "independent-set floor"),
     (["extract", "qindep", "--s", "600", "--q", "1"], "q-independent floor"),
@@ -160,6 +190,20 @@ def test_extract_formula_overflow_is_a_declared_outcome(tmp_path, args, name):
     assert report["result"] == {
         "outcome": "DomainError",
         "message": f"{name} is not a finite float for these arguments"}
+
+
+def test_dense_branch_trigger_overflow_is_a_declared_outcome(tmp_path):
+    # Above 10 vertices _qindep computes its dense-branch trigger alpha, whose
+    # square overflows a float for this s even though the floor is finite.
+    path = _write_graph(tmp_path, er_graph(30, 0.3, 1))
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps({"c": 1e-300}))
+    code, report = _run(tmp_path, "extract", "independent", "--s", str(10 ** 200),
+                        "--params", str(params_path), path)
+    assert code == 3
+    assert report["result"] == {
+        "outcome": "DomainError",
+        "message": "dense-branch trigger alpha is not a finite float for these arguments"}
 
 
 @pytest.mark.parametrize("graph,params,args,code", [

@@ -109,7 +109,6 @@ def test_intersection_graph_basic():
         Polyline("c", (_pt(10, 10), _pt(11, 10))),
     ))
     G = intersection_graph(fam)
-    assert G.labels == ("a", "b", "c")
     assert G.edges() == [(0, 1)]
 
 
@@ -149,7 +148,6 @@ def test_sweep_matches_brute_force_on_large_families(kind):
         fam = generate(GeneratorSpec(kind=kind, count=n, seed=seed))
         G = intersection_graph(fam)
         assert G == _brute_intersection_graph(fam)
-        assert G.labels == tuple(s.id for s in fam.strings)
 
 
 def test_sweep_on_degenerate_contacts():

@@ -49,7 +49,6 @@ def test_single_crossing_detected():
     D = _draw([(0, 0), (4, 4), (0, 4), (4, 0)], [(0, 1), (2, 3)])
     G = crossing_graph(D)
     assert G.edges() == [(0, 1)]
-    assert G.labels == ("e0", "e1")
     ok, witness = is_r_quasiplanar(D, 2)
     assert not ok and witness == (0, 1)
 
