@@ -293,7 +293,10 @@ def _color_or_clique(G, v, params):
 def _qp_check(drawing, v, params):
     if v["radius"] != "auto":
         fileio.check_digits(v["radius"])
-    ok, witness = is_r_quasiplanar(drawing, v["r"], v["radius"])
+    # Truncate once; the verifier re-checks the witness on the same curves.
+    # is_r_quasiplanar refuses r < 2 before a drawing is looked at.
+    curves = truncate_edges(drawing, v["radius"]) if v["r"] >= 2 else None
+    ok, witness = is_r_quasiplanar(drawing, v["r"], v["radius"], curves)
     result = {"outcome": "ok", "quasiplanar": ok}
     if witness is not None:
         result["witness"] = list(witness)
@@ -301,18 +304,19 @@ def _qp_check(drawing, v, params):
     def verifier():
         if witness is None:
             return
-        curves = truncate_edges(drawing, v["radius"]).strings
         for a, b in combinations(witness, 2):
-            if not polylines_intersect(curves[a], curves[b]):
+            if not polylines_intersect(curves.strings[a], curves.strings[b]):
                 raise ExtractorViolation(f"witness edges {a} and {b} do not cross")
 
     return result, verifier
 
 
 def _qp_sparse(drawing, v, params):
-    w = sparse_subgraph(drawing, v["s"], params)
-    return ({"outcome": "ok", "witness": _witness_obj(w)},
-            lambda: validate_witness(crossing_graph(drawing), w))
+    # Build the crossing graph once; the verifier checks the witness on it.
+    # sparse_subgraph refuses s < 3 before a drawing is looked at.
+    cg = crossing_graph(drawing) if v["s"] >= 3 else None
+    w = sparse_subgraph(drawing, v["s"], params, cg)
+    return {"outcome": "ok", "witness": _witness_obj(w)}, lambda: validate_witness(cg, w)
 
 
 def _qp_bound(_, v, params):

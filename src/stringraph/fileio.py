@@ -75,8 +75,8 @@ def _coord_in(value, where: str) -> Coord:
     if isinstance(value, str):
         check_digits(value)
         try:
-            return exact_coord(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
+            return exact_coord(value)
+        except ValueError as exc:
             raise SchemaError(f"{where}: bad coordinate {value!r}") from exc
     raise SchemaError(f"{where}: unsupported coordinate type {type(value).__name__}")
 

@@ -3,13 +3,22 @@
 All predicates run on exact arithmetic: coordinates are ints or Fractions,
 orientation signs are computed without rounding, so two runs on the same
 input always build the same graph.
+
+Points with a Fraction coordinate go through a gcd-free kernel: each point
+becomes integers (X, Y, W) with W > 0, and signs and squared distances are
+integer expressions in those numerators, with one Fraction at most per
+distance. A `Fraction` operation reduces by a gcd every time; on the 40-150
+bit denominators of convex drawings and their cut points that gcd is most of
+the cost, and the kernel pays it once per point instead.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple, Union
 
 from .errors import DuplicateId
 from .graph import Graph
@@ -32,7 +41,10 @@ def exact_coord(value) -> Coord:
             raise ValueError(f"coordinate must be finite, got {value!r}")
         value = Fraction(value)
     elif isinstance(value, str):
-        value = Fraction(value)
+        try:
+            value = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     elif not isinstance(value, Fraction):
         raise TypeError(f"unsupported coordinate type {type(value).__name__}")
     return int(value) if value.denominator == 1 else value
@@ -146,19 +158,22 @@ def interpolate(a: Point, b: Point, t: Fraction) -> Point:
 
 
 def point_segment_dist_sq(p: Point, a: Point, b: Point) -> Coord:
-    """Exact squared distance from p to the closed segment a-b."""
+    """Exact squared distance from p to the closed segment a-b.
+
+    The Fraction reference that `rational_point_segment_dist_sq` is tested
+    against."""
     abx = b.x - a.x
     aby = b.y - a.y
     apx = p.x - a.x
     apy = p.y - a.y
     denom = abx * abx + aby * aby
     if denom == 0:
-        return apx * apx + apy * apy
+        return exact_coord(apx * apx + apy * apy)
     t = Fraction(apx * abx + apy * aby, denom)
     if t <= 0:
-        return apx * apx + apy * apy
+        return exact_coord(apx * apx + apy * apy)
     if t >= 1:
-        return dist_sq(p, b)
+        return exact_coord(dist_sq(p, b))
     fx = apx - t * abx
     fy = apy - t * aby
     return exact_coord(fx * fx + fy * fy)
@@ -168,26 +183,15 @@ def segment_intersection_points(p1: Point, p2: Point, q1: Point, q2: Point) -> l
     """All contact points of the closed segments p1-p2 and q1-q2, exactly.
 
     Returns [] when disjoint, one point for a crossing or touch, and the two
-    overlap endpoints when collinear segments share more than a point.
+    overlap endpoints when collinear segments share more than a point. The
+    Fraction reference that `rational_contact_points` is tested against.
     """
     d1 = orientation_sign(q1, q2, p1)
     d2 = orientation_sign(q1, q2, p2)
     d3 = orientation_sign(p1, p2, q1)
     d4 = orientation_sign(p1, p2, q2)
     if d1 == 0 and d2 == 0:
-        # Same supporting line: intersect the two parameter intervals.
-        def key(pt: Point):
-            return (pt.x, pt.y)
-
-        lo_p, hi_p = (p1, p2) if key(p1) <= key(p2) else (p2, p1)
-        lo_q, hi_q = (q1, q2) if key(q1) <= key(q2) else (q2, q1)
-        start = lo_p if key(lo_p) >= key(lo_q) else lo_q
-        end = hi_p if key(hi_p) <= key(hi_q) else hi_q
-        if key(start) > key(end):
-            return []
-        if start == end:
-            return [start]
-        return [start, end]
+        return _overlap(p1, p2, q1, q2)
     if d1 * d2 < 0 and d3 * d4 < 0:
         rx = p2.x - p1.x
         ry = p2.y - p1.y
@@ -211,6 +215,147 @@ def segment_intersection_points(p1: Point, p2: Point, q1: Point, q2: Point) -> l
     return seen
 
 
+def _overlap(p1: Point, p2: Point, q1: Point, q2: Point) -> list[Point]:
+    """Contact points of two segments on one supporting line: the ends of
+    the intersection of their parameter intervals."""
+    def key(pt: Point):
+        return (pt.x, pt.y)
+
+    lo_p, hi_p = (p1, p2) if key(p1) <= key(p2) else (p2, p1)
+    lo_q, hi_q = (q1, q2) if key(q1) <= key(q2) else (q2, q1)
+    start = lo_p if key(lo_p) >= key(lo_q) else lo_q
+    end = hi_p if key(hi_p) <= key(hi_q) else hi_q
+    if key(start) > key(end):
+        return []
+    if start == end:
+        return [start]
+    return [start, end]
+
+
+# ---------------------------------------------------------------------------
+# The gcd-free kernel. A point is held as integers (X, Y, W), W > 0, with
+# p = (X/W, Y/W). The line through two such points h and g is their cross
+# product h x g, and the sign of its dot product with a third point k is the
+# sign of det[h; g; k] = W_h W_g W_k * ((g - h) x (k - h)): the orientation
+# sign of (h, g, k), since every W is positive. A squared distance is a sum
+# of squared numerators over a square of W's, built as one Fraction.
+
+Homogeneous = tuple[int, int, int]
+
+
+def homogeneous(p: Point) -> Homogeneous:
+    """(X, Y, W) with W > 0 and p = (X/W, Y/W): one lcm per point, here."""
+    xn, xd = p.x.as_integer_ratio()
+    yn, yd = p.y.as_integer_ratio()
+    if xd == yd:
+        return xn, yn, xd
+    w = math.lcm(xd, yd)
+    return xn * (w // xd), yn * (w // yd), w
+
+
+def line_through(h: Homogeneous, g: Homogeneous) -> Homogeneous:
+    """Coefficients (A, B, C) of the line through h and g: h x g."""
+    return h[1] * g[2] - h[2] * g[1], h[2] * g[0] - h[0] * g[2], h[0] * g[1] - h[1] * g[0]
+
+
+def side(line: Homogeneous, k: Homogeneous) -> int:
+    """orientation_sign(h, g, k) for line = line_through(h, g)."""
+    v = line[0] * k[0] + line[1] * k[1] + line[2] * k[2]
+    return (v > 0) - (v < 0)
+
+
+def homogeneous_dist_sq(h: Homogeneous, g: Homogeneous) -> Coord:
+    """dist_sq of the two points, as one Fraction."""
+    dx = h[0] * g[2] - g[0] * h[2]
+    dy = h[1] * g[2] - g[1] * h[2]
+    return exact_coord(Fraction(dx * dx + dy * dy, (h[2] * g[2]) ** 2))
+
+
+class RationalSegment(NamedTuple):
+    """A segment a-b with its endpoints' (X, Y, W) and its line's coefficients."""
+
+    a: Point
+    b: Point
+    ha: Homogeneous
+    hb: Homogeneous
+    line: Homogeneous
+
+    @classmethod
+    def of(cls, a: Point, b: Point) -> "RationalSegment":
+        ha, hb = homogeneous(a), homogeneous(b)
+        return cls(a, b, ha, hb, line_through(ha, hb))
+
+
+def rational_segments_intersect(s: RationalSegment, t: RationalSegment) -> bool:
+    """segments_intersect(s.a, s.b, t.a, t.b) by the gcd-free kernel."""
+    p1, p2, h1, h2, lp = s
+    q1, q2, g1, g2, lq = t
+    d1 = side(lq, h1)
+    d2 = side(lq, h2)
+    d3 = side(lp, g1)
+    d4 = side(lp, g2)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+    return (d1 == 0 and _between(h1, g1, g2) or d2 == 0 and _between(h2, g1, g2)
+            or d3 == 0 and _between(g1, h1, h2) or d4 == 0 and _between(g2, h1, h2))
+
+
+def _between(k: Homogeneous, h: Homogeneous, g: Homogeneous) -> bool:
+    """Whether k, collinear with h and g, lies on the closed segment h-g:
+    (h - k) . (g - k) <= 0, scaled by W_h W_g W_k^2 > 0."""
+    hx, hy = h[0] * k[2] - k[0] * h[2], h[1] * k[2] - k[1] * h[2]
+    gx, gy = g[0] * k[2] - k[0] * g[2], g[1] * k[2] - k[1] * g[2]
+    return hx * gx + hy * gy <= 0
+
+
+def rational_contact_points(s: RationalSegment, t: RationalSegment) -> list[Point]:
+    """segment_intersection_points(s.a, s.b, t.a, t.b) by the gcd-free kernel.
+
+    A crossing point is the meet of the two lines, s.line x t.line, so it
+    is built from integers once.
+    """
+    p1, p2, h1, h2, lp = s
+    q1, q2, g1, g2, lq = t
+    d1 = side(lq, h1)
+    d2 = side(lq, h2)
+    d3 = side(lp, g1)
+    d4 = side(lp, g2)
+    if d1 == 0 and d2 == 0:
+        return _overlap(p1, p2, q1, q2)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        x, y, w = line_through(lp, lq)
+        return [Point(exact_coord(Fraction(x, w)), exact_coord(Fraction(y, w)))]
+    out: list[Point] = []
+    for d, pt, k, h, g in ((d1, p1, h1, g1, g2), (d2, p2, h2, g1, g2),
+                           (d3, q1, g1, h1, h2), (d4, q2, g2, h1, h2)):
+        if d == 0 and _between(k, h, g) and pt not in out:
+            out.append(pt)
+    return out
+
+
+def rational_point_segment_dist_sq(h: Homogeneous, s: RationalSegment) -> Coord:
+    """point_segment_dist_sq of the point h and the segment s, as one Fraction.
+
+    a->b and a->p are numerators over Wa*Wb and Wa*Wp, so the projection
+    parameter is t = dot * Wb / (ab2 * Wp), and the distance to the line is
+    (line . h)^2 / (Wp^2 * ab2), where line . h = det[a; b; p].
+    """
+    xp, yp, wp = h
+    xa, ya, wa = s.ha
+    xb, yb, wb = s.hb
+    abx, aby = xb * wa - xa * wb, yb * wa - ya * wb
+    apx, apy = xp * wa - xa * wp, yp * wa - ya * wp
+    dot = abx * apx + aby * apy
+    if dot <= 0:
+        return exact_coord(Fraction(apx * apx + apy * apy, (wa * wp) ** 2))
+    ab2 = abx * abx + aby * aby
+    if dot * wb >= ab2 * wp:
+        return homogeneous_dist_sq(h, s.hb)
+    line = s.line
+    cross = line[0] * xp + line[1] * yp + line[2] * wp
+    return exact_coord(Fraction(cross * cross, wp * wp * ab2))
+
+
 def intersection_graph(family: StringFamily) -> Graph:
     """Build the intersection graph: one vertex per string, an edge iff the curves meet.
 
@@ -219,7 +364,9 @@ def intersection_graph(family: StringFamily) -> Graph:
     reach its left x and overlap it in y, and only until the two strings are
     known to meet. A box is dropped once its right x lies strictly left of the
     sweep, so touching boxes stay; every candidate pair gets the exact
-    `segments_intersect`, hence the same graph as testing every pair.
+    segment test, hence the same graph as testing every pair. The test is
+    chosen once for the family: `segments_intersect` when every coordinate is
+    an int, the gcd-free `rational_segments_intersect` otherwise.
     """
     strings = family.strings
     if not strings:
@@ -229,12 +376,15 @@ def intersection_graph(family: StringFamily) -> Graph:
         for a, b in zip(s.points, s.points[1:]):
             x0, x1 = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
             y0, y1 = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-            boxes.append((x0, x1, y0, y1, i, a, b))
+            boxes.append((x0, x1, y0, y1, i, a, b, None))
+    # Every coordinate is a box bound; the scan runs in C.
+    if set(map(type, chain.from_iterable(map(itemgetter(0, 1, 2, 3), boxes)))) != {int}:
+        boxes = [(*box[:7], RationalSegment.of(box[5], box[6])) for box in boxes]
     boxes.sort(key=lambda box: box[0])
     adj = [0] * len(strings)
     active: list[tuple] = []
     for box in boxes:
-        x0, _, y0, y1, i, a, b = box
+        x0, _, y0, y1, i, a, b, seg = box
         met = adj[i] | 1 << i
         kept = []
         for other in active:
@@ -243,7 +393,8 @@ def intersection_graph(family: StringFamily) -> Graph:
             kept.append(other)
             j = other[4]
             if (met >> j & 1 or other[3] < y0 or y1 < other[2]
-                    or not segments_intersect(a, b, other[5], other[6])):
+                    or not (segments_intersect(a, b, other[5], other[6]) if seg is None
+                            else rational_segments_intersect(seg, other[7]))):
                 continue
             met |= 1 << j
             adj[j] |= 1 << i

@@ -18,9 +18,10 @@ from typing import Optional, Union
 
 from .errors import DegenerateDrawing, DomainError, PreconditionViolated, finite_value
 from .extract import DEFAULT_PARAMS, AlgorithmParams, ExtractionWitness, q_independent_set
-from .geometry import (Point, Polyline, StringFamily, dist_sq, exact_coord,
-                       interpolate, intersection_graph, point_segment_dist_sq,
-                       segment_intersection_points)
+from .geometry import (Homogeneous, Point, Polyline, RationalSegment, StringFamily,
+                       dist_sq, exact_coord, homogeneous, homogeneous_dist_sq,
+                       interpolate, intersection_graph, rational_contact_points,
+                       rational_point_segment_dist_sq)
 from .graph import Graph, find_clique
 
 Radius = Union[str, int, float, Fraction]
@@ -88,8 +89,12 @@ def _auto_radius_sq(drawing: Drawing) -> Fraction:
     curve, which is a clearance of the first kind. Nor can a contact lie on
     another vertex's point: that vertex would lie on a curve that does not
     end there, which the first loop refuses before any contact is measured.
+
+    Distances and contacts go through the gcd-free kernel of `geometry`.
     """
     verts = drawing.vertices
+    hverts = [homogeneous(p) for p in verts]
+    curves = [[RationalSegment.of(a, b) for a, b in e.curve.segments()] for e in drawing.edges]
     best: Optional[Fraction] = None
 
     def shrink(val) -> None:
@@ -98,63 +103,79 @@ def _auto_radius_sq(drawing: Drawing) -> Fraction:
         if best is None or f < best:
             best = f
 
-    for w, pw in enumerate(verts):
-        for e in drawing.edges:
+    for w, hw in enumerate(hverts):
+        for e, segs in zip(drawing.edges, curves):
             if w == e.u or w == e.v:
                 continue
-            for a, b in e.curve.segments():
-                d2 = point_segment_dist_sq(pw, a, b)
+            for seg in segs:
+                d2 = rational_point_segment_dist_sq(hw, seg)
                 if d2 == 0:
                     raise DegenerateDrawing(
                         f"vertex {w} lies on the curve of edge ({e.u}, {e.v})")
                 shrink(d2)
-    incident: list[list[DrawnEdge]] = [[] for _ in verts]
-    for e in drawing.edges:
-        incident[e.u].append(e)
-        incident[e.v].append(e)
-    for pw, edges in zip(verts, incident):
-        for ei, ej in itertools.combinations(edges, 2):
-            for a, b in ei.curve.segments():
-                for c, d in ej.curve.segments():
-                    for x in segment_intersection_points(a, b, c, d):
+    incident: list[list[list[RationalSegment]]] = [[] for _ in verts]
+    for e, segs in zip(drawing.edges, curves):
+        incident[e.u].append(segs)
+        incident[e.v].append(segs)
+    for pw, at_w in zip(verts, incident):
+        for ci, cj in itertools.combinations(at_w, 2):
+            for s in ci:
+                for t in cj:
+                    for x in rational_contact_points(s, t):
                         if x != pw:
                             shrink(dist_sq(pw, x))
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            shrink(Fraction(dist_sq(verts[i], verts[j]), 4))
+    for hi, hj in itertools.combinations(hverts, 2):
+        shrink(Fraction(homogeneous_dist_sq(hi, hj), 4))
     if best is None:
         raise DegenerateDrawing("drawing has no clearance to truncate within")
     return best / 4
 
 
-def _first_exit(pts: tuple[Point, ...], center: Point, rho_sq: Fraction,
-                edge_index: int) -> tuple[int, Fraction, Point]:
+def _first_exit(pts: tuple[Point, ...], hpts: list[Homogeneous], center: Homogeneous,
+                rho_sq: Fraction, edge_index: int) -> tuple[int, Fraction, Point]:
     """First point along pts leaving the open disk around center.
 
-    Returns (segment index, parameter, point) with the point's distance d
-    satisfying rho <= d < 1.5 * rho, found by dyadic bisection. Squared
-    distance is convex along a segment, so a segment with both endpoints
-    inside the disk lies wholly inside and can be skipped.
+    hpts are pts in `geometry.homogeneous` form. Returns (segment index,
+    parameter, point) with the point's distance d satisfying
+    rho <= d < 1.5 * rho, found by dyadic bisection. Squared distance is
+    convex along a segment, so a segment with both endpoints inside the disk
+    lies wholly inside and can be skipped.
+
+    Along a-b the squared distance to center is |u + t v|^2, with u = a -
+    center and v = b - a as integer numerators over one denominator d, so
+    rd * 4^e * dist^2 at t = m / 2^e is the integer s(m, e) below, and each
+    test of the bisection compares it with rn * d^2 * 4^e, for
+    rho_sq = rn / rd. The point is built once, at the parameter found.
     """
-    limit = Fraction(9, 4) * rho_sq
+    xc, yc, wc = center
+    rn, rd = rho_sq.numerator, rho_sq.denominator
     for k in range(len(pts) - 1):
-        a, b = pts[k], pts[k + 1]
-        if dist_sq(b, center) < rho_sq:
+        (xa, ya, wa), (xb, yb, wb) = hpts[k], hpts[k + 1]
+        ux, uy = (xa * wc - xc * wa) * wb, (ya * wc - yc * wa) * wb
+        vx, vy = (xb * wa - xa * wb) * wc, (yb * wa - ya * wb) * wc
+        d = wa * wb * wc
+        a2 = rd * (vx * vx + vy * vy)
+        a1 = 2 * rd * (ux * vx + uy * vy)
+        a0 = rd * (ux * ux + uy * uy)
+        rho = rn * d * d
+
+        def s(m: int, e: int) -> int:
+            return a2 * m * m + (a1 * m << e) + (a0 << 2 * e)
+
+        if s(1, 0) < rho:
             continue
-        lo, hi = Fraction(0), Fraction(1)
-        point = interpolate(a, b, hi)
-        guard = 0
-        while dist_sq(point, center) >= limit:
-            mid = (lo + hi) / 2
-            if dist_sq(interpolate(a, b, mid), center) >= rho_sq:
+        lo, hi, e = 0, 1, 0
+        while 4 * s(hi, e) >= 9 * rho << 2 * e:
+            mid = lo + hi
+            lo, hi, e = lo << 1, hi << 1, e + 1
+            if s(mid, e) >= rho << 2 * e:
                 hi = mid
-                point = interpolate(a, b, hi)
             else:
                 lo = mid
-            guard += 1
-            if guard > 512:
+            if e > 512:
                 raise DegenerateDrawing("truncation cut search did not converge")
-        return k, hi, point
+        t = Fraction(hi, 1 << e)
+        return k, t, interpolate(pts[k], pts[k + 1], t)
     raise DegenerateDrawing(
         f"edge {edge_index} lies entirely inside an endpoint disk; use a smaller radius")
 
@@ -176,12 +197,13 @@ def truncate_edges(drawing: Drawing, radius: Radius = "auto") -> StringFamily:
         if r <= 0:
             raise ValueError("radius must be strictly positive")
         rho_sq = Fraction(r) * Fraction(r)
+    hverts = [homogeneous(p) for p in drawing.vertices]
     strings = []
     for k, e in enumerate(drawing.edges):
         pts = e.curve.points
-        ku, tu, pu = _first_exit(pts, drawing.vertices[e.u], rho_sq, k)
-        rev = tuple(reversed(pts))
-        kr, tr, pv = _first_exit(rev, drawing.vertices[e.v], rho_sq, k)
+        hpts = [homogeneous(p) for p in pts]
+        ku, tu, pu = _first_exit(pts, hpts, hverts[e.u], rho_sq, k)
+        kr, tr, pv = _first_exit(pts[::-1], hpts[::-1], hverts[e.v], rho_sq, k)
         kv = len(pts) - 2 - kr
         tv = 1 - tr
         if (ku, tu) >= (kv, tv):
@@ -199,35 +221,44 @@ def truncate_edges(drawing: Drawing, radius: Radius = "auto") -> StringFamily:
     return StringFamily(tuple(strings))
 
 
-def crossing_graph(drawing: Drawing, radius: Radius = "auto") -> Graph:
-    """Graph on the drawing's edges, adjacent iff their truncated curves meet."""
+def crossing_graph(drawing: Drawing, radius: Radius = "auto",
+                   curves: Optional[StringFamily] = None) -> Graph:
+    """Graph on the drawing's edges, adjacent iff their truncated curves meet.
+
+    `curves`, if given, is `truncate_edges(drawing, radius)`, already built.
+    """
     if drawing.m == 0:
         return Graph(())
-    return intersection_graph(truncate_edges(drawing, radius))
+    return intersection_graph(truncate_edges(drawing, radius) if curves is None else curves)
 
 
-def is_r_quasiplanar(drawing: Drawing, r: int,
-                     radius: Radius = "auto") -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Whether no r edges pairwise cross; if some do, also return r edge indices."""
+def is_r_quasiplanar(drawing: Drawing, r: int, radius: Radius = "auto",
+                     curves: Optional[StringFamily] = None,
+                     ) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Whether no r edges pairwise cross; if some do, also return r edge indices.
+
+    `curves`, if given, is `truncate_edges(drawing, radius)`, already built.
+    """
     if r < 2:
         raise ValueError("r must be at least 2")
-    witness = find_clique(crossing_graph(drawing, radius), r)
+    witness = find_clique(crossing_graph(drawing, radius, curves), r)
     return witness is None, witness
 
 
-def sparse_subgraph(drawing: Drawing, s: int,
-                    params: Optional[AlgorithmParams] = None) -> ExtractionWitness:
+def sparse_subgraph(drawing: Drawing, s: int, params: Optional[AlgorithmParams] = None,
+                    crossings: Optional[Graph] = None) -> ExtractionWitness:
     """Extract an edge subset whose restriction is 4-quasiplanar.
 
     The drawing must be 2^s-quasiplanar (verified; violations raise
     PreconditionViolated carrying 2^s pairwise crossing edges). The witness
     vertices are edge indices; q_independent_set's own validation has
     checked that no 4 of them pairwise cross before it returns.
+    `crossings`, if given, is `crossing_graph(drawing)`, already built.
     """
     params = params or DEFAULT_PARAMS
     if s < 3:
         raise ValueError("s must be at least 3")
-    cg = crossing_graph(drawing)
+    cg = crossing_graph(drawing) if crossings is None else crossings
     if cg.n == 0:
         return ExtractionWitness(
             "q_independent", (),

@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from stringraph import Graph
+from stringraph import ExtractionWitness, Graph, quasiplanar
 from stringraph.cli import main
 from stringraph.fileio import graph_text, parse_graph_text
 from tests.conftest import er_graph
@@ -147,6 +148,46 @@ def test_qp_check_and_sparse(tmp_path):
     assert code == 0
     assert report["verification"]["status"] == "pass"
     assert len(report["result"]["witness"]["vertices"]) == 15
+
+
+def _convex_drawing(tmp_path, n):
+    drawing = tmp_path / f"k{n}.json"
+    assert main(["gen", "--kind", "convex_chords", "--count", str(n), "--seed", "1",
+                 "-o", str(drawing)]) == 0
+    return str(drawing)
+
+
+@pytest.mark.parametrize("radius", ["1/0", "0/0"])
+def test_zero_denominator_radius_is_a_usage_error(tmp_path, capsys, radius):
+    code, report = _run(tmp_path, "qp", "check", _convex_drawing(tmp_path, 6),
+                        "--r", "3", "--radius", radius)
+    assert (code, report) == (4, "")
+    assert capsys.readouterr().err == f"error: {radius!r} has a zero denominator\n"
+
+
+def test_qp_check_verifier_catches_edges_that_do_not_cross(tmp_path, monkeypatch):
+    # Edges 0, 1 and 2 of convex K_6 all end at vertex 0, so no two cross.
+    monkeypatch.setattr(quasiplanar, "find_clique", lambda G, r: (0, 1, 2))
+    code, report = _run(tmp_path, "qp", "check", _convex_drawing(tmp_path, 6), "--r", "3")
+    assert code == 2
+    assert report["result"]["witness"] == [0, 1, 2]
+    assert report["verification"] == {"witness_revalidated": True, "status": "fail",
+                                      "message": "witness edges 0 and 1 do not cross"}
+
+
+def test_qp_sparse_verifier_catches_four_pairwise_crossing_edges(tmp_path, monkeypatch):
+    # The four long diagonals of convex K_8 pairwise cross.
+    chords = list(combinations(range(8), 2))
+    diagonals = tuple(chords.index((i, i + 4)) for i in range(4))
+    found = ExtractionWitness("q_independent", diagonals,
+                              {"s": 3, "q": 2, "p": 4, "floor": 0, "fallbacks": 0,
+                               "found_clique": None})
+    monkeypatch.setattr(quasiplanar, "q_independent_set", lambda G, s, q, params: found)
+    code, report = _run(tmp_path, "qp", "sparse", _convex_drawing(tmp_path, 8), "--s", "3")
+    assert code == 2
+    assert report["result"]["witness"]["vertices"] == list(diagonals)
+    assert report["verification"]["status"] == "fail"
+    assert report["verification"]["witness_revalidated"] is True
 
 
 def test_qp_bound_report(tmp_path):

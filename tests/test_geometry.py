@@ -7,9 +7,13 @@ import pytest
 from stringraph import (DuplicateId, GeneratorSpec, Point, Polyline,
                         StringFamily, generate, intersection_graph,
                         orientation_sign, segments_intersect)
-from stringraph.geometry import (dist_sq, exact_coord, interpolate,
-                                 point_segment_dist_sq,
-                                 segment_intersection_points)
+from stringraph.geometry import (RationalSegment, dist_sq, exact_coord,
+                                 homogeneous, homogeneous_dist_sq, interpolate,
+                                 line_through, point_segment_dist_sq,
+                                 rational_contact_points,
+                                 rational_point_segment_dist_sq,
+                                 rational_segments_intersect,
+                                 segment_intersection_points, side)
 from tests.test_acceptance import _brute_intersection_graph
 
 
@@ -32,6 +36,9 @@ def test_exact_coord_rejects_bad_input():
         exact_coord(float("nan"))
     with pytest.raises(TypeError):
         exact_coord([1])
+    for text in ("1/0", "0/0"):
+        with pytest.raises(ValueError, match="has a zero denominator"):
+            exact_coord(text)
 
 
 def test_polyline_needs_two_distinct_consecutive_points():
@@ -58,6 +65,59 @@ def test_orientation_sign_exact():
     assert orientation_sign(_pt(0, 0), _pt(1, 0), Point(1, tiny)) > 0
 
 
+def _rational(rng):
+    return Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 10 ** 6))
+
+
+def test_rational_orientation_sign_matches_fraction_cross_product(rng):
+    tiny = Fraction(1, 10 ** 30)
+    signs = []
+    for _ in range(1500):
+        o, a = Point(_rational(rng), _rational(rng)), Point(_rational(rng), _rational(rng))
+        t = _rational(rng)
+        on = Point(o.x + t * (a.x - o.x), o.y + t * (a.y - o.y))
+        # A free point, one on the line o-a, and two that miss it by 10^-30.
+        for b in (Point(_rational(rng), _rational(rng)), on,
+                  Point(on.x, on.y + tiny), Point(on.x - tiny, on.y)):
+            cross = (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+            expected = (cross > 0) - (cross < 0)
+            got = side(line_through(homogeneous(o), homogeneous(a)), homogeneous(b))
+            assert got == expected == orientation_sign(o, a, b)
+            signs.append(got)
+    assert signs.count(0) >= 1500 and signs.count(1) > 1000 and signs.count(-1) > 1000
+
+
+def test_rational_point_segment_distance_matches_fraction_arithmetic(rng):
+    # Integral and rational coordinates, on both sides of each clamp.
+    for trial in range(1500):
+        coord = (lambda: rng.randrange(-9, 10)) if trial % 3 == 0 else (lambda: _rational(rng))
+        p, a, b = (Point(exact_coord(coord()), exact_coord(coord())) for _ in range(3))
+        if a == b:
+            continue
+        want = point_segment_dist_sq(p, a, b)
+        got = rational_point_segment_dist_sq(homogeneous(p), RationalSegment.of(a, b))
+        assert got == want and type(got) is type(want)
+        assert homogeneous_dist_sq(homogeneous(p), homogeneous(a)) == dist_sq(p, a)
+
+
+def test_rational_segment_tests_match_fraction_reference(rng):
+    # Coordinates k/3 and k/6 on a small grid: shared endpoints, T-contacts,
+    # collinear overlaps and proper crossings all occur.
+    kinds = set()
+    for _ in range(3000):
+        p1, p2, q1, q2 = (_pt(Fraction(rng.randrange(7), rng.choice((1, 3, 6))),
+                              Fraction(rng.randrange(7), rng.choice((1, 3))))
+                          for _ in range(4))
+        if p1 == p2 or q1 == q2:
+            continue
+        s, t = RationalSegment.of(p1, p2), RationalSegment.of(q1, q2)
+        want = segment_intersection_points(p1, p2, q1, q2)
+        assert rational_contact_points(s, t) == want
+        assert rational_segments_intersect(s, t) == segments_intersect(p1, p2, q1, q2)
+        kinds.add(len(want))
+    assert kinds == {0, 1, 2}
+
+
 def test_segments_intersect_cases():
     # Proper crossing.
     assert segments_intersect(_pt(0, 0), _pt(2, 2), _pt(0, 2), _pt(2, 0))
@@ -80,6 +140,13 @@ def test_dist_and_interpolation_are_exact():
     assert point_segment_dist_sq(_pt(2, 3), _pt(0, 0), _pt(4, 0)) == 9
     # Projection clamps to the nearest endpoint beyond the segment.
     assert point_segment_dist_sq(_pt(-3, 4), _pt(0, 0), _pt(4, 0)) == 25
+    # On Fraction inputs every branch normalizes an integral distance to int.
+    a, b = _pt(Fraction(1, 2), 0), _pt(Fraction(9, 2), 0)
+    for p, expected in ((_pt(Fraction(-5, 2), 4), 25), (_pt(Fraction(15, 2), 4), 25),
+                        (_pt(Fraction(5, 2), 3), 9)):
+        d2 = point_segment_dist_sq(p, a, b)
+        assert d2 == expected and type(d2) is int
+        assert point_segment_dist_sq(p, a, a) == dist_sq(p, a)
 
 
 def test_segment_intersection_points_proper_crossing():

@@ -12,9 +12,10 @@ from stringraph import (DegenerateDrawing, DomainError, DrawnEdge, Drawing,
                         edge_bound_holds, find_clique, is_r_quasiplanar,
                         sparse_subgraph, truncate_edges)
 from stringraph.generators import GeneratorSpec, generate
-from stringraph.geometry import dist_sq, point_segment_dist_sq, segment_intersection_points
+from stringraph.geometry import (dist_sq, homogeneous, interpolate, point_segment_dist_sq,
+                                 segment_intersection_points)
 from stringraph.graph import clique_in_mask, mask_of
-from stringraph.quasiplanar import _auto_radius_sq
+from stringraph.quasiplanar import _auto_radius_sq, _first_exit
 
 
 def _draw(coords, pairs, curves=None):
@@ -97,7 +98,7 @@ def test_truncation_keeps_curve_count_and_ids():
     assert [s.id for s in fam.strings] == [f"e{k}" for k in range(D.m)]
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 10, 12, 14])
 def test_convex_drawings_match_interleaving_graph(n):
     D = generate(GeneratorSpec(kind="convex_chords", count=n, seed=1))
     assert crossing_graph(D) == convex_interleaving_graph(n)
@@ -271,3 +272,65 @@ def test_drawings_without_edges_are_quasiplanar(coords):
     D = _draw(coords, [])
     for r in (2, 3, 4):
         assert is_r_quasiplanar(D, r) == (True, None)
+
+
+def _first_exit_by_fractions(pts, center, rho_sq, edge_index):
+    """The cut search on Fraction points: interpolate at every dyadic step
+    and measure the point's squared distance."""
+    limit = Fraction(9, 4) * rho_sq
+    for k in range(len(pts) - 1):
+        a, b = pts[k], pts[k + 1]
+        if dist_sq(b, center) < rho_sq:
+            continue
+        lo, hi = Fraction(0), Fraction(1)
+        point = interpolate(a, b, hi)
+        guard = 0
+        while dist_sq(point, center) >= limit:
+            mid = (lo + hi) / 2
+            if dist_sq(interpolate(a, b, mid), center) >= rho_sq:
+                hi = mid
+                point = interpolate(a, b, hi)
+            else:
+                lo = mid
+            guard += 1
+            if guard > 512:
+                raise DegenerateDrawing("truncation cut search did not converge")
+        return k, hi, point
+    raise DegenerateDrawing(
+        f"edge {edge_index} lies entirely inside an endpoint disk; use a smaller radius")
+
+
+def _exit_or_message(search, *args):
+    try:
+        return search(*args)
+    except DegenerateDrawing as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("family", ["convex", "bent"])
+def test_first_exit_matches_fraction_bisection(family):
+    if family == "convex":
+        drawings = [generate(GeneratorSpec("convex_chords", n, seed=n)) for n in range(4, 15)]
+        radii = (1, 1000, 10 ** 5, 4 * 10 ** 5)
+    else:
+        rng = random.Random(20211203)
+        drawings = [_bent_grid_drawing(rng) for _ in range(320)]
+        radii = (Fraction(1, 10), Fraction(1, 3), 1, 2)
+    outcomes = set()
+    for D in drawings:
+        rho_sqs = [Fraction(r) ** 2 for r in radii]
+        try:
+            rho_sqs.append(_auto_radius_sq(D))
+        except DegenerateDrawing:
+            pass
+        for rho_sq in rho_sqs:
+            for k, e in enumerate(D.edges):
+                pts = e.curve.points
+                for path, center in ((pts, D.vertices[e.u]), (pts[::-1], D.vertices[e.v])):
+                    hpts = [homogeneous(p) for p in path]
+                    got = _exit_or_message(_first_exit, path, hpts, homogeneous(center),
+                                           rho_sq, k)
+                    assert got == _exit_or_message(_first_exit_by_fractions, path, center,
+                                                   rho_sq, k)
+                    outcomes.add(type(got))
+    assert outcomes == {tuple, str}
