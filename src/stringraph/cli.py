@@ -40,8 +40,8 @@ from .graph import Graph
 from .oracles import (max_balanced_biclique_exact, max_clique_exact,
                       max_independent_set_exact, max_kp_free_subset_exact,
                       min_balanced_separator_exact, pairwise_crossing_exact)
-from .quasiplanar import (Drawing, crossing_graph, dense_threshold, edge_bound,
-                          edge_bound_holds, is_r_quasiplanar, sparse_subgraph,
+from .quasiplanar import (Drawing, check_r, check_s, crossing_graph, dense_threshold,
+                          edge_bound, edge_bound_holds, is_r_quasiplanar, sparse_subgraph,
                           truncate_edges)
 from .separator import (STRATEGIES, find_balanced_separator, fit_loglog_slope,
                         separator_size_survey, validate_partition)
@@ -293,10 +293,10 @@ def _color_or_clique(G, v, params):
 def _qp_check(drawing, v, params):
     if v["radius"] != "auto":
         fileio.check_digits(v["radius"])
+    check_r(v["r"])
     # Truncate once; the verifier re-checks the witness on the same curves.
-    # is_r_quasiplanar refuses r < 2 before a drawing is looked at.
-    curves = truncate_edges(drawing, v["radius"]) if v["r"] >= 2 else None
-    ok, witness = is_r_quasiplanar(drawing, v["r"], v["radius"], curves)
+    curves = truncate_edges(drawing, v["radius"])
+    ok, witness = is_r_quasiplanar(curves, v["r"])
     result = {"outcome": "ok", "quasiplanar": ok}
     if witness is not None:
         result["witness"] = list(witness)
@@ -312,10 +312,10 @@ def _qp_check(drawing, v, params):
 
 
 def _qp_sparse(drawing, v, params):
+    check_s(v["s"])
     # Build the crossing graph once; the verifier checks the witness on it.
-    # sparse_subgraph refuses s < 3 before a drawing is looked at.
-    cg = crossing_graph(drawing) if v["s"] >= 3 else None
-    w = sparse_subgraph(drawing, v["s"], params, cg)
+    cg = crossing_graph(drawing)
+    w = sparse_subgraph(cg, v["s"], params)
     return {"outcome": "ok", "witness": _witness_obj(w)}, lambda: validate_witness(cg, w)
 
 

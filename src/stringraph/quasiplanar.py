@@ -221,56 +221,62 @@ def truncate_edges(drawing: Drawing, radius: Radius = "auto") -> StringFamily:
     return StringFamily(tuple(strings))
 
 
-def crossing_graph(drawing: Drawing, radius: Radius = "auto",
-                   curves: Optional[StringFamily] = None) -> Graph:
-    """Graph on the drawing's edges, adjacent iff their truncated curves meet.
-
-    `curves`, if given, is `truncate_edges(drawing, radius)`, already built.
-    """
-    if drawing.m == 0:
-        return Graph(())
-    return intersection_graph(truncate_edges(drawing, radius) if curves is None else curves)
-
-
-def is_r_quasiplanar(drawing: Drawing, r: int, radius: Radius = "auto",
-                     curves: Optional[StringFamily] = None,
-                     ) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Whether no r edges pairwise cross; if some do, also return r edge indices.
-
-    `curves`, if given, is `truncate_edges(drawing, radius)`, already built.
-    """
+def check_r(r: int) -> None:
+    """Refuse r < 2: r-quasiplanarity asks about r pairwise crossing edges."""
     if r < 2:
         raise ValueError("r must be at least 2")
-    witness = find_clique(crossing_graph(drawing, radius, curves), r)
+
+
+def check_s(s: int) -> None:
+    """Refuse s < 3: the 2^s-quasiplanar results start at s = 3."""
+    if s < 3:
+        raise ValueError("s must be at least 3")
+
+
+def _curve_graph(curves: StringFamily) -> Graph:
+    return intersection_graph(curves) if curves.strings else Graph(())
+
+
+def crossing_graph(drawing: Drawing, radius: Radius = "auto") -> Graph:
+    """Graph on the drawing's edges, adjacent iff their truncated curves meet."""
+    return _curve_graph(truncate_edges(drawing, radius))
+
+
+def is_r_quasiplanar(curves: StringFamily, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Whether no r of a drawing's cut curves pairwise meet; if some do, also
+    return r edge indices.
+
+    `curves` is `truncate_edges(drawing, radius)`, so curve i is edge i.
+    """
+    check_r(r)
+    witness = find_clique(_curve_graph(curves), r)
     return witness is None, witness
 
 
-def sparse_subgraph(drawing: Drawing, s: int, params: Optional[AlgorithmParams] = None,
-                    crossings: Optional[Graph] = None) -> ExtractionWitness:
+def sparse_subgraph(crossings: Graph, s: int,
+                    params: Optional[AlgorithmParams] = None) -> ExtractionWitness:
     """Extract an edge subset whose restriction is 4-quasiplanar.
 
-    The drawing must be 2^s-quasiplanar (verified; violations raise
-    PreconditionViolated carrying 2^s pairwise crossing edges). The witness
-    vertices are edge indices; q_independent_set's own validation has
-    checked that no 4 of them pairwise cross before it returns.
-    `crossings`, if given, is `crossing_graph(drawing)`, already built.
+    `crossings` is `crossing_graph(drawing)`. The drawing must be
+    2^s-quasiplanar (verified; violations raise PreconditionViolated carrying
+    2^s pairwise crossing edges). The witness vertices are edge indices;
+    q_independent_set's own validation has checked that no 4 of them
+    pairwise cross before it returns.
     """
     params = params or DEFAULT_PARAMS
-    if s < 3:
-        raise ValueError("s must be at least 3")
-    cg = crossing_graph(drawing) if crossings is None else crossings
-    if cg.n == 0:
+    check_s(s)
+    if crossings.n == 0:
         return ExtractionWitness(
             "q_independent", (),
             {"s": s, "q": 2, "p": 4, "floor": 0, "fallbacks": 0,
              "found_clique": None, "edges_total": 0, "four_quasiplanar": True})
     try:
-        inner = q_independent_set(cg, s, 2, params)
+        inner = q_independent_set(crossings, s, 2, params)
     except PreconditionViolated as exc:
         raise PreconditionViolated(
             f"drawing is not {2 ** s}-quasiplanar", witness=exc.witness) from exc
     cert = dict(inner.certificate)
-    cert["edges_total"] = cg.n
+    cert["edges_total"] = crossings.n
     cert["four_quasiplanar"] = True
     return ExtractionWitness("q_independent", inner.vertices, cert)
 
@@ -278,8 +284,7 @@ def sparse_subgraph(drawing: Drawing, s: int, params: Optional[AlgorithmParams] 
 def edge_bound(n: int, s: int, C: float = 1.0) -> float:
     """Upper bound n * (C * log2(n) / s)^(2s-4) on the edge count of any
     n-vertex graph admitting a 2^s-quasiplanar drawing."""
-    if s < 3:
-        raise ValueError("s must be at least 3")
+    check_s(s)
     if C <= 0:
         raise ValueError("C must be strictly positive")
     if n >> s < 1:

@@ -21,8 +21,8 @@ from stringraph import (Graph, choose_delta, color_or_clique,
                         max_kp_free_subset_exact, multipartite_cover,
                         pairwise_crossing_exact, polylines_intersect,
                         q_independent_set, separator_size_survey,
-                        sparse_subgraph, validate_coloring, validate_partition,
-                        validate_witness)
+                        sparse_subgraph, truncate_edges, validate_coloring,
+                        validate_partition, validate_witness)
 from stringraph.cli import main
 from stringraph.extract import independent_floor, validate_multipartite_cover
 from stringraph.generators import GeneratorSpec, generate
@@ -236,14 +236,15 @@ def test_criterion_7_quasiplanar_pipeline_on_convex_drawings():
         D = generate(GeneratorSpec(kind="convex_chords", count=n, seed=1))
         cg = crossing_graph(D)
         assert cg == convex_interleaving_graph(n)
+        curves = truncate_edges(D)
         for r in (2, 3, 4):
-            ok, witness = is_r_quasiplanar(D, r)
+            ok, witness = is_r_quasiplanar(curves, r)
             oracle = pairwise_crossing_exact(D, r)
             assert ok == (oracle is None)
             if witness is not None:
                 assert all(cg.has_edge(a, b)
                            for a, b in combinations(witness, 2))
-        w = sparse_subgraph(D, 3)
+        w = sparse_subgraph(cg, 3)
         for quad in combinations(w.vertices, 4):
             assert not all(cg.has_edge(a, b)
                            for a, b in combinations(quad, 2))

@@ -165,6 +165,19 @@ def test_zero_denominator_radius_is_a_usage_error(tmp_path, capsys, radius):
     assert capsys.readouterr().err == f"error: {radius!r} has a zero denominator\n"
 
 
+@pytest.mark.parametrize("command, flag, message", [
+    ("check", "--r=1", "r must be at least 2"), ("sparse", "--s=2", "s must be at least 3")])
+def test_qp_parameters_are_checked_before_truncation(tmp_path, capsys, command, flag, message):
+    # Vertex 2 lies on the curve of edge (0, 1), so cutting would fail too.
+    drawing = tmp_path / "degenerate.json"
+    drawing.write_text('{"kind": "drawing", "vertices": [[0, 0], [4, 0], [2, 0], [2, 3]], '
+                       '"edges": [{"u": 0, "v": 1, "points": [[0, 0], [4, 0]]}, '
+                       '{"u": 2, "v": 3, "points": [[2, 0], [2, 3]]}]}\n')
+    code, report = _run(tmp_path, "qp", command, str(drawing), flag)
+    assert (code, report) == (4, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_qp_check_verifier_catches_edges_that_do_not_cross(tmp_path, monkeypatch):
     # Edges 0, 1 and 2 of convex K_6 all end at vertex 0, so no two cross.
     monkeypatch.setattr(quasiplanar, "find_clique", lambda G, r: (0, 1, 2))

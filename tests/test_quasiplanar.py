@@ -43,14 +43,14 @@ def test_two_disjoint_edges_do_not_cross():
     D = _draw([(0, 0), (10, 0), (0, 5), (10, 5)], [(0, 1), (2, 3)])
     G = crossing_graph(D)
     assert (G.n, G.m) == (2, 0)
-    assert is_r_quasiplanar(D, 2) == (True, None)
+    assert is_r_quasiplanar(truncate_edges(D), 2) == (True, None)
 
 
 def test_single_crossing_detected():
     D = _draw([(0, 0), (4, 4), (0, 4), (4, 0)], [(0, 1), (2, 3)])
     G = crossing_graph(D)
     assert G.edges() == [(0, 1)]
-    ok, witness = is_r_quasiplanar(D, 2)
+    ok, witness = is_r_quasiplanar(truncate_edges(D), 2)
     assert not ok and witness == (0, 1)
 
 
@@ -113,18 +113,19 @@ def test_convex_five_crossing_structure():
 
 def test_convex_six_quasiplanarity_levels():
     D = generate(GeneratorSpec(kind="convex_chords", count=6, seed=1))
-    ok2, _ = is_r_quasiplanar(D, 2)
-    ok3, w3 = is_r_quasiplanar(D, 3)
-    ok4, w4 = is_r_quasiplanar(D, 4)
+    curves = truncate_edges(D)
+    ok2, _ = is_r_quasiplanar(curves, 2)
+    ok3, w3 = is_r_quasiplanar(curves, 3)
+    ok4, w4 = is_r_quasiplanar(curves, 4)
     assert not ok2 and not ok3 and ok4
     assert w3 == (2, 7, 11) and w4 is None
     with pytest.raises(ValueError):
-        is_r_quasiplanar(D, 1)
+        is_r_quasiplanar(curves, 1)
 
 
 def test_sparse_subgraph_keeps_planar_drawing_whole():
     D = _draw([(0, 0), (10, 0), (0, 5), (10, 5)], [(0, 1), (2, 3)])
-    w = sparse_subgraph(D, 3)
+    w = sparse_subgraph(crossing_graph(D), 3)
     assert len(w.vertices) == 2
     assert w.certificate["four_quasiplanar"] is True
 
@@ -132,7 +133,7 @@ def test_sparse_subgraph_keeps_planar_drawing_whole():
 def test_sparse_subgraph_single_crossing_keeps_everything():
     D = _draw([(0, 0), (4, 4), (0, 4), (4, 0), (8, 0), (9, 0)],
               [(0, 1), (2, 3), (4, 5)])
-    w = sparse_subgraph(D, 3)
+    w = sparse_subgraph(crossing_graph(D), 3)
     assert len(w.vertices) == 3
 
 
@@ -140,16 +141,16 @@ def test_sparse_subgraph_output_is_four_quasiplanar():
     for n in (6, 8):
         D = generate(GeneratorSpec(kind="convex_chords", count=n, seed=1))
         cg = crossing_graph(D)
-        w = sparse_subgraph(D, 3)
+        w = sparse_subgraph(cg, 3)
         assert clique_in_mask(cg, mask_of(w.vertices), 4) is None
         assert w.certificate["edges_total"] == cg.n
     with pytest.raises(ValueError):
-        sparse_subgraph(D, 2)
+        sparse_subgraph(crossing_graph(D), 2)
 
 
 def test_empty_drawing_sparse_subgraph():
     D = Drawing((), ())
-    w = sparse_subgraph(D, 3)
+    w = sparse_subgraph(crossing_graph(D), 3)
     assert w.vertices == ()
     assert w.certificate["four_quasiplanar"] is True
 
@@ -271,7 +272,7 @@ def test_auto_radius_matches_every_term():
 def test_drawings_without_edges_are_quasiplanar(coords):
     D = _draw(coords, [])
     for r in (2, 3, 4):
-        assert is_r_quasiplanar(D, r) == (True, None)
+        assert is_r_quasiplanar(truncate_edges(D), r) == (True, None)
 
 
 def _first_exit_by_fractions(pts, center, rho_sq, edge_index):
