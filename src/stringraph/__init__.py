@@ -19,8 +19,8 @@ from .extract import (DEFAULT_PARAMS, AlgorithmParams, ExtractionWitness,
                       dense_core, find_balanced_biclique,
                       half_clique_free_subgraph, independent_set,
                       kr1_free_subgraph, multipartite_cover,
-                      neighborhood_cover_subgraph, q_independent_set,
-                      validate_multipartite_cover, validate_witness)
+                      q_independent_set, validate_multipartite_cover,
+                      validate_witness)
 from .generators import KINDS, GeneratorSpec, generate
 from .geometry import (Point, Polyline, StringFamily, intersection_graph,
                        orientation_sign, polylines_intersect,
@@ -30,10 +30,9 @@ from .graph import (Coloring, Graph, find_clique, greedy_color,
 from .oracles import (max_balanced_biclique_exact, max_clique_exact,
                       max_independent_set_exact, max_kp_free_subset_exact,
                       min_balanced_separator_exact, pairwise_crossing_exact)
-from .quasiplanar import (DrawnEdge, Drawing, convex_interleaving_graph,
-                          crossing_graph, dense_threshold, edge_bound,
-                          edge_bound_holds, is_r_quasiplanar, sparse_subgraph,
-                          truncate_edges)
+from .quasiplanar import (DrawnEdge, Drawing, crossing_graph, dense_threshold,
+                          edge_bound, edge_bound_holds, is_r_quasiplanar,
+                          sparse_subgraph, truncate_edges)
 from .separator import (SeparatorPartition, balance_cap,
                         find_balanced_separator, fit_loglog_slope,
                         separator_size_survey,
@@ -50,7 +49,7 @@ __all__ = [
     "PreconditionViolated", "RefinementFailed", "SchemaError",
     "SeparatorPartition", "StringFamily", "StringraphError", "TooLarge",
     "UnknownVertex", "balance_cap", "choose_delta", "color_or_clique",
-    "convex_interleaving_graph", "crossing_graph", "dense_core",
+    "crossing_graph", "dense_core",
     "dense_threshold", "edge_bound", "edge_bound_holds",
     "find_balanced_biclique", "find_balanced_separator", "find_clique",
     "generate", "greedy_color", "half_clique_free_subgraph",
@@ -59,7 +58,7 @@ __all__ = [
     "max_balanced_biclique_exact", "max_clique_exact",
     "max_independent_set_exact", "max_kp_free_subset_exact",
     "min_balanced_separator_exact", "multipartite_cover",
-    "neighborhood_cover_subgraph", "orientation_sign",
+    "orientation_sign",
     "pairwise_crossing_exact", "polylines_intersect", "q_independent_set",
     "fit_loglog_slope", "segments_intersect", "separator_size_survey", "sparse_subgraph",
     "truncate_edges", "validate_coloring", "validate_multipartite_cover",

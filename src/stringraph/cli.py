@@ -36,7 +36,6 @@ from .extract import (AlgorithmParams, ExtractionWitness,
                       q_independent_set, validate_witness)
 from .generators import FAMILY_KINDS, KINDS, GeneratorSpec, generate
 from .geometry import intersection_graph, polylines_intersect
-from .graph import Graph
 from .oracles import (max_balanced_biclique_exact, max_clique_exact,
                       max_independent_set_exact, max_kp_free_subset_exact,
                       min_balanced_separator_exact, pairwise_crossing_exact)
@@ -128,12 +127,7 @@ def cmd_gen(args) -> int:
 
 def cmd_build_graph(args) -> int:
     loaded = fileio.parse_input(_read(args.input), inexact=args.inexact)
-    if isinstance(loaded, Drawing):
-        G = crossing_graph(loaded)
-    elif len(loaded) == 0:
-        G = Graph(())
-    else:
-        G = intersection_graph(loaded)
+    G = crossing_graph(loaded) if isinstance(loaded, Drawing) else intersection_graph(loaded)
     _write(args.output, fileio.graph_text(G))
     return 0
 

@@ -45,6 +45,9 @@ class AlgorithmParams:
     separator_strategy: str = "auto"
 
     def __post_init__(self) -> None:
+        for name in ("c1", "c2", "c", "c_prime", "c_dblprime", "epsilon", "delta"):
+            if isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} cannot be a boolean")
         for name in ("c1", "c2", "c", "c_prime", "c_dblprime"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -133,11 +136,6 @@ def q_independent_floor(n: int, s: int, q: int, c: float) -> int:
 # Witness validation. Every checker is exact; failures raise
 # ExtractorViolation with a description of the broken property.
 
-def _as_apex_map(raw) -> dict[int, int]:
-    items = raw.items() if isinstance(raw, dict) else raw
-    return {int(k): int(v) for k, v in items}
-
-
 def _check_clique(G: Graph, vertices: Iterable[int]) -> None:
     m = mask_of(vertices)
     for v in bits(m):
@@ -191,8 +189,6 @@ def validate_witness(G: Graph, witness: ExtractionWitness) -> None:
                 raise ExtractorViolation(f"vertex {v} has a neighbor inside the set")
     elif kind in ("q_independent", "kp_free"):
         _check_kp_free(G, witness.vertices, int(cert["p"]))
-    elif kind == "neighborhood_cover":
-        _check_cover(G, witness.vertices, cert)
     elif kind == "dense_core":
         _check_dense_core(G, witness.vertices, cert)
     elif kind == "multipartite":
@@ -205,21 +201,6 @@ def validate_witness(G: Graph, witness: ExtractionWitness) -> None:
         _check_clique(G, witness.vertices)
     else:
         raise ExtractorViolation(f"unknown witness kind {kind!r}")
-
-
-def _check_cover(G: Graph, vertices: Iterable[int], cert: dict) -> None:
-    wmask = mask_of(vertices)
-    apexes = _as_apex_map(cert.get("apexes", {}))
-    for comp in components_masked(G, wmask):
-        if comp.bit_count() == 1:
-            continue
-        key = (comp & -comp).bit_length() - 1
-        if key not in apexes:
-            raise ExtractorViolation(f"component at vertex {key} has no recorded apex")
-        apex = apexes[key]
-        if (G.adj[apex] & comp) != comp:
-            raise ExtractorViolation(
-                f"apex {apex} is not adjacent to all of its component at {key}")
 
 
 def _check_dense_core(G: Graph, vertices: Iterable[int], cert: dict) -> None:
@@ -300,23 +281,6 @@ def _cover(G: Graph, params: AlgorithmParams) -> tuple[int, dict[int, int]]:
         return w
 
     return _divide(G, G.full_mask, params, step), apexes
-
-
-def neighborhood_cover_subgraph(G: Graph,
-                                params: Optional[AlgorithmParams] = None
-                                ) -> ExtractionWitness:
-    """Vertex set W where every component of G[W] lies in some vertex's
-    neighborhood or is a singleton."""
-    params = params or DEFAULT_PARAMS
-    if G.n < 1:
-        raise ValueError("need at least one vertex")
-    bound = cover_floor(G.n, params.c)
-    w, apexes = _cover(G, params)
-    witness = ExtractionWitness(
-        "neighborhood_cover", tuple(bits(w)),
-        {"apexes": apexes, "bound": bound, "c": params.c})
-    validate_witness(G, witness)
-    return witness
 
 
 def kr1_free_subgraph(G: Graph, r: int,
@@ -405,26 +369,19 @@ def _biclique_greedy(G: Graph, mask: int) -> tuple[int, int]:
     return best
 
 
-def find_balanced_biclique(G: Graph, t_min: int, mode: str = "auto",
-                           mask: Optional[int] = None
+def find_balanced_biclique(G: Graph, t_min: int, mask: Optional[int] = None
                            ) -> Optional[tuple[VertexSet, VertexSet]]:
     """Disjoint A, B in G[mask] with |A| = |B| >= t_min and A complete to B.
 
     mask None means every vertex of G. Exact search (None certifies
-    nonexistence) for at most 20 vertices under auto, greedy seed-edge
-    completion beyond; greedy None is not a nonexistence proof.
+    nonexistence) for at most 20 vertices, greedy seed-edge completion
+    beyond; greedy None is not a nonexistence proof.
     """
     mask = vertex_mask(G, mask)
     if t_min < 1:
         raise ValueError("t_min must be at least 1")
-    if mode == "auto":
-        mode = "exact" if mask.bit_count() <= 20 else "greedy"
-    if mode == "exact":
-        a_mask, b_mask = _biclique_exact(G, mask)
-    elif mode == "greedy":
-        a_mask, b_mask = _biclique_greedy(G, mask)
-    else:
-        raise ValueError(f"unknown biclique mode {mode!r}")
+    search = _biclique_exact if mask.bit_count() <= 20 else _biclique_greedy
+    a_mask, b_mask = search(G, mask)
     t = min(a_mask.bit_count(), b_mask.bit_count())
     if t < t_min:
         return None

@@ -185,13 +185,6 @@ def parse_input(text: str, inexact: bool = False) -> Union[StringFamily, Drawing
     raise SchemaError("cannot tell whether this is a family or a drawing", field="kind")
 
 
-def parse_family(text: str, inexact: bool = False) -> StringFamily:
-    loaded = parse_input(text, inexact)
-    if not isinstance(loaded, StringFamily):
-        raise SchemaError("expected a family file, got a drawing")
-    return loaded
-
-
 def parse_drawing(text: str, inexact: bool = False) -> Drawing:
     loaded = parse_input(text, inexact)
     if not isinstance(loaded, Drawing):

@@ -30,6 +30,9 @@ FAMILY_KINDS = tuple(kind for kind in KINDS if kind != "convex_chords")
 _SEGMENT_LENGTH_FACTOR = 3.6
 
 _MAX_CONVEX = 64
+# The generators place points with float arithmetic, which holds every
+# integer of at most this magnitude exactly.
+_MAX_REGION = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,8 @@ class GeneratorSpec:
         object.__setattr__(self, "region", region)
         if len(region) != 4 or not all(isinstance(c, int) for c in region):
             raise BadSpec("region must be four integers (xmin, ymin, xmax, ymax)")
+        if any(abs(c) > _MAX_REGION for c in region):
+            raise BadSpec("region coordinates must lie within -2^53..2^53")
         xmin, ymin, xmax, ymax = region
         if xmax - xmin < 8 or ymax - ymin < 8:
             raise BadSpec("region must span at least 8 units in each direction")

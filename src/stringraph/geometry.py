@@ -157,64 +157,6 @@ def interpolate(a: Point, b: Point, t: Fraction) -> Point:
     return Point(exact_coord(a.x + t * (b.x - a.x)), exact_coord(a.y + t * (b.y - a.y)))
 
 
-def point_segment_dist_sq(p: Point, a: Point, b: Point) -> Coord:
-    """Exact squared distance from p to the closed segment a-b.
-
-    The Fraction reference that `rational_point_segment_dist_sq` is tested
-    against."""
-    abx = b.x - a.x
-    aby = b.y - a.y
-    apx = p.x - a.x
-    apy = p.y - a.y
-    denom = abx * abx + aby * aby
-    if denom == 0:
-        return exact_coord(apx * apx + apy * apy)
-    t = Fraction(apx * abx + apy * aby, denom)
-    if t <= 0:
-        return exact_coord(apx * apx + apy * apy)
-    if t >= 1:
-        return exact_coord(dist_sq(p, b))
-    fx = apx - t * abx
-    fy = apy - t * aby
-    return exact_coord(fx * fx + fy * fy)
-
-
-def segment_intersection_points(p1: Point, p2: Point, q1: Point, q2: Point) -> list[Point]:
-    """All contact points of the closed segments p1-p2 and q1-q2, exactly.
-
-    Returns [] when disjoint, one point for a crossing or touch, and the two
-    overlap endpoints when collinear segments share more than a point. The
-    Fraction reference that `rational_contact_points` is tested against.
-    """
-    d1 = orientation_sign(q1, q2, p1)
-    d2 = orientation_sign(q1, q2, p2)
-    d3 = orientation_sign(p1, p2, q1)
-    d4 = orientation_sign(p1, p2, q2)
-    if d1 == 0 and d2 == 0:
-        return _overlap(p1, p2, q1, q2)
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        rx = p2.x - p1.x
-        ry = p2.y - p1.y
-        sx = q2.x - q1.x
-        sy = q2.y - q1.y
-        t = Fraction((q1.x - p1.x) * sy - (q1.y - p1.y) * sx, rx * sy - ry * sx)
-        return [interpolate(p1, p2, t)]
-    out: list[Point] = []
-    if d1 == 0 and _within_bbox(p1, q1, q2):
-        out.append(p1)
-    if d2 == 0 and _within_bbox(p2, q1, q2):
-        out.append(p2)
-    if d3 == 0 and _within_bbox(q1, p1, p2):
-        out.append(q1)
-    if d4 == 0 and _within_bbox(q2, p1, p2):
-        out.append(q2)
-    seen: list[Point] = []
-    for pt in out:
-        if pt not in seen:
-            seen.append(pt)
-    return seen
-
-
 def _overlap(p1: Point, p2: Point, q1: Point, q2: Point) -> list[Point]:
     """Contact points of two segments on one supporting line: the ends of
     the intersection of their parameter intervals."""
@@ -309,10 +251,12 @@ def _between(k: Homogeneous, h: Homogeneous, g: Homogeneous) -> bool:
 
 
 def rational_contact_points(s: RationalSegment, t: RationalSegment) -> list[Point]:
-    """segment_intersection_points(s.a, s.b, t.a, t.b) by the gcd-free kernel.
+    """All contact points of the closed segments s and t, exactly.
 
-    A crossing point is the meet of the two lines, s.line x t.line, so it
-    is built from integers once.
+    Returns [] when disjoint, one point for a crossing or touch, and the two
+    overlap endpoints when collinear segments share more than a point. A
+    crossing point is the meet of the two lines, s.line x t.line, so it is
+    built from integers once.
     """
     p1, p2, h1, h2, lp = s
     q1, q2, g1, g2, lq = t
@@ -334,7 +278,8 @@ def rational_contact_points(s: RationalSegment, t: RationalSegment) -> list[Poin
 
 
 def rational_point_segment_dist_sq(h: Homogeneous, s: RationalSegment) -> Coord:
-    """point_segment_dist_sq of the point h and the segment s, as one Fraction.
+    """Exact squared distance from the point h to the closed segment s, as
+    one Fraction.
 
     a->b and a->p are numerators over Wa*Wb and Wa*Wp, so the projection
     parameter is t = dot * Wb / (ab2 * Wp), and the distance to the line is
@@ -366,11 +311,10 @@ def intersection_graph(family: StringFamily) -> Graph:
     sweep, so touching boxes stay; every candidate pair gets the exact
     segment test, hence the same graph as testing every pair. The test is
     chosen once for the family: `segments_intersect` when every coordinate is
-    an int, the gcd-free `rational_segments_intersect` otherwise.
+    an int, the gcd-free `rational_segments_intersect` otherwise. An empty
+    family gives the empty graph.
     """
     strings = family.strings
-    if not strings:
-        raise ValueError("cannot build the intersection graph of an empty family")
     boxes = []
     for i, s in enumerate(strings):
         for a, b in zip(s.points, s.points[1:]):

@@ -233,13 +233,11 @@ def check_s(s: int) -> None:
         raise ValueError("s must be at least 3")
 
 
-def _curve_graph(curves: StringFamily) -> Graph:
-    return intersection_graph(curves) if curves.strings else Graph(())
-
-
-def crossing_graph(drawing: Drawing, radius: Radius = "auto") -> Graph:
-    """Graph on the drawing's edges, adjacent iff their truncated curves meet."""
-    return _curve_graph(truncate_edges(drawing, radius))
+def crossing_graph(drawing: Drawing) -> Graph:
+    """Graph on the drawing's edges, adjacent iff they cross: the edges'
+    curves cut at the automatic radius meet. For an explicit radius r, build
+    intersection_graph(truncate_edges(drawing, r))."""
+    return intersection_graph(truncate_edges(drawing))
 
 
 def is_r_quasiplanar(curves: StringFamily, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -249,7 +247,7 @@ def is_r_quasiplanar(curves: StringFamily, r: int) -> tuple[bool, Optional[tuple
     `curves` is `truncate_edges(drawing, radius)`, so curve i is edge i.
     """
     check_r(r)
-    witness = find_clique(_curve_graph(curves), r)
+    witness = find_clique(intersection_graph(curves), r)
     return witness is None, witness
 
 
@@ -287,6 +285,8 @@ def edge_bound(n: int, s: int, C: float = 1.0) -> float:
     check_s(s)
     if C <= 0:
         raise ValueError("C must be strictly positive")
+    if not C < math.inf:  # NaN or infinity; a huge int still overflows below
+        raise ValueError("C must be finite")
     if n >> s < 1:
         # n < 2^s, tested without building 2^s, which a large s makes huge.
         power = 2 ** s if s <= 64 else f"2^{s}"
@@ -308,20 +308,6 @@ def dense_threshold(n: int, epsilon: float) -> float:
         raise ValueError("n must be at least 1")
     if epsilon <= 0:
         raise ValueError("epsilon must be strictly positive")
+    if not epsilon < math.inf:
+        raise ValueError("epsilon must be finite")
     return finite_value(lambda: 3.0 * n ** (1.0 + epsilon), "dense threshold")
-
-
-def convex_interleaving_graph(n: int) -> Graph:
-    """Crossing pattern of the straight-line complete graph on n points in
-    convex position: one vertex per chord in pair order, adjacent iff the
-    chords' endpoints interleave around the circle."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    chords = list(itertools.combinations(range(n), 2))
-    edges = []
-    for i, (a, b) in enumerate(chords):
-        for j in range(i + 1, len(chords)):
-            c, d = chords[j]
-            if a < c < b < d or c < a < d < b:
-                edges.append((i, j))
-    return Graph.from_edges(len(chords), edges)

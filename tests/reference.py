@@ -1,0 +1,87 @@
+"""Exact references the tests compare the library against.
+
+Each one computes its answer the plain way, on `Fraction` arithmetic or by
+the combinatorial rule, so that a faster path in the library can be checked
+against it. No library code calls them.
+"""
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from stringraph.geometry import (Coord, Point, _overlap, _within_bbox, dist_sq,
+                                 exact_coord, interpolate, orientation_sign)
+from stringraph.graph import Graph
+
+
+def point_segment_dist_sq(p: Point, a: Point, b: Point) -> Coord:
+    """Exact squared distance from p to the closed segment a-b.
+
+    The reference for `geometry.rational_point_segment_dist_sq`."""
+    abx = b.x - a.x
+    aby = b.y - a.y
+    apx = p.x - a.x
+    apy = p.y - a.y
+    denom = abx * abx + aby * aby
+    if denom == 0:
+        return exact_coord(apx * apx + apy * apy)
+    t = Fraction(apx * abx + apy * aby, denom)
+    if t <= 0:
+        return exact_coord(apx * apx + apy * apy)
+    if t >= 1:
+        return exact_coord(dist_sq(p, b))
+    fx = apx - t * abx
+    fy = apy - t * aby
+    return exact_coord(fx * fx + fy * fy)
+
+
+def segment_intersection_points(p1: Point, p2: Point, q1: Point, q2: Point) -> list[Point]:
+    """All contact points of the closed segments p1-p2 and q1-q2, exactly.
+
+    Returns [] when disjoint, one point for a crossing or touch, and the two
+    overlap endpoints when collinear segments share more than a point. The
+    reference for `geometry.rational_contact_points`.
+    """
+    d1 = orientation_sign(q1, q2, p1)
+    d2 = orientation_sign(q1, q2, p2)
+    d3 = orientation_sign(p1, p2, q1)
+    d4 = orientation_sign(p1, p2, q2)
+    if d1 == 0 and d2 == 0:
+        return _overlap(p1, p2, q1, q2)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        rx = p2.x - p1.x
+        ry = p2.y - p1.y
+        sx = q2.x - q1.x
+        sy = q2.y - q1.y
+        t = Fraction((q1.x - p1.x) * sy - (q1.y - p1.y) * sx, rx * sy - ry * sx)
+        return [interpolate(p1, p2, t)]
+    out: list[Point] = []
+    if d1 == 0 and _within_bbox(p1, q1, q2):
+        out.append(p1)
+    if d2 == 0 and _within_bbox(p2, q1, q2):
+        out.append(p2)
+    if d3 == 0 and _within_bbox(q1, p1, p2):
+        out.append(q1)
+    if d4 == 0 and _within_bbox(q2, p1, p2):
+        out.append(q2)
+    seen: list[Point] = []
+    for pt in out:
+        if pt not in seen:
+            seen.append(pt)
+    return seen
+
+
+def convex_interleaving_graph(n: int) -> Graph:
+    """Crossing pattern of the straight-line complete graph on n points in
+    convex position: one vertex per chord in pair order, adjacent iff the
+    chords' endpoints interleave around the circle."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    chords = list(itertools.combinations(range(n), 2))
+    edges = []
+    for i, (a, b) in enumerate(chords):
+        for j in range(i + 1, len(chords)):
+            c, d = chords[j]
+            if a < c < b < d or c < a < d < b:
+                edges.append((i, j))
+    return Graph.from_edges(len(chords), edges)

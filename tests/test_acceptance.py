@@ -10,9 +10,8 @@ import statistics
 import time
 from itertools import combinations
 
-from stringraph import (Graph, choose_delta, color_or_clique,
-                        convex_interleaving_graph, crossing_graph, dense_core,
-                        edge_bound, find_balanced_biclique,
+from stringraph import (Graph, choose_delta, color_or_clique, crossing_graph,
+                        dense_core, edge_bound, find_balanced_biclique,
                         find_balanced_separator, find_clique, fit_loglog_slope,
                         half_clique_free_subgraph, independent_set,
                         intersection_graph, is_r_quasiplanar,
@@ -28,6 +27,7 @@ from stringraph.extract import independent_floor, validate_multipartite_cover
 from stringraph.generators import GeneratorSpec, generate
 from stringraph.graph import Coloring, induced_subgraph
 from tests.conftest import er_graph
+from tests.reference import convex_interleaving_graph
 from tests.test_separator import _min_separator_size
 
 _FAMILY_KINDS = ("random_segments", "random_polylines", "grid_paths",
@@ -265,7 +265,7 @@ def test_criterion_8_biclique_branch_matches_oracle():
         planted = [(u, v) for u in verts[:t] for v in verts[t:]]
         edges = set(tuple(sorted(e)) for e in base.edges() + planted)
         G = Graph.from_edges(n, sorted(edges))
-        got = find_balanced_biclique(G, 1, mode="exact")
+        got = find_balanced_biclique(G, 1)
         A, B = max_balanced_biclique_exact(G)
         assert got is not None and len(got[0]) == len(A)
         assert len(A) >= t

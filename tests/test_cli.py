@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stringraph import ExtractionWitness, Graph, quasiplanar
+from stringraph import KINDS, ExtractionWitness, Graph, quasiplanar
 from stringraph.cli import main
 from stringraph.fileio import graph_text, parse_graph_text
 from tests.conftest import er_graph
@@ -231,6 +231,20 @@ def test_qp_bound_refuses_negative_edges(tmp_path, capsys):
     assert "edge count cannot be negative" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("flags,message", [
+    (["--C", "nan"], "C must be finite"),
+    (["--C", "inf"], "C must be finite"),
+    (["--epsilon", "nan"], "epsilon must be finite"),
+    (["--epsilon", "inf"], "epsilon must be finite"),
+], ids=["C-nan", "C-inf", "epsilon-nan", "epsilon-inf"])
+def test_qp_bound_refuses_non_finite_numbers(tmp_path, capsys, flags, message):
+    # A NaN or an infinity would otherwise be written into the report.
+    code, report = _run(tmp_path, "qp", "bound", "--n", "256", "--s", "3", *flags)
+    assert (code, report) == (4, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("args,name", [
     (["extract", "independent", "--s", "600"], "independent-set floor"),
     (["extract", "qindep", "--s", "600", "--q", "1"], "q-independent floor"),
@@ -295,6 +309,44 @@ def test_huge_clique_exponents_never_build_the_power(tmp_path, graph, params, ar
         assert result == {
             "outcome": "DomainError",
             "message": "forbidden clique size 2^q is not a finite float for these arguments"}
+
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gen_region_stays_within_exact_floats(tmp_path, capsys, kind):
+    # The generators place points with float arithmetic, which holds every
+    # integer up to 2^53 exactly.
+    dest = tmp_path / "out.json"
+    edge = 2 ** 53
+    for region in ((0, 0, edge + 1, edge + 1), (0, 0, 10 ** 400, 10 ** 400),
+                   (-edge - 1, 0, 0, 8)):
+        assert main(["gen", "--kind", kind, "--count", "5", "--region",
+                     *map(str, region), "-o", str(dest)]) == 4
+        assert not dest.exists()
+        assert capsys.readouterr().err == (
+            "error: region coordinates must lie within -2^53..2^53\n")
+    assert main(["gen", "--kind", kind, "--count", "5", "--region",
+                 *map(str, (-edge, -edge, edge, edge)), "-o", str(dest)]) == 0
+    assert main(["build-graph", str(dest), "-o", str(tmp_path / "g.txt")]) == 0
+
+
+@pytest.mark.parametrize("params,name", [
+    ({"c": True, "c1": True}, "c1"),
+    ({"c2": True}, "c2"),
+    ({"c": True}, "c"),
+    ({"c_prime": False}, "c_prime"),
+    ({"c_dblprime": True}, "c_dblprime"),
+    ({"epsilon": True}, "epsilon"),
+    ({"delta": True}, "delta"),
+], ids=["c-and-c1", "c2", "c", "c_prime-false", "c_dblprime", "epsilon", "delta"])
+def test_boolean_tuning_constants_are_refused(tmp_path, capsys, params, name):
+    path = _write_graph(tmp_path, Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(params))
+    code, report = _run(tmp_path, "extract", "kr1free", path, "--r", "3",
+                        "--params", str(params_path))
+    assert (code, report) == (4, "")
+    assert capsys.readouterr().err == f"error: bad parameters: {name} cannot be a boolean\n"
 
 
 def test_oracle_commands(tmp_path):

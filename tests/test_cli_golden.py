@@ -24,6 +24,9 @@ EDGELESS = "4 0\n"
 DEGENERATE = ('{"kind": "drawing", "vertices": [[0, 0], [4, 0], [2, 0], [2, 3]], '
               '"edges": [{"u": 0, "v": 1, "points": [[0, 0], [4, 0]]}, '
               '{"u": 2, "v": 3, "points": [[2, 0], [2, 3]]}]}\n')
+NO_STRINGS = '{"kind": "family", "strings": []}\n'
+# Two vertices and no edges: the drawing has no curve to cut.
+NO_EDGES = '{"kind": "drawing", "vertices": [[0, 0], [1, 0]], "edges": []}\n'
 HAND_FILES = {
     "c5.txt": C5,
     "k4.txt": K4,
@@ -32,6 +35,8 @@ HAND_FILES = {
     "empty.txt": "0 0\n",
     "bad.txt": "2 1\n0 9\n",
     "degenerate.json": DEGENERATE,
+    "nostrings.json": NO_STRINGS,
+    "noedges.json": NO_EDGES,
     "params.json": '{"c": 0.02, "separator_strategy": "bfs_layer"}',
     "badparams.json": '{"c_quadruple": 1}',
 }
@@ -58,6 +63,10 @@ CASES = {
         "0bacca2a35294c917da2a16ab08109fd10011f085dafa59bce804b75de106b71", QUIET),
     "build-graph-drawing": ("build-graph chords.json", 0,
         "69e89ce564253a492ca480fb25c258c92052aa2aec0396ad5eced885b9dd033e", QUIET),
+    "build-graph-empty-family": ("build-graph nostrings.json", 0,
+        "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101", QUIET),
+    "build-graph-edgeless-drawing": ("build-graph noedges.json", 0,
+        "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101", QUIET),
     "separator-auto": ("separator segs.txt", 0,
         "5b800aa94eb32cb8300207c99128498e94021e5bef2a83214ce2272b9bcfc62f", QUIET),
     "separator-bfs-layer": ("separator big.txt --strategy bfs_layer", 0,
@@ -114,6 +123,10 @@ CASES = {
         "b70eafdc7f3f44eacb022ad959d6caefeb42416e44f618a4e7a7bcad9eca8372", QUIET),
     "qp-check-verify-off": ("qp check chords.json --r 3 --verify off", 0,
         "b594e5a24cfc7b7386a5be8265cf577861f634b6c0ffb998e6957b24b7bf34cf", QUIET),
+    "qp-check-edgeless-drawing": ("qp check noedges.json --r 2", 0,
+        "de59cee9ff1651487b12d6229a94a7d1440564c34e64c46cc3491e451af0a579", QUIET),
+    "qp-sparse-edgeless-drawing": ("qp sparse noedges.json --s 3", 0,
+        "2dec05b9101bc19a000ba45f1d5c7f5cfe975fb291f6ddd7a3d2b8534d0b4d20", QUIET),
     "qp-sparse": ("qp sparse chords.json --s 3", 0,
         "b9b222942ecf832c151ff28a4f31c53cb2c326aa5443ba2baf66b9beae7c840f", QUIET),
     "qp-sparse-params-file": ("qp sparse chords.json --s 3 --params params.json", 0,

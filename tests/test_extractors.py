@@ -11,8 +11,8 @@ from stringraph import (AlgorithmParams, DomainError, ExtractionWitness,
                         dense_core, find_balanced_biclique,
                         half_clique_free_subgraph, independent_set,
                         kr1_free_subgraph, multipartite_cover,
-                        neighborhood_cover_subgraph, q_independent_set,
-                        validate_multipartite_cover, validate_witness)
+                        q_independent_set, validate_multipartite_cover,
+                        validate_witness)
 from stringraph.extract import (_split_by_separator, cover_floor,
                                 half_clique_floor, independent_floor,
                                 q_independent_floor)
@@ -135,19 +135,30 @@ def test_kr1_free_subgraph_precondition_and_arguments():
         kr1_free_subgraph(_cycle(5), 2)
 
 
+def _assert_apexes_cover(G, w):
+    """Each component of G[W] with two or more vertices lies in the
+    neighborhood of the apex recorded under its lowest vertex."""
+    apexes = w.certificate["apexes"]
+    for comp in components_masked(G, mask_of(w.vertices)):
+        if comp.bit_count() > 1:
+            apex = apexes[(comp & -comp).bit_length() - 1]
+            assert G.adj[apex] & comp == comp
+
+
 def test_neighborhood_cover_on_star_needs_no_apex():
     star = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
-    w = neighborhood_cover_subgraph(star)
+    w = kr1_free_subgraph(star, 3)
     assert w.vertices == (1, 2, 3, 4, 5)
-    assert dict(w.certificate["apexes"]) == {}
+    assert w.certificate["apexes"] == {}
     validate_witness(star, w)
 
 
 def test_neighborhood_cover_validates_on_random_graphs(rng):
     for trial in range(15):
         G = er_graph(rng.randrange(2, 25), rng.uniform(0.1, 0.6), 800 + trial)
-        w = neighborhood_cover_subgraph(G)
+        w = kr1_free_subgraph(G, max(3, len(max_clique_exact(G)) + 1))
         validate_witness(G, w)
+        _assert_apexes_cover(G, w)
         assert len(w.vertices) >= cover_floor(G.n, 0.01)
 
 
@@ -184,8 +195,7 @@ def test_degree_peel_recursions_terminate_on_sparse_graphs():
     for seed in range(20):
         G = er_graph(5, 0.2, seed)
         for w in (half_clique_free_subgraph(G, 5, params),
-                  kr1_free_subgraph(G, 5, params),
-                  neighborhood_cover_subgraph(G, params)):
+                  kr1_free_subgraph(G, 5, params)):
             validate_witness(G, w)
             assert w.vertices
 
@@ -200,20 +210,17 @@ def test_dense_core_on_edgeless_graphs_under_degree_peel():
 
 
 def test_find_balanced_biclique_modes():
-    k33 = Graph.from_edges(6, [(u, v + 3) for u in range(3) for v in range(3)])
-    got = find_balanced_biclique(k33, 3, mode="exact")
-    assert got is not None
-    A, B = got
-    assert len(A) == len(B) == 3
-    assert find_balanced_biclique(k33, 4, mode="exact") is None
-    greedy = find_balanced_biclique(k33, 2, mode="greedy")
-    if greedy is not None:
-        A, B = greedy
-        assert all(k33.has_edge(u, v) for u in A for v in B)
+    # Exact search on at most 20 vertices, greedy completion above: K_{3,3}
+    # alone, and K_{3,3} with 15 isolated vertices.
+    k33_edges = [(u, v + 3) for u in range(3) for v in range(3)]
+    for n in (6, 21):
+        G = Graph.from_edges(n, k33_edges)
+        A, B = find_balanced_biclique(G, 3)
+        assert len(A) == len(B) == 3
+        assert all(G.has_edge(u, v) for u in A for v in B)
+        assert find_balanced_biclique(G, 4) is None
     with pytest.raises(ValueError):
-        find_balanced_biclique(k33, 0)
-    with pytest.raises(ValueError):
-        find_balanced_biclique(k33, 1, mode="psychic")
+        find_balanced_biclique(G, 0)
 
 
 def test_dense_core_keeps_complete_graph():
@@ -400,8 +407,6 @@ def test_extractors_refuse_an_overflowing_floor_before_recursing():
     for extract in (kr1_free_subgraph, half_clique_free_subgraph):
         with pytest.raises(DomainError):
             extract(G, 3, params)
-    with pytest.raises(DomainError):
-        neighborhood_cover_subgraph(G, params)
     with pytest.raises(DomainError):
         dense_core(G, 0.5, AlgorithmParams(c1=1e200))
 

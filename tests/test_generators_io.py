@@ -15,8 +15,15 @@ from stringraph import (BadSpec, Drawing, GeneratorSpec, Graph, ParseError,
                         intersection_graph)
 from stringraph.fileio import (MAX_VERTICES, RunReport, drawing_json,
                                family_json, graph_text,
-                               parse_drawing, parse_family, parse_graph_text,
-                               parse_input, report_json, sha256_digest)
+                               parse_drawing, parse_graph_text, parse_input,
+                               report_json, sha256_digest)
+
+
+def parse_family(text, inexact=False):
+    """parse_input of a text that must hold a family."""
+    family = parse_input(text, inexact)
+    assert isinstance(family, StringFamily)
+    return family
 
 
 def test_generate_is_deterministic():

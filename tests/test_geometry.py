@@ -4,16 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from stringraph import (DuplicateId, GeneratorSpec, Point, Polyline,
+from stringraph import (DuplicateId, GeneratorSpec, Graph, Point, Polyline,
                         StringFamily, generate, intersection_graph,
                         orientation_sign, segments_intersect)
 from stringraph.geometry import (RationalSegment, dist_sq, exact_coord,
                                  homogeneous, homogeneous_dist_sq, interpolate,
-                                 line_through, point_segment_dist_sq,
-                                 rational_contact_points,
+                                 line_through, rational_contact_points,
                                  rational_point_segment_dist_sq,
-                                 rational_segments_intersect,
-                                 segment_intersection_points, side)
+                                 rational_segments_intersect, side)
+from tests.reference import point_segment_dist_sq, segment_intersection_points
 from tests.test_acceptance import _brute_intersection_graph
 
 
@@ -179,9 +178,8 @@ def test_intersection_graph_basic():
     assert G.edges() == [(0, 1)]
 
 
-def test_intersection_graph_empty_family_rejected():
-    with pytest.raises(ValueError):
-        intersection_graph(StringFamily(()))
+def test_intersection_graph_of_empty_family_is_empty():
+    assert intersection_graph(StringFamily(())) == Graph(())
 
 
 def test_prefilter_agrees_with_full_scan(rng):

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and
+every module-level function is reached from the package or exported."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,36 @@ def test_every_import_is_used(module):
     unused = {name: line for name, line in _imported_names(tree).items()
               if name not in used}
     assert not unused, f"{module}: unused imports {unused}"
+
+
+def _exported() -> set[str]:
+    tree = ast.parse((SRC / "__init__.py").read_text(), filename="__init__.py")
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("__init__.py has no __all__")
+
+
+def _names_in(node: ast.AST) -> set[str]:
+    """Names that code under node refers to: a Name or an Attribute, so a
+    mention in a docstring does not count."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_every_function_is_reached():
+    """Fail on a module-level function that no src module refers to, other
+    than by calling itself, and that __init__ does not export: library code
+    that nothing runs."""
+    referenced = _exported()
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=path.name).body:
+            names = _names_in(node)
+            if isinstance(node, ast.FunctionDef):
+                defined.append((path.stem, node.name))
+                names.discard(node.name)
+            referenced |= names
+    unreached = [f"{module}.{name}" for module, name in defined if name not in referenced]
+    assert not unreached, f"functions no src module reaches: {unreached}"

@@ -40,14 +40,20 @@ def test_masked_separator_matches_copy(strategy):
     assert checked >= 15
 
 
-@pytest.mark.parametrize("mode", ["exact", "greedy"])
-def test_masked_biclique_matches_copy(mode):
-    n_range = (2, 24) if mode == "exact" else (2, 60)
+@pytest.mark.parametrize("search", ["exact", "greedy"])
+def test_masked_biclique_matches_copy(search):
+    # The search is chosen by size: exact up to 20 vertices, greedy above.
+    n_range = (2, 24) if search == "exact" else (30, 60)
+    checked = 0
     for G, mask, vs in _masked_instances(30, n_range, 200):
+        if (len(vs) <= 20) != (search == "exact"):
+            continue
         for t_min in (1, 2, 3):
-            want = find_balanced_biclique(induced_subgraph(G, vs), t_min, mode)
-            got = find_balanced_biclique(G, t_min, mode, mask=mask)
+            want = find_balanced_biclique(induced_subgraph(G, vs), t_min)
+            got = find_balanced_biclique(G, t_min, mask=mask)
             assert got == (None if want is None else _mapped(vs, want))
+        checked += 1
+    assert checked >= 10
 
 
 def _cover_or_error(G, alpha, mask=None):

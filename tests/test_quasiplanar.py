@@ -7,15 +7,16 @@ from itertools import combinations
 import pytest
 
 from stringraph import (DegenerateDrawing, DomainError, DrawnEdge, Drawing,
-                        Point, Polyline, convex_interleaving_graph,
-                        crossing_graph, dense_threshold, edge_bound,
-                        edge_bound_holds, find_clique, is_r_quasiplanar,
-                        sparse_subgraph, truncate_edges)
+                        Point, Polyline, crossing_graph, dense_threshold,
+                        edge_bound, edge_bound_holds, find_clique,
+                        intersection_graph, is_r_quasiplanar, sparse_subgraph,
+                        truncate_edges)
 from stringraph.generators import GeneratorSpec, generate
-from stringraph.geometry import (dist_sq, homogeneous, interpolate, point_segment_dist_sq,
-                                 segment_intersection_points)
+from stringraph.geometry import dist_sq, homogeneous, interpolate
 from stringraph.graph import clique_in_mask, mask_of
 from stringraph.quasiplanar import _auto_radius_sq, _first_exit
+from tests.reference import (convex_interleaving_graph, point_segment_dist_sq,
+                             segment_intersection_points)
 
 
 def _draw(coords, pairs, curves=None):
@@ -87,7 +88,7 @@ def test_oversized_explicit_radius_is_degenerate():
 def test_smaller_radius_preserves_crossing_graph():
     D = generate(GeneratorSpec(kind="convex_chords", count=6, seed=3))
     auto = crossing_graph(D)
-    shrunk = crossing_graph(D, radius=Fraction(1, 100))
+    shrunk = intersection_graph(truncate_edges(D, Fraction(1, 100)))
     assert auto == shrunk
 
 
@@ -170,10 +171,14 @@ def test_edge_bound_values():
     with pytest.raises(ValueError):
         edge_bound(256, 3, 0)
     # Values beyond the float range: an overflowing power, an n with no
-    # float value, an infinite C.
-    for n, s, C in ((300, 8, 1e300), (10 ** 400, 3, 1.0), (256, 3, float("inf"))):
+    # float value, a C with no float value.
+    for n, s, C in ((300, 8, 1e300), (10 ** 400, 3, 1.0), (256, 3, 10 ** 400)):
         with pytest.raises(DomainError):
             edge_bound(n, s, C)
+    # A non-finite C is refused before the formula runs.
+    for C in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^C must be finite$"):
+            edge_bound(256, 3, C)
 
 
 def test_dense_threshold():
@@ -182,6 +187,9 @@ def test_dense_threshold():
     for n in (10 ** 400, 10 ** 250, 2 * 10 ** 205):
         with pytest.raises(DomainError):
             dense_threshold(n, 0.5)
+    for epsilon in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^epsilon must be finite$"):
+            dense_threshold(16, epsilon)
 
 
 def test_interleaving_graph_matches_crossing_oracle():
