@@ -140,7 +140,8 @@ def cmd_survey(args) -> int:
             sizes.append(int(tok))
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("--sizes needs a comma list of positive integers")
-    template = GeneratorSpec(kind=args.kind, count=sizes[0], seed=args.seed)
+    # The largest size is checked against the caps before any family is made.
+    template = GeneratorSpec(kind=args.kind, count=max(sizes), seed=args.seed)
     rows = separator_size_survey(template, sizes, trials=args.trials,
                                  strategy=args.strategy)
     beta = fit_loglog_slope([(m, sep) for _, m, sep in rows])

@@ -102,30 +102,31 @@ class MultipartiteCover:
 
 
 # ---------------------------------------------------------------------------
-# Size floors. All logs are base 2 and every floor is clamped to at least 1.
+# Size floors. All logs are base 2. A graph of n < 2 vertices has floor n;
+# from two vertices on every floor is clamped to at least 1.
 
 def cover_floor(n: int, c: float) -> float:
     if n < 2:
-        return 1.0
+        return float(n)
     return max(1.0, finite_value(lambda: c * n / math.log2(n) ** 2, "cover floor"))
 
 
 def half_clique_floor(n: int, c: float) -> float:
     if n < 2:
-        return 1.0
+        return float(n)
     return max(1.0, finite_value(lambda: c * n / math.log2(n) ** 3, "half-clique floor"))
 
 
 def independent_floor(n: int, s: int, c: float) -> int:
     if n < 2:
-        return 1
+        return n
     return max(1, math.floor(finite_value(
         lambda: n * (c * s / math.log2(n)) ** (2 * s - 2), "independent-set floor")))
 
 
 def q_independent_floor(n: int, s: int, q: int, c: float) -> int:
     if n < 2:
-        return 1
+        return n
     # Dividing by 2^(2s) on the float's exponent never builds 2^(2s).
     return max(1, math.floor(finite_value(lambda: math.ldexp(
         n * (c * (s + 1 - q) / math.log2(n)) ** (2 * s - 2 * q), -2 * s),
@@ -432,8 +433,6 @@ def dense_core(G: Graph, epsilon: float,
     params = params or DEFAULT_PARAMS
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must lie in (0, 1)")
-    if G.n < 1:
-        raise ValueError("need at least one vertex")
     C = Fraction(params.C_refine(epsilon))
     d_full = average_degree(G)
     mask = G.full_mask
@@ -602,8 +601,6 @@ def independent_set(G: Graph, s: int,
     params = params or DEFAULT_PARAMS
     if s < 1:
         raise ValueError("s must be at least 1")
-    if G.n < 1:
-        raise ValueError("need at least one vertex")
     floor = independent_floor(G.n, s, params.c)
     res, found, fallbacks = _qindep(G, G.full_mask, s, 1, params)
     witness = ExtractionWitness(
@@ -618,8 +615,6 @@ def q_independent_set(G: Graph, s: int, q: int,
     params = params or DEFAULT_PARAMS
     if q < 1 or s < q:
         raise ValueError("need s >= q >= 1")
-    if G.n < 1:
-        raise ValueError("need at least one vertex")
     # The certificate records p = 2^q, so q is held to a finite float's range,
     # as the floors are, before 2^q is built.
     finite_value(lambda: math.ldexp(1.0, q), "forbidden clique size 2^q")
@@ -678,8 +673,6 @@ def color_or_clique(G: Graph, epsilon: float,
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must lie in (0, 1)")
     n = G.n
-    if n < 1:
-        raise ValueError("need at least one vertex")
     delta = params.delta if params.delta is not None else choose_delta(epsilon, params.c)
     clique_threshold = finite_value(lambda: n ** delta, "clique threshold n^delta")
     s = max(1, math.ceil(delta * math.log2(n))) if n >= 2 else 1

@@ -6,8 +6,10 @@ they denote. With inexact=True decimal literals are read as IEEE doubles
 instead (then converted to the exact rational of the double). Emission is
 canonical (sorted keys, fixed indentation), so parse-emit round trips are
 byte-stable and reports are reproducible. Inputs that would be too costly to
-hold or could not be written back are refused with SchemaError: graphs above
-MAX_VERTICES vertices and number literals above MAX_DIGITS digits.
+hold or could not be written back are refused with SchemaError: graph files,
+families and drawings whose graph would have more than MAX_VERTICES vertices
+(strings of a family, edges of a drawing), and number literals above
+MAX_DIGITS digits.
 """
 from __future__ import annotations
 
@@ -23,7 +25,10 @@ from .geometry import Coord, Point, Polyline, StringFamily, exact_coord
 from .graph import Graph
 from .quasiplanar import DrawnEdge, Drawing
 
-MAX_VERTICES = 1_000_000
+# A graph holds one adjacency mask per vertex, and a mask costs about its
+# highest neighbour's index in bits, so n vertices may need n^2 bits however
+# few the edges: 2^15 vertices is 128 MiB.
+MAX_VERTICES = 1 << 15
 # Python's default limit for int <-> str conversion, which json.dumps obeys.
 MAX_DIGITS = 4300
 
@@ -116,6 +121,9 @@ def family_from_obj(obj) -> StringFamily:
     if not isinstance(obj, dict) or not isinstance(obj.get("strings"), list):
         raise SchemaError("family file needs a top-level 'strings' array",
                           field="strings")
+    if len(obj["strings"]) > MAX_VERTICES:
+        raise SchemaError(f"family has {len(obj['strings'])} strings, "
+                          f"above the {MAX_VERTICES} cap")
     strings = []
     for i, raw in enumerate(obj["strings"]):
         where = f"strings[{i}]"
@@ -149,6 +157,10 @@ def drawing_from_obj(obj) -> Drawing:
         raise SchemaError("drawing file needs a 'vertices' array", field="vertices")
     if not isinstance(obj.get("edges"), list):
         raise SchemaError("drawing file needs an 'edges' array", field="edges")
+    # The crossing graph has one vertex per edge.
+    if len(obj["edges"]) > MAX_VERTICES:
+        raise SchemaError(f"drawing has {len(obj['edges'])} edges, "
+                          f"above the {MAX_VERTICES} cap")
     verts = tuple(_point_in(p, f"vertices[{i}]") for i, p in enumerate(obj["vertices"]))
     edges = []
     for k, raw in enumerate(obj["edges"]):

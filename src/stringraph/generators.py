@@ -30,6 +30,8 @@ FAMILY_KINDS = tuple(kind for kind in KINDS if kind != "convex_chords")
 _SEGMENT_LENGTH_FACTOR = 3.6
 
 _MAX_CONVEX = 64
+# Segments a family may hold, so that a few strings with many bends stay small.
+MAX_SEGMENTS = 1_000_000
 # The generators place points with float arithmetic, which holds every
 # integer of at most this magnitude exactly.
 _MAX_REGION = 2 ** 53
@@ -65,9 +67,11 @@ class GeneratorSpec:
             raise BadSpec(f"convex_chords supports at most {_MAX_CONVEX} vertices")
         # The count cap above keeps a convex_chords drawing far below this.
         per_string = {"random_polylines": self.bends + 1, "grid_paths": 4}.get(self.kind, 1)
-        if self.count * per_string > MAX_VERTICES:
+        if self.count * per_string > MAX_SEGMENTS:
             raise BadSpec(f"family would have {self.count * per_string} segments, "
-                          f"above the {MAX_VERTICES} cap")
+                          f"above the {MAX_SEGMENTS} cap")
+        if self.count > MAX_VERTICES:
+            raise BadSpec(f"count {self.count} is above the {MAX_VERTICES} vertex cap")
 
 
 def generate(spec: GeneratorSpec) -> Union[StringFamily, Drawing]:

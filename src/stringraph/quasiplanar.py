@@ -91,16 +91,19 @@ def _auto_radius_sq(drawing: Drawing) -> Fraction:
     end there, which the first loop refuses before any contact is measured.
 
     Distances and contacts go through the gcd-free kernel of `geometry`.
+    truncate_edges asks only when there is an edge, so there are two
+    vertices and the vertex-vertex term exists.
     """
     verts = drawing.vertices
     hverts = [homogeneous(p) for p in verts]
     curves = [[RationalSegment.of(a, b) for a, b in e.curve.segments()] for e in drawing.edges]
-    best: Optional[Fraction] = None
+    best = min(Fraction(homogeneous_dist_sq(hi, hj), 4)
+               for hi, hj in itertools.combinations(hverts, 2))
 
     def shrink(val) -> None:
         nonlocal best
         f = Fraction(val)
-        if best is None or f < best:
+        if f < best:
             best = f
 
     for w, hw in enumerate(hverts):
@@ -124,10 +127,6 @@ def _auto_radius_sq(drawing: Drawing) -> Fraction:
                     for x in rational_contact_points(s, t):
                         if x != pw:
                             shrink(dist_sq(pw, x))
-    for hi, hj in itertools.combinations(hverts, 2):
-        shrink(Fraction(homogeneous_dist_sq(hi, hj), 4))
-    if best is None:
-        raise DegenerateDrawing("drawing has no clearance to truncate within")
     return best / 4
 
 
@@ -263,11 +262,6 @@ def sparse_subgraph(crossings: Graph, s: int,
     """
     params = params or DEFAULT_PARAMS
     check_s(s)
-    if crossings.n == 0:
-        return ExtractionWitness(
-            "q_independent", (),
-            {"s": s, "q": 2, "p": 4, "floor": 0, "fallbacks": 0,
-             "found_clique": None, "edges_total": 0, "four_quasiplanar": True})
     try:
         inner = q_independent_set(crossings, s, 2, params)
     except PreconditionViolated as exc:

@@ -152,7 +152,7 @@ def _pseudo_peripheral(G: Graph, comp: int) -> int:
 
 def _bfs_layer(G: Graph, mask: int) -> SeparatorPartition:
     comps = components_masked(G, mask)
-    comp = max(comps, key=int.bit_count)
+    comp = max(comps, key=int.bit_count, default=0)
     if comp.bit_count() <= balance_cap(mask.bit_count()):
         part = _split(mask, 0, comps)
         return part if part is not None else _whole(mask)
@@ -203,8 +203,6 @@ def find_balanced_separator(G: Graph, strategy: str = "auto",
     mask = vertex_mask(G, mask)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown separator strategy {strategy!r}")
-    if not mask:
-        raise ValueError("separator needs at least one vertex")
     if strategy == "exact" or (strategy == "auto" and mask.bit_count() <= _EXACT_LIMIT):
         return _exact(G, mask)
     if strategy == "bfs_layer":

@@ -27,6 +27,9 @@ DEGENERATE = ('{"kind": "drawing", "vertices": [[0, 0], [4, 0], [2, 0], [2, 3]],
 NO_STRINGS = '{"kind": "family", "strings": []}\n'
 # Two vertices and no edges: the drawing has no curve to cut.
 NO_EDGES = '{"kind": "drawing", "vertices": [[0, 0], [1, 0]], "edges": []}\n'
+# The end (1, 0.3) of b lies on a exactly, but not as a double.
+TOUCH = ('{"kind": "family", "strings": [{"id": "a", "points": [[0, 0], [10, 3]]}, '
+         '{"id": "b", "points": [[1, 0.3], [1, -5]]}]}\n')
 HAND_FILES = {
     "c5.txt": C5,
     "k4.txt": K4,
@@ -37,6 +40,7 @@ HAND_FILES = {
     "degenerate.json": DEGENERATE,
     "nostrings.json": NO_STRINGS,
     "noedges.json": NO_EDGES,
+    "touch.json": TOUCH,
     "params.json": '{"c": 0.02, "separator_strategy": "bfs_layer"}',
     "badparams.json": '{"c_quadruple": 1}',
 }
@@ -67,6 +71,10 @@ CASES = {
         "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101", QUIET),
     "build-graph-edgeless-drawing": ("build-graph noedges.json", 0,
         "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101", QUIET),
+    "build-graph-touch": ("build-graph touch.json", 0,
+        "4a6ae7226283a4b6277ce3e77a91585c0cad93929046f3c7bd9105d7ed101834", QUIET),
+    "build-graph-touch-inexact": ("build-graph touch.json --inexact", 0,
+        "4516f6eaaa675488778d6ca333df14bc68c27fb7d7b8015073220d4571aa9c51", QUIET),
     "separator-auto": ("separator segs.txt", 0,
         "5b800aa94eb32cb8300207c99128498e94021e5bef2a83214ce2272b9bcfc62f", QUIET),
     "separator-bfs-layer": ("separator big.txt --strategy bfs_layer", 0,
@@ -205,8 +213,39 @@ CASES = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "419f2e260c8a339343ace5723b6135a1386c5746e6113b1cb262165446fb1836"),
     "usage-oracle-crossings-r-one": ("oracle crossings chords.json --r 1", 4,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "3bca6d0a5a42f236b329ed84f9ec7ca2597abef8a49def881d261ccd2fff16e3"),
-    "usage-separator-empty-graph": ("separator empty.txt", 4,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "27bd6484ece7c269caf6043cd7d1faa762cfe2b950d0a6093ce62cd6662446fb"),
+    # The empty graph, "0 0".
+    "separator-empty-graph": ("separator empty.txt", 0,
+        "ca498a1188dbc5e5d3337fe110e5e592e642c214fa598b11bbd497b6f6b433c9", QUIET),
+    "separator-empty-graph-exact": ("separator empty.txt --strategy exact", 0,
+        "0be3b9bc7bc8ffc20c22b1bc697ff6e01b3eae5b5640e89273ed7e0e047fd080", QUIET),
+    "separator-empty-graph-bfs-layer": ("separator empty.txt --strategy bfs_layer", 0,
+        "30b0bafd0f696cc189b1cc009aae30030ac4e787053c86b8bf37b075e0821b71", QUIET),
+    "separator-empty-graph-degree-peel": ("separator empty.txt --strategy degree_peel", 0,
+        "a0496d5284255605d4e84414c8ffa19074a9ead487dcbe467e1be9dc03e32308", QUIET),
+    "extract-independent-empty-graph": ("extract independent empty.txt --s 2", 0,
+        "5d8402abd402079e0e3ade82e737e1b13595c523fcc40e6e792667883faf0881", QUIET),
+    "extract-qindep-empty-graph": ("extract qindep empty.txt --s 3 --q 2", 0,
+        "82624cde74d1e33de6f45a1bfd271bd803fea4be5185132757344dd4d7154775", QUIET),
+    "extract-kr1free-empty-graph": ("extract kr1free empty.txt --r 3", 0,
+        "901fd995312238a34d0408689bc355fe014314920da1991540bd5d3dcd49a107", QUIET),
+    "extract-halfclique-empty-graph": ("extract halfclique empty.txt --r 3", 0,
+        "4b2e906e0aa98c813d11a5392e19248827da76b63a8e63cc7848d9861615d8b7", QUIET),
+    "extract-densecore-empty-graph": ("extract densecore empty.txt --epsilon 0.5", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "205a18c08f27cf9bfe72af8666df4e2f0bf1ade828a91d58fb186fa95f394110"),
+    "extract-multipartite-empty-graph": ("extract multipartite empty.txt --alpha 0.3", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6c280adea0bace590a3022f44b02c0eccaccbbdf93854b9e3ecd21a329d80ed9"),
+    "color-or-clique-empty-graph": ("color-or-clique empty.txt --epsilon 0.5", 0,
+        "5342ea757876f979f11663f6d6ac4bb4bb8b343f0662a6eb749114b4146a70ae", QUIET),
+    "oracle-mis-empty-graph": ("oracle mis empty.txt", 0,
+        "65a0773e46b360b82a284cfb4eb55f15f3d837d0d53f207cb77c0d5d95d1c5c3", QUIET),
+    "oracle-clique-empty-graph": ("oracle clique empty.txt", 0,
+        "4301d9d387b12cf993e570224245820e96e1910760f0cd6440e7293afc6b2df3", QUIET),
+    "oracle-kpfree-empty-graph": ("oracle kpfree empty.txt --p 3", 0,
+        "242c2f260ee0a671b0384cb9d150cf09e2122c273253451bb88754dcd789b4ba", QUIET),
+    "oracle-sep-empty-graph": ("oracle sep empty.txt", 0,
+        "ac687cc5b6dbc3210d23219f36f2840a1e9ec3275a18c84874a091ad9659edb0", QUIET),
+    "oracle-biclique-empty-graph": ("oracle biclique empty.txt", 0,
+        "4d4823bbf99dd2c34d5ab0fa8cabe257538368512dcd47597671a4aeee41f5b1", QUIET),
     "parse-bad-graph": ("separator bad.txt", 4,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "406114734ad5bdca15be30bce4139edd827496a513878b3faa83ee5c2c4c9cdc"),
     "parse-missing-graph": ("separator nope.txt", 4,

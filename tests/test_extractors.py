@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from stringraph import (AlgorithmParams, DomainError, ExtractionWitness,
+from stringraph import (AlgorithmParams, DegenerateGraph, DomainError, ExtractionWitness,
                         ExtractorViolation, Graph, InternalBoundViolation,
                         MultipartiteCover, NoCoverFound, PreconditionViolated, choose_delta, color_or_clique,
                         dense_core, find_balanced_biclique,
@@ -52,6 +52,27 @@ def test_floor_formulas():
     assert cover_floor(2 ** 20, 1.0) == 2 ** 20 / 400
     assert half_clique_floor(2 ** 10, 1.0) == 2 ** 10 / 1000
     assert q_independent_floor(8, 2, 1, 0.01) == 1
+
+
+def test_empty_graph_is_answered_with_floor_zero():
+    E = Graph.from_edges(0, [])
+    for floor in (cover_floor(0, 0.01), half_clique_floor(0, 0.01),
+                  independent_floor(0, 2, 0.01), q_independent_floor(0, 3, 2, 0.01)):
+        assert floor == 0
+    assert (cover_floor(1, 0.01), independent_floor(1, 2, 0.01)) == (1.0, 1)
+    for w, floor in ((independent_set(E, 2), "floor"), (q_independent_set(E, 3, 2), "floor"),
+                     (kr1_free_subgraph(E, 3), "bound"),
+                     (half_clique_free_subgraph(E, 3), "bound")):
+        assert w.vertices == () and w.certificate[floor] == 0
+        validate_witness(E, w)
+    w = color_or_clique(E, 0.5)
+    assert (w.kind, w.vertices, w.certificate["num_colors"]) == ("coloring", (), 0)
+    validate_witness(E, w)
+    # Average degree is undefined without a vertex, and a cover has two parts.
+    with pytest.raises(DegenerateGraph):
+        dense_core(E, 0.5)
+    with pytest.raises(ValueError, match="at least two vertices"):
+        multipartite_cover(E, 0.1)
 
 
 def test_independent_set_on_edgeless_graph_keeps_everything():

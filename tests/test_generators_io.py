@@ -1,10 +1,12 @@
 """Seeded instance generators and exact-number serialization."""
 
+import json
 import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from stringraph.fileio import (MAX_VERTICES, RunReport, drawing_json,
                                family_json, graph_text,
                                parse_drawing, parse_graph_text, parse_input,
                                report_json, sha256_digest)
+from stringraph.generators import FAMILY_KINDS, MAX_SEGMENTS
 
 
 def parse_family(text, inexact=False):
@@ -81,34 +84,99 @@ def test_bad_specs_rejected():
 
 
 def test_spec_segment_cap():
-    # Exactly MAX_VERTICES segments are accepted; one string or bend more is refused.
-    specs = [(kind, MAX_VERTICES // per_string, 2) for kind, per_string in (
-        ("random_segments", 1), ("disjoint_segments", 1),
-        ("all_crossing_segments", 1), ("grid_paths", 4))]
-    specs.append(("random_polylines", MAX_VERTICES // 10, 9))
-    for kind, count, bends in specs:
-        GeneratorSpec(kind=kind, count=count, bends=bends)
+    # Exactly MAX_SEGMENTS segments are accepted; one string or bend more is refused.
+    GeneratorSpec(kind="random_polylines", count=MAX_SEGMENTS // 1000, bends=999)
+    for count, bends in ((MAX_SEGMENTS // 1000 + 1, 999), (MAX_SEGMENTS // 1000, 1000)):
         with pytest.raises(BadSpec, match="segments, above the 1000000 cap"):
-            GeneratorSpec(kind=kind, count=count + 1, bends=bends)
-    with pytest.raises(BadSpec, match="segments, above the 1000000 cap"):
-        GeneratorSpec(kind="random_polylines", count=MAX_VERTICES // 10, bends=10)
+            GeneratorSpec(kind="random_polylines", count=count, bends=bends)
+
+
+def test_spec_vertex_cap():
+    # A string is a vertex of the family's graph: MAX_VERTICES strings are
+    # accepted, one more is refused.
+    for kind in FAMILY_KINDS:
+        GeneratorSpec(kind=kind, count=MAX_VERTICES)
+        with pytest.raises(BadSpec, match="count 32769 is above the 32768 vertex cap"):
+            GeneratorSpec(kind=kind, count=MAX_VERTICES + 1)
+
+
+# The command line in a child with a 512 MiB address space, where a command
+# that allocates before it refuses dies of MemoryError (exit 1).
+_CAPPED = ("import resource, sys\n"
+           "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+           "from stringraph.cli import main\n"
+           "sys.exit(main(sys.argv[1:]))\n")
+
+
+def _capped_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-c", _CAPPED, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def test_oversized_gen_refused_before_generating(tmp_path):
-    # A child with a 512 MiB address space: a generator that builds the
-    # strings first dies there of MemoryError instead of refusing.
     out = tmp_path / "fam.json"
-    code = ("import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
-            "from stringraph.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     for flags in (["--kind", "random_segments", "--count", "1000000000"],
                   ["--kind", "random_polylines", "--count", "2", "--bends", "1000000000"]):
-        proc = subprocess.run([sys.executable, "-c", code, "gen", *flags, "-o", str(out)],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = _capped_cli("gen", *flags, "-o", str(out))
         assert proc.returncode == 4, proc.stderr
         assert "above the 1000000 cap" in proc.stderr
+        assert not out.exists()
+
+
+def _far_matched(n):
+    """Graph text of n vertices with vertex i matched to i + n/2: few edges,
+    but every mask of the lower half reaches past n/2, so the masks hold
+    about n^2/2 bits."""
+    half = n // 2
+    return f"{n} {half}\n" + "".join(f"{i} {i + half}\n" for i in range(half))
+
+
+def test_graphs_above_the_vertex_cap_are_refused(tmp_path):
+    # 200000 vertices need about 2.3 GiB of masks.
+    graph = tmp_path / "far.txt"
+    graph.write_text(_far_matched(200_000))
+    for argv in (["separator", str(graph)], ["extract", "independent", str(graph), "--s", "2"]):
+        proc = _capped_cli(*argv)
+        assert proc.returncode == 4, proc.stderr
+        assert "graph has 200000 vertices, above the 32768 cap" in proc.stderr
+
+
+def test_graph_at_the_vertex_cap_runs(tmp_path):
+    graph = tmp_path / "far.txt"
+    graph.write_text(_far_matched(MAX_VERTICES))
+    report = tmp_path / "report.json"
+    # bfs_layer answers this graph in about a second; auto also tries degree_peel.
+    proc = _capped_cli("separator", str(graph), "--strategy", "bfs_layer", "-o", str(report))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text())["verification"]["status"] == "pass"
+
+
+def test_families_and_drawings_above_the_vertex_cap_are_refused(tmp_path):
+    over = MAX_VERTICES + 1
+    family = tmp_path / "fam.json"
+    family.write_text(json.dumps({"kind": "family", "strings": [
+        {"id": f"s{i}", "points": [[4 * i, 0], [4 * i + 1, 1]]} for i in range(over)]}))
+    # Edges of a straight-line drawing on 257 points of a parabola: the
+    # crossing graph has one vertex per edge.
+    drawing = tmp_path / "drawing.json"
+    edges = list(combinations(range(257), 2))[:over]
+    drawing.write_text(json.dumps({
+        "kind": "drawing", "vertices": [[x, x * x] for x in range(257)],
+        "edges": [{"u": u, "v": v, "points": [[u, u * u], [v, v * v]]} for u, v in edges]}))
+    out = tmp_path / "out"
+    for argv, message in (
+            (["gen", "--kind", "random_segments", "--count", "200000"],
+             "count 200000 is above the 32768 vertex cap"),
+            (["survey", "--kind", "random_segments", "--sizes", "10,40000", "--trials", "1"],
+             "count 40000 is above the 32768 vertex cap"),
+            (["build-graph", str(family)], "family has 32769 strings, above the 32768 cap"),
+            (["build-graph", str(drawing)], "drawing has 32769 edges, above the 32768 cap"),
+            (["qp", "check", str(drawing), "--r", "3"],
+             "drawing has 32769 edges, above the 32768 cap")):
+        proc = _capped_cli(*argv, "-o", str(out))
+        assert proc.returncode == 4, proc.stderr
+        assert message in proc.stderr
         assert not out.exists()
 
 

@@ -88,5 +88,9 @@ def test_masks_outside_the_graph_are_refused():
         find_balanced_separator(G, "auto", 1 << 6)
     with pytest.raises(UnknownVertex):
         find_balanced_biclique(G, 1, mask=-1)
-    with pytest.raises(ValueError):
-        find_balanced_separator(G, "auto", 0)
+
+
+@pytest.mark.parametrize("strategy", ["auto", "exact", "bfs_layer", "degree_peel"])
+def test_empty_mask_gives_the_empty_partition(strategy):
+    part = find_balanced_separator(er_graph(6, 0.5, 1), strategy, 0)
+    assert (part.S, part.V1, part.V2) == ((), (), ())

@@ -9,8 +9,8 @@ import pytest
 from stringraph import (DegenerateDrawing, DomainError, DrawnEdge, Drawing,
                         Point, Polyline, crossing_graph, dense_threshold,
                         edge_bound, edge_bound_holds, find_clique,
-                        intersection_graph, is_r_quasiplanar, sparse_subgraph,
-                        truncate_edges)
+                        intersection_graph, is_r_quasiplanar,
+                        q_independent_set, sparse_subgraph, truncate_edges)
 from stringraph.generators import GeneratorSpec, generate
 from stringraph.geometry import dist_sq, homogeneous, interpolate
 from stringraph.graph import clique_in_mask, mask_of
@@ -151,9 +151,12 @@ def test_sparse_subgraph_output_is_four_quasiplanar():
 
 def test_empty_drawing_sparse_subgraph():
     D = Drawing((), ())
-    w = sparse_subgraph(crossing_graph(D), 3)
+    cg = crossing_graph(D)
+    w = sparse_subgraph(cg, 3)
     assert w.vertices == ()
-    assert w.certificate["four_quasiplanar"] is True
+    assert w.certificate == {**q_independent_set(cg, 3, 2).certificate,
+                             "edges_total": 0, "four_quasiplanar": True}
+    assert w.certificate["floor"] == 0
 
 
 def test_edge_bound_values():
