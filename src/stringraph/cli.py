@@ -286,19 +286,16 @@ def _color_or_clique(G, v, params):
 
 
 def _qp_check(drawing, v, params):
-    if v["radius"] != "auto":
-        fileio.check_digits(v["radius"])
     check_r(v["r"])
     # Truncate once; the verifier re-checks the witness on the same curves.
-    curves = truncate_edges(drawing, v["radius"])
+    curves = truncate_edges(drawing)
     ok, witness = is_r_quasiplanar(curves, v["r"])
     result = {"outcome": "ok", "quasiplanar": ok}
-    if witness is not None:
-        result["witness"] = list(witness)
+    if witness is None:
+        return result, None
+    result["witness"] = list(witness)
 
     def verifier():
-        if witness is None:
-            return
         for a, b in combinations(witness, 2):
             if not polylines_intersect(curves.strings[a], curves.strings[b]):
                 raise ExtractorViolation(f"witness edges {a} and {b} do not cross")
@@ -421,10 +418,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = qp.add_parser("check", parents=[report], help="r-quasiplanarity with witness")
     p.add_argument("drawing")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--radius", default="auto")
     p.add_argument("--inexact", action="store_true")
     p.set_defaults(func=_report, run=_qp_check,
-                   parameters=lambda a, _: _given(a, "r", "radius"))
+                   parameters=lambda a, _: {"r": a.r, "radius": "auto"})
 
     p = qp.add_parser("sparse", parents=[report, tuning],
                       help="4-quasiplanar edge subset of a 2^s-quasiplanar drawing")

@@ -36,7 +36,7 @@ MAX_DIGITS = 4300
 # ---------------------------------------------------------------------------
 # Exact numbers.
 
-def check_digits(text: str) -> None:
+def _check_digits(text: str) -> None:
     """Refuse a number literal whose exact value may need more than MAX_DIGITS
     digits, before anything of that size is computed."""
     mantissa, _, exponent = text.strip().lower().partition("e")
@@ -49,7 +49,7 @@ def check_digits(text: str) -> None:
 
 
 def _exact_decimal(text: str) -> Fraction:
-    check_digits(text)
+    _check_digits(text)
     return Fraction(decimal.Decimal(text))
 
 
@@ -78,7 +78,7 @@ def _coord_in(value, where: str) -> Coord:
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     if isinstance(value, str):
-        check_digits(value)
+        _check_digits(value)
         try:
             return exact_coord(value)
         except ValueError as exc:

@@ -267,7 +267,7 @@ def pairwise_crossing_exact(drawing, r: int) -> Optional[tuple[int, ...]]:
 
     if r < 2:
         raise ValueError("pairwise crossing needs r >= 2")
-    family = truncate_edges(drawing, "auto")
+    family = truncate_edges(drawing)
     strings = family.strings
     m = len(strings)
     if r > m:

@@ -4,9 +4,9 @@ A drawing maps vertices to distinct points and edges to curves joining their
 endpoint points. Truncating every curve just outside small disks around its
 two endpoints removes the contacts at shared endpoints while keeping every
 genuine crossing, so the intersection graph of the truncated curves records
-exactly which edge pairs cross. All cut computations run on exact rationals;
-the automatic radius is the largest value that is provably safe for the given
-drawing, and any smaller positive radius yields the same crossing graph.
+exactly which edge pairs cross: two edges are adjacent iff their curves meet
+at a point that is not a shared endpoint. All cut computations run on exact
+rationals, and the radius is derived from the drawing's own clearances.
 """
 from __future__ import annotations
 
@@ -14,17 +14,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import DegenerateDrawing, DomainError, PreconditionViolated, finite_value
 from .extract import DEFAULT_PARAMS, AlgorithmParams, ExtractionWitness, q_independent_set
 from .geometry import (Homogeneous, Point, Polyline, RationalSegment, StringFamily,
-                       dist_sq, exact_coord, homogeneous, homogeneous_dist_sq,
+                       dist_sq, homogeneous, homogeneous_dist_sq,
                        interpolate, intersection_graph, rational_contact_points,
                        rational_point_segment_dist_sq)
 from .graph import Graph, find_clique
-
-Radius = Union[str, int, float, Fraction]
 
 
 @dataclass(frozen=True)
@@ -179,43 +177,34 @@ def _first_exit(pts: tuple[Point, ...], hpts: list[Homogeneous], center: Homogen
         f"edge {edge_index} lies entirely inside an endpoint disk; use a smaller radius")
 
 
-def truncate_edges(drawing: Drawing, radius: Radius = "auto") -> StringFamily:
-    """Clip every edge curve to the part outside its two endpoint disks.
+def truncate_edges(drawing: Drawing) -> StringFamily:
+    """Clip every edge curve to the part outside its two endpoint disks of
+    the automatic radius rho. Returns one string per edge, labeled
+    e0..e{m-1} in edge order.
 
-    Returns one string per edge, labeled e0..e{m-1} in edge order. With the
-    automatic radius, contacts at shared endpoints disappear while every
-    crossing point survives; with an explicit radius the caller owns those
-    guarantees.
+    Every cut curve keeps two distinct points. The curve before the cut near
+    u lies within 1.5 rho of u: _first_exit skips only segments inside the
+    disk, and the bisected piece has both ends within 1.5 rho, squared
+    distance being convex along a segment. Likewise after the cut near v. If
+    the cuts met, crossed or coincided, a point within 1.5 rho of both u and
+    v would give |uv| < 3 rho, but the vertex clearance gives rho <= |uv| / 4.
     """
     if drawing.m == 0:
         return StringFamily(())
-    if radius == "auto":
-        rho_sq = _auto_radius_sq(drawing)
-    else:
-        r = exact_coord(radius)
-        if r <= 0:
-            raise ValueError("radius must be strictly positive")
-        rho_sq = Fraction(r) * Fraction(r)
+    rho_sq = _auto_radius_sq(drawing)
     hverts = [homogeneous(p) for p in drawing.vertices]
     strings = []
     for k, e in enumerate(drawing.edges):
         pts = e.curve.points
         hpts = [homogeneous(p) for p in pts]
-        ku, tu, pu = _first_exit(pts, hpts, hverts[e.u], rho_sq, k)
-        kr, tr, pv = _first_exit(pts[::-1], hpts[::-1], hverts[e.v], rho_sq, k)
-        kv = len(pts) - 2 - kr
-        tv = 1 - tr
-        if (ku, tu) >= (kv, tv):
-            raise DegenerateDrawing(
-                f"radius consumes edge ({e.u}, {e.v}); use a smaller radius")
-        mid = [pu] + list(pts[ku + 1:kv + 1]) + [pv]
+        ku, _, pu = _first_exit(pts, hpts, hverts[e.u], rho_sq, k)
+        kr, _, pv = _first_exit(pts[::-1], hpts[::-1], hverts[e.v], rho_sq, k)
+        mid = [pu] + list(pts[ku + 1:len(pts) - 1 - kr]) + [pv]
+        # A cut at parameter 1 repeats the next bend.
         out = [mid[0]]
         for p in mid[1:]:
             if p != out[-1]:
                 out.append(p)
-        if len(out) < 2:
-            raise DegenerateDrawing(
-                f"radius collapses edge ({e.u}, {e.v}) to a point; use a smaller radius")
         strings.append(Polyline(f"e{k}", tuple(out)))
     return StringFamily(tuple(strings))
 
@@ -234,8 +223,7 @@ def check_s(s: int) -> None:
 
 def crossing_graph(drawing: Drawing) -> Graph:
     """Graph on the drawing's edges, adjacent iff they cross: the edges'
-    curves cut at the automatic radius meet. For an explicit radius r, build
-    intersection_graph(truncate_edges(drawing, r))."""
+    cut curves meet."""
     return intersection_graph(truncate_edges(drawing))
 
 
@@ -243,7 +231,7 @@ def is_r_quasiplanar(curves: StringFamily, r: int) -> tuple[bool, Optional[tuple
     """Whether no r of a drawing's cut curves pairwise meet; if some do, also
     return r edge indices.
 
-    `curves` is `truncate_edges(drawing, radius)`, so curve i is edge i.
+    `curves` is `truncate_edges(drawing)`, so curve i is edge i.
     """
     check_r(r)
     witness = find_clique(intersection_graph(curves), r)

@@ -85,3 +85,20 @@ def convex_interleaving_graph(n: int) -> Graph:
             if a < c < b < d or c < a < d < b:
                 edges.append((i, j))
     return Graph.from_edges(len(chords), edges)
+
+
+def crossing_graph_reference(drawing) -> Graph:
+    """Crossing graph of a drawing without truncation: one vertex per edge,
+    adjacent iff some segment of one curve and some segment of the other
+    have a contact point that is not an endpoint the two edges share. The
+    reference for `quasiplanar.crossing_graph`."""
+    edges = drawing.edges
+    pairs = []
+    for i, j in itertools.combinations(range(len(edges)), 2):
+        e, f = edges[i], edges[j]
+        shared = {drawing.vertices[w] for w in {e.u, e.v} & {f.u, f.v}}
+        if any(x not in shared
+               for a, b in e.curve.segments() for c, d in f.curve.segments()
+               for x in segment_intersection_points(a, b, c, d)):
+            pairs.append((i, j))
+    return Graph.from_edges(len(edges), pairs)

@@ -110,29 +110,6 @@ def test_color_or_clique_command(tmp_path):
     assert report["verification"]["status"] == "pass"
 
 
-def test_oversized_radius_literal_refused_fast(tmp_path):
-    # A child with a 512 MiB address space: building Fraction("1e999999999")
-    # does not finish there.
-    drawing = tmp_path / "d.json"
-    main(["gen", "--kind", "convex_chords", "--count", "6", "--seed", "1",
-          "-o", str(drawing)])
-    code = ("import resource, sys, time\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
-            "from stringraph.cli import main\n"
-            "start = time.perf_counter()\n"
-            "code = main(sys.argv[1:])\n"
-            "print(code, time.perf_counter() - start)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", code, "qp", "check", str(drawing),
-                           "--r", "3", "--radius", "1e999999999",
-                           "-o", str(tmp_path / "out.json")],
-                          capture_output=True, text=True, env=env, timeout=20)
-    exit_code, seconds = proc.stdout.split()
-    assert exit_code == "4"
-    assert "exceeds 4300 digits" in proc.stderr
-    assert float(seconds) < 0.1
-
-
 def test_qp_check_and_sparse(tmp_path):
     drawing = tmp_path / "d.json"
     main(["gen", "--kind", "convex_chords", "--count", "6", "--seed", "1",
@@ -144,6 +121,8 @@ def test_qp_check_and_sparse(tmp_path):
     code, report = _run(tmp_path, "qp", "check", str(drawing), "--r", "4")
     assert code == 0
     assert report["result"]["quasiplanar"] is True
+    # No witness, so nothing was re-checked.
+    assert report["verification"] == {"witness_revalidated": False, "status": "pass"}
     code, report = _run(tmp_path, "qp", "sparse", str(drawing), "--s", "3")
     assert code == 0
     assert report["verification"]["status"] == "pass"
@@ -157,12 +136,11 @@ def _convex_drawing(tmp_path, n):
     return str(drawing)
 
 
-@pytest.mark.parametrize("radius", ["1/0", "0/0"])
-def test_zero_denominator_radius_is_a_usage_error(tmp_path, capsys, radius):
+def test_qp_check_takes_no_radius(tmp_path):
+    # The cut radius is derived from the drawing, so it is not an option.
     code, report = _run(tmp_path, "qp", "check", _convex_drawing(tmp_path, 6),
-                        "--r", "3", "--radius", radius)
+                        "--r", "3", "--radius", "1/100")
     assert (code, report) == (4, "")
-    assert capsys.readouterr().err == f"error: {radius!r} has a zero denominator\n"
 
 
 @pytest.mark.parametrize("command, flag, message", [

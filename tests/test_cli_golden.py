@@ -30,6 +30,10 @@ NO_EDGES = '{"kind": "drawing", "vertices": [[0, 0], [1, 0]], "edges": []}\n'
 # The end (1, 0.3) of b lies on a exactly, but not as a double.
 TOUCH = ('{"kind": "family", "strings": [{"id": "a", "points": [[0, 0], [10, 3]]}, '
          '{"id": "b", "points": [[1, 0.3], [1, -5]]}]}\n')
+# Edges 0-1 and 2-3 cross at (1, 0), one unit from vertex 0.
+NEAR = ('{"kind": "drawing", "vertices": [[0, 0], [10, 0], [1, -10], [1, 10]], '
+        '"edges": [{"u": 0, "v": 1, "points": [[0, 0], [10, 0]]}, '
+        '{"u": 2, "v": 3, "points": [[1, -10], [1, 10]]}]}\n')
 HAND_FILES = {
     "c5.txt": C5,
     "k4.txt": K4,
@@ -41,6 +45,7 @@ HAND_FILES = {
     "nostrings.json": NO_STRINGS,
     "noedges.json": NO_EDGES,
     "touch.json": TOUCH,
+    "near.json": NEAR,
     "params.json": '{"c": 0.02, "separator_strategy": "bfs_layer"}',
     "badparams.json": '{"c_quadruple": 1}',
 }
@@ -126,13 +131,13 @@ CASES = {
     "qp-check-r3": ("qp check chords.json --r 3", 0,
         "03c9225d52d336f9276e0351a531d2482237b4dd6c1df7d93d16002eecb68ec1", QUIET),
     "qp-check-r4": ("qp check chords.json --r 4", 0,
-        "23339ebea9c511c728d51db447410e83960a3f04eb31146a5551de158b45a3e8", QUIET),
-    "qp-check-radius": ("qp check chords.json --r 3 --radius 1/100", 0,
-        "b70eafdc7f3f44eacb022ad959d6caefeb42416e44f618a4e7a7bcad9eca8372", QUIET),
+        "06cdd7689c9be5791c79292d79502e12cf95f06364172b3c87513c1c46d659d8", QUIET),
     "qp-check-verify-off": ("qp check chords.json --r 3 --verify off", 0,
         "b594e5a24cfc7b7386a5be8265cf577861f634b6c0ffb998e6957b24b7bf34cf", QUIET),
     "qp-check-edgeless-drawing": ("qp check noedges.json --r 2", 0,
-        "de59cee9ff1651487b12d6229a94a7d1440564c34e64c46cc3491e451af0a579", QUIET),
+        "d228f44e6113eaf2cef404b99d9a8e753b71d4a6ba57c90c6221bce9abead1e9", QUIET),
+    "qp-check-near-vertex": ("qp check near.json --r 2", 0,
+        "9ce4d04059a678a28619df8b78586187e136310fc4cb283fb5c611a8a84a4d25", QUIET),
     "qp-sparse-edgeless-drawing": ("qp sparse noedges.json --s 3", 0,
         "2dec05b9101bc19a000ba45f1d5c7f5cfe975fb291f6ddd7a3d2b8534d0b4d20", QUIET),
     "qp-sparse": ("qp sparse chords.json --s 3", 0,
@@ -161,6 +166,8 @@ CASES = {
         "88bd13510ccaf1b7f400f8f77b15d445e3059bf5883ccf78b7cedb57585c5b40", QUIET),
     "oracle-crossings-r4": ("oracle crossings chords.json --r 4", 0,
         "d4e7dfc5195aa76d8eacd219edca614cfd47cda6bbb5fd27b9d878c3bfa66841", QUIET),
+    "oracle-crossings-near-vertex": ("oracle crossings near.json --r 2", 0,
+        "791977a7fe4316eacb00048a90eedc5ab94a92b27634e99e3383f0af4368eac3", QUIET),
     "oracle-verify-off": ("oracle mis c5.txt --verify off", 0,
         "d6c2f7c298d2e9f163612b4583ba5e425619bba1799a4791a4ccdf9659fb017b", QUIET),
     "declared-kr1free-k4": ("extract kr1free k4.txt --r 3", 3,
@@ -173,8 +180,6 @@ CASES = {
         "d99531c3f85a2e6032b6503eb4ca00ba3ad4ea14def99ec4e453a492903a04d6", QUIET),
     "declared-qp-check-degenerate": ("qp check degenerate.json --r 3", 3,
         "216de1248062df91abd6d9e9b2ebf56f12772f7b5c59c61130d93fdcc9c9b742", QUIET),
-    "declared-qp-check-radius": ("qp check chords.json --r 3 --radius 100000000", 3,
-        "c1b6c342fa9fbd0cb2b88b929628df9dd2153b0c801e78d7c1edafbacabdc0c7", QUIET),
     "declared-qp-sparse-degenerate": ("qp sparse degenerate.json --s 3", 3,
         "0d89e8d442304744cf95dc89a0bec85646d422517bd143cfa2c1b0627802b3ae", QUIET),
     "declared-oracle-crossings-degenerate": ("oracle crossings degenerate.json --r 3", 3,

@@ -1,7 +1,8 @@
-"""The benchmark's traced self-test still runs against the library.
+"""The benchmark's self-test still runs against the library.
 
-It wraps library functions by name and checks CLI exit codes, so renaming a
-traced function or changing an exit code fails here.
+The traced half wraps library functions by name and checks CLI exit codes,
+so renaming a traced function or changing an exit code fails here. The
+untraced half computes the end-to-end metrics that the benchmark gates on.
 """
 
 import subprocess
@@ -14,5 +15,12 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_perfbench_per_layer_selftest():
     proc = subprocess.run(
         [sys.executable, "perfbench/selftest.py", "BenchmarkSelfTest.test_per_layer_metrics"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_perfbench_end_to_end_selftest():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py", "BenchmarkSelfTest.test_end_to_end_metrics"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr

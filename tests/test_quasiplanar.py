@@ -8,15 +8,14 @@ import pytest
 
 from stringraph import (DegenerateDrawing, DomainError, DrawnEdge, Drawing,
                         Point, Polyline, crossing_graph, dense_threshold,
-                        edge_bound, edge_bound_holds, find_clique,
-                        intersection_graph, is_r_quasiplanar,
+                        edge_bound, edge_bound_holds, find_clique, is_r_quasiplanar,
                         q_independent_set, sparse_subgraph, truncate_edges)
 from stringraph.generators import GeneratorSpec, generate
 from stringraph.geometry import dist_sq, homogeneous, interpolate
 from stringraph.graph import clique_in_mask, mask_of
 from stringraph.quasiplanar import _auto_radius_sq, _first_exit
-from tests.reference import (convex_interleaving_graph, point_segment_dist_sq,
-                             segment_intersection_points)
+from tests.reference import (convex_interleaving_graph, crossing_graph_reference,
+                             point_segment_dist_sq, segment_intersection_points)
 
 
 def _draw(coords, pairs, curves=None):
@@ -75,21 +74,6 @@ def test_vertex_on_foreign_edge_is_degenerate():
     D = _draw([(0, 0), (4, 0), (2, 0), (2, 3)], [(0, 1), (2, 3)])
     with pytest.raises(DegenerateDrawing):
         crossing_graph(D)
-
-
-def test_oversized_explicit_radius_is_degenerate():
-    D = _draw([(0, 0), (4, 4), (0, 4), (4, 0)], [(0, 1), (2, 3)])
-    with pytest.raises(DegenerateDrawing):
-        truncate_edges(D, radius=100)
-    with pytest.raises(ValueError):
-        truncate_edges(D, radius=0)
-
-
-def test_smaller_radius_preserves_crossing_graph():
-    D = generate(GeneratorSpec(kind="convex_chords", count=6, seed=3))
-    auto = crossing_graph(D)
-    shrunk = intersection_graph(truncate_edges(D, Fraction(1, 100)))
-    assert auto == shrunk
 
 
 def test_truncation_keeps_curve_count_and_ids():
@@ -277,6 +261,21 @@ def test_auto_radius_matches_every_term():
         assert got == _radius_or_message(_radius_sq_all_terms, D)
         outcomes.add(type(got))
     assert outcomes == {Fraction, str}
+
+
+def test_crossing_graph_matches_uncut_reference():
+    rng = random.Random(20211203)
+    drawings = [generate(GeneratorSpec("convex_chords", n, seed=1)) for n in range(4, 13)]
+    drawings += [_bent_grid_drawing(rng) for _ in range(320)]
+    checked = 0
+    for D in drawings:
+        try:
+            got = crossing_graph(D)
+        except DegenerateDrawing:
+            continue
+        assert got == crossing_graph_reference(D)
+        checked += 1
+    assert checked == 182
 
 
 @pytest.mark.parametrize("coords", [(), ((0, 0), (1, 0))])
