@@ -17,6 +17,7 @@ failures, 5 exact-oracle size-cap refusals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -349,7 +350,14 @@ def _oracle(data, v, params):
 # ---------------------------------------------------------------------------
 # Parser.
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Building it takes milliseconds, more than many commands take to run.
+    Reusing it is safe because parse_args writes only into the fresh
+    namespace it returns; nothing read from an input is cached here.
+    """
     parser = argparse.ArgumentParser(
         prog="stringraph",
         description="String graphs from curve families: certified separators, "

@@ -25,31 +25,63 @@ _CROSSING_SUBSET_CAP = 10 ** 6
 
 # ---------------------------------------------------------------------------
 # Maximum independent set: branch on the closed neighborhood of a minimum-
-# degree vertex (some member of N[v] is in every maximum independent set).
+# degree vertex (some member of N[v] is in every maximum independent set),
+# after two exact reductions. A vertex of degree at most one is taken outright:
+# swapping its neighbor, if any, for it keeps a maximum set independent. A mask
+# of several connected components is solved one component at a time.
+
+def _component(adj: tuple[int, ...], mask: int) -> int:
+    """The connected component of mask's lowest vertex within mask; 0 for
+    the empty mask."""
+    comp = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        for v in bits(frontier):
+            reach |= adj[v]
+        frontier = reach & mask & ~comp
+        comp |= frontier
+    return comp
+
 
 def _alpha(adj: tuple[int, ...], mask: int, size: int, best: int) -> int:
-    cnt = mask.bit_count()
-    if size + cnt <= best:
+    """max(best, size + alpha(mask)), where alpha is the independence number
+    of the graph induced on mask; returns best as soon as that cannot beat it."""
+    while True:
+        cnt = mask.bit_count()
+        if size + cnt <= best:
+            return best
+        if cnt == 0:
+            return size
+        vmin = -1
+        dmin = cnt
+        for v in bits(mask):
+            d = (adj[v] & mask).bit_count()
+            if d < dmin:
+                dmin, vmin = d, v
+                if d <= 1:
+                    break
+        if dmin > 1:
+            break
+        size += 1
+        mask &= ~(adj[vmin] | (1 << vmin))
+    comp = _component(adj, mask)
+    if comp == mask:
+        for u in bits((adj[vmin] & mask) | (1 << vmin)):
+            best = _alpha(adj, mask & ~(adj[u] | (1 << u)), size + 1, best)
         return best
-    if cnt == 0:
-        return size
-    vmin = -1
-    dmin = cnt
-    dmax = -1
-    degsum = 0
-    for v in bits(mask):
-        d = (adj[v] & mask).bit_count()
-        degsum += d
-        if d < dmin:
-            dmin, vmin = d, v
-        if d > dmax:
-            dmax = d
-    if dmax <= 1:
-        # residual is a matching plus isolated vertices
-        return max(best, size + cnt - degsum // 2)
-    for u in bits((adj[vmin] & mask) | (1 << vmin)):
-        best = _alpha(adj, mask & ~(adj[u] | (1 << u)), size + 1, best)
-    return best
+    # Each component is solved exactly unless, with every vertex of the
+    # components after it counted, the total still cannot beat best.
+    left = cnt
+    while comp:
+        left -= comp.bit_count()
+        floor = best - size - left
+        got = _alpha(adj, comp, 0, floor)
+        if got == floor:
+            return best
+        size += got
+        mask &= ~comp
+        comp = _component(adj, mask)
+    return size
 
 
 def max_independent_set_exact(G: Graph) -> tuple[int, ...]:

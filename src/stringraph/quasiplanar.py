@@ -77,9 +77,11 @@ def _auto_radius_sq(drawing: Drawing) -> Fraction:
 
     The radius is half the smallest clearance, where clearances are: vertex
     to non-incident curve, vertex to any contact point of two distinct edges
-    away from a shared endpoint, and half the closest vertex-vertex distance.
-    The last term keeps every curve strictly longer than four radii, so both
-    cuts exist and leave a curve of positive length.
+    away from a shared endpoint, and half the distance between each edge's
+    two endpoints. The last term keeps every curve strictly longer than four
+    radii, so both cuts exist and leave a curve of positive length. Other
+    vertex pairs need no term: the first clearance already keeps each disk
+    off every curve that does not end at its center.
 
     Of the contact terms only those from a shared endpoint can set the
     minimum. A contact x lies on both curves, so for a vertex w that is not
@@ -89,14 +91,14 @@ def _auto_radius_sq(drawing: Drawing) -> Fraction:
     end there, which the first loop refuses before any contact is measured.
 
     Distances and contacts go through the gcd-free kernel of `geometry`.
-    truncate_edges asks only when there is an edge, so there are two
-    vertices and the vertex-vertex term exists.
+    truncate_edges asks only when there is an edge, so the endpoint term
+    exists.
     """
     verts = drawing.vertices
     hverts = [homogeneous(p) for p in verts]
     curves = [[RationalSegment.of(a, b) for a, b in e.curve.segments()] for e in drawing.edges]
-    best = min(Fraction(homogeneous_dist_sq(hi, hj), 4)
-               for hi, hj in itertools.combinations(hverts, 2))
+    best = min(Fraction(homogeneous_dist_sq(hverts[e.u], hverts[e.v]), 4)
+               for e in drawing.edges)
 
     def shrink(val) -> None:
         nonlocal best
@@ -174,7 +176,8 @@ def _first_exit(pts: tuple[Point, ...], hpts: list[Homogeneous], center: Homogen
         t = Fraction(hi, 1 << e)
         return k, t, interpolate(pts[k], pts[k + 1], t)
     raise DegenerateDrawing(
-        f"edge {edge_index} lies entirely inside an endpoint disk; use a smaller radius")
+        f"edge {edge_index} never leaves its endpoint disk, which the automatic "
+        "radius rules out")
 
 
 def truncate_edges(drawing: Drawing) -> StringFamily:

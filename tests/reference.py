@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from stringraph.geometry import (Coord, Point, _overlap, _within_bbox, dist_sq,
                                  exact_coord, interpolate, orientation_sign)
-from stringraph.graph import Graph
+from stringraph.graph import Graph, bits
 
 
 def point_segment_dist_sq(p: Point, a: Point, b: Point) -> Coord:
@@ -102,3 +102,51 @@ def crossing_graph_reference(drawing) -> Graph:
                for x in segment_intersection_points(a, b, c, d)):
             pairs.append((i, j))
     return Graph.from_edges(len(edges), pairs)
+
+
+def _alpha_reference(adj: tuple[int, ...], mask: int, size: int, best: int) -> int:
+    """max(best, size + alpha(mask)) by branching on the closed neighborhood
+    of a minimum-degree vertex, with no reduction rule or component split."""
+    cnt = mask.bit_count()
+    if size + cnt <= best:
+        return best
+    if cnt == 0:
+        return size
+    vmin = -1
+    dmin = cnt
+    dmax = -1
+    degsum = 0
+    for v in bits(mask):
+        d = (adj[v] & mask).bit_count()
+        degsum += d
+        if d < dmin:
+            dmin, vmin = d, v
+        if d > dmax:
+            dmax = d
+    if dmax <= 1:
+        # residual is a matching plus isolated vertices
+        return max(best, size + cnt - degsum // 2)
+    for u in bits((adj[vmin] & mask) | (1 << vmin)):
+        best = _alpha_reference(adj, mask & ~(adj[u] | (1 << u)), size + 1, best)
+    return best
+
+
+def max_independent_set_reference(G: Graph) -> tuple[int, ...]:
+    """Lexicographically smallest maximum independent set: each vertex in
+    index order is kept when the rest of the graph, without its closed
+    neighborhood, still holds enough of the optimum. The reference for
+    `oracles.max_independent_set_exact`."""
+    adj = G.adj
+    need = _alpha_reference(adj, G.full_mask, 0, 0)
+    chosen: list[int] = []
+    mask = G.full_mask
+    for v in range(G.n):
+        if need and mask >> v & 1:
+            rest = mask & ~(adj[v] | (1 << v))
+            if _alpha_reference(adj, rest, 0, need - 2) >= need - 1:
+                chosen.append(v)
+                mask = rest
+                need -= 1
+            else:
+                mask &= ~(1 << v)
+    return tuple(chosen)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from stringraph import KINDS, ExtractionWitness, Graph, quasiplanar
-from stringraph.cli import main
+from stringraph.cli import _build_parser, main
 from stringraph.fileio import graph_text, parse_graph_text
 from tests.conftest import er_graph
 
@@ -45,6 +45,50 @@ def test_gen_build_separator_pipeline(tmp_path):
     assert report["verification"]["status"] == "pass"
     res = report["result"]
     assert len(res["S"]) + len(res["V1"]) + len(res["V2"]) == 12
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys):
+    # main builds its parser once per process; every call must still answer
+    # as a call on a freshly built parser does.
+    graph = _write_graph(tmp_path, er_graph(14, 0.3, 5))
+    drawing = tmp_path / "d.json"
+    assert main(["gen", "--kind", "convex_chords", "--count", "6",
+                 "--seed", "2", "-o", str(drawing)]) == 0
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"c": 0.5, "separator_strategy": "bfs_layer"}))
+    commands = [
+        ["separator", graph],
+        ["separator", graph, "--strategy", "bfs_layer"],
+        ["separator", graph],
+        ["extract", "independent", graph, "--s", "3", "--params", str(params)],
+        ["extract", "independent", graph, "--s", "3"],
+        ["extract", "qindep", graph, "--s", "3"],
+        ["extract", "qindep", graph, "--s", "3", "--q", "2"],
+        ["qp", "check", str(drawing), "--r", "3"],
+        ["qp", "sparse", str(drawing), "--s", "3"],
+        ["oracle", "mis", graph],
+        ["color-or-clique", graph, "--epsilon", "0.5", "--delta", "0.5"],
+        ["no-such-command"],
+        ["--help"],
+    ] * 2
+    capsys.readouterr()
+
+    def call(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    _build_parser.cache_clear()
+    reused = [call(argv) for argv in commands]
+    assert _build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in commands:
+        _build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert reused == fresh
+    codes = [code for code, _, _ in reused[:len(commands) // 2]]
+    assert codes == [0] * 5 + [4] + [0] * 5 + [4, 0]
+    assert reused[3][1] != reused[4][1] and reused[0][1] != reused[1][1]
 
 
 def test_build_graph_from_drawing(tmp_path):

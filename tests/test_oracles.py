@@ -9,7 +9,8 @@ from stringraph import (Graph, TooLarge, max_balanced_biclique_exact,
                         max_kp_free_subset_exact, min_balanced_separator_exact,
                         pairwise_crossing_exact, validate_partition)
 from stringraph.generators import GeneratorSpec, generate
-from tests.conftest import er_graph
+from tests.conftest import er_graph, family_graph
+from tests.reference import max_independent_set_reference
 
 
 def _brute_best(n, keep):
@@ -49,6 +50,51 @@ def test_mis_matches_brute_force(rng):
         G = er_graph(rng.randrange(2, 10), rng.uniform(0.1, 0.9), trial)
         want = _brute_best(G.n, lambda s: _is_independent(G, s))
         assert max_independent_set_exact(G) == want
+
+
+def _relabeled(n, edges, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _sparse_unions(rng):
+    """Disjoint unions of paths, cycles, stars and isolated vertices, up to
+    40 vertices, with the vertices shuffled."""
+    for _ in range(40):
+        edges, n = [], 0
+        while n < 33:
+            kind, k = rng.choice(("path", "cycle", "star", "isolated")), rng.randint(1, 8)
+            if kind == "path":
+                edges += [(n + i, n + i + 1) for i in range(k - 1)]
+            elif kind == "cycle":
+                k = max(k, 3)
+                edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+            elif kind == "star":
+                edges += [(n, n + i) for i in range(1, k)]
+            n += k
+        yield _relabeled(n, edges, rng)
+
+
+def _pendant_graphs(rng):
+    """A random core with pendant and isolated vertices, 40 vertices in all."""
+    for _ in range(40):
+        core = rng.randint(8, 24)
+        edges = [(u, v) for u, v in combinations(range(core), 2)
+                 if rng.random() < rng.choice((0.2, 0.5))]
+        for w in range(core, 40):
+            if rng.random() < 0.7:
+                edges.append((rng.randrange(w), w))
+        yield _relabeled(40, edges, rng)
+
+
+def test_mis_matches_reference_at_full_size(rng):
+    graphs = [family_graph(kind, 40, seed) for kind in ("random_segments", "grid_paths")
+              for seed in range(6)]
+    graphs += _sparse_unions(rng)
+    graphs += _pendant_graphs(rng)
+    for G in graphs:
+        assert max_independent_set_exact(G) == max_independent_set_reference(G)
 
 
 def test_clique_matches_brute_force(rng):

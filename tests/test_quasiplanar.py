@@ -1,6 +1,8 @@
 """Edge truncation, crossing graphs and quasiplanarity checks."""
 
+import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +12,7 @@ from stringraph import (DegenerateDrawing, DomainError, DrawnEdge, Drawing,
                         Point, Polyline, crossing_graph, dense_threshold,
                         edge_bound, edge_bound_holds, find_clique, is_r_quasiplanar,
                         q_independent_set, sparse_subgraph, truncate_edges)
+from stringraph.cli import main
 from stringraph.generators import GeneratorSpec, generate
 from stringraph.geometry import dist_sq, homogeneous, interpolate
 from stringraph.graph import clique_in_mask, mask_of
@@ -219,9 +222,7 @@ def _radius_sq_all_terms(drawing):
                             f"edges ({ei.u}, {ei.v}) and ({ej.u}, {ej.v}) "
                             "meet at a vertex point")
                     terms.extend(Fraction(dist_sq(pw, x)) for pw in verts)
-    terms.extend(Fraction(dist_sq(p, q), 4) for p, q in combinations(verts, 2))
-    if not terms:
-        raise DegenerateDrawing("drawing has no clearance to truncate within")
+    terms.extend(Fraction(dist_sq(verts[e.u], verts[e.v]), 4) for e in drawing.edges)
     return min(terms) / 4
 
 
@@ -257,6 +258,8 @@ def test_auto_radius_matches_every_term():
     drawings += [_bent_grid_drawing(rng) for _ in range(320)]
     outcomes = set()
     for D in drawings:
+        if not D.m:
+            continue  # truncate_edges never asks for an edgeless drawing's radius
         got = _radius_or_message(_auto_radius_sq, D)
         assert got == _radius_or_message(_radius_sq_all_terms, D)
         outcomes.add(type(got))
@@ -276,6 +279,20 @@ def test_crossing_graph_matches_uncut_reference():
         assert got == crossing_graph_reference(D)
         checked += 1
     assert checked == 182
+
+
+def test_radius_of_many_vertices_and_one_edge_is_fast(tmp_path):
+    # Only an edge's own endpoints bound the radius, so 3000 vertices cost
+    # 3000 point-curve distances, not 4.5 million vertex pairs.
+    coords = [(x, y) for x in range(60) for y in range(50)]
+    obj = {"vertices": [list(p) for p in coords],
+           "edges": [{"u": 0, "v": 1, "points": [[0, 0], [0, 1]]}]}
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    assert main(["qp", "check", str(path), "--r", "2", "-o", str(tmp_path / "r.json")]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert json.loads((tmp_path / "r.json").read_text())["result"]["quasiplanar"] is True
 
 
 @pytest.mark.parametrize("coords", [(), ((0, 0), (1, 0))])
@@ -308,7 +325,8 @@ def _first_exit_by_fractions(pts, center, rho_sq, edge_index):
                 raise DegenerateDrawing("truncation cut search did not converge")
         return k, hi, point
     raise DegenerateDrawing(
-        f"edge {edge_index} lies entirely inside an endpoint disk; use a smaller radius")
+        f"edge {edge_index} never leaves its endpoint disk, which the automatic "
+        "radius rules out")
 
 
 def _exit_or_message(search, *args):
@@ -329,6 +347,8 @@ def test_first_exit_matches_fraction_bisection(family):
         radii = (Fraction(1, 10), Fraction(1, 3), 1, 2)
     outcomes = set()
     for D in drawings:
+        if not D.m:
+            continue  # truncate_edges never asks for an edgeless drawing's radius
         rho_sqs = [Fraction(r) ** 2 for r in radii]
         try:
             rho_sqs.append(_auto_radius_sq(D))
