@@ -10,12 +10,23 @@ hold or could not be written back are refused with SchemaError: graph files,
 families and drawings whose graph would have more than MAX_VERTICES vertices
 (strings of a family, edges of a drawing), and number literals above
 MAX_DIGITS digits.
+
+A graph file is text: a header line "n m", then exactly m edge lines "u v"
+with 0 <= u, v < n and u != v, no edge listed twice in either order. Tokens
+on a line are separated by whitespace and read as Python's int() reads them,
+so "+1", "007", "1_0" and non-ASCII digits count. "#" starts a comment that
+runs to the end of its line, blank lines are skipped, and any line break that
+str.splitlines knows ends a line. The files graph_text writes (plain decimals,
+one space, "\\n" after each line, nothing else) are read in a few passes that
+run in C; any other text is read line by line, and that reader raises every
+error, with the line where it is found.
 """
 from __future__ import annotations
 
 import decimal
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -217,7 +228,7 @@ def drawing_json(drawing: Drawing) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Graph text files: "n m" then one "u v" line per edge, 0-indexed.
+# Graph text files (grammar in the module docstring).
 
 def graph_text(G: Graph) -> str:
     lines = [f"{G.n} {G.m}"]
@@ -225,7 +236,46 @@ def graph_text(G: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# graph_text's own layout: "n m" and "u v" lines of plain decimals, one space,
+# each line ending in "\n". A token has no leading zero, so the JSON decode
+# below reads it, and at most nine digits, so no int conversion limit applies.
+_TOKEN = "(?:0|[1-9][0-9]{0,8})"
+_HEADER = re.compile(f"({_TOKEN}) ({_TOKEN})\n")
+# At most 64 lines per match: within one match the regex engine keeps a
+# backtracking record per repeat, some 50 bytes per byte of text.
+_EDGE_LINES = re.compile(f"(?:{_TOKEN} {_TOKEN}\n){{1,64}}")
+
+
 def parse_graph_text(text: str) -> Graph:
+    """Read a graph file. A file in graph_text's own layout is read in a few
+    passes that run in C; any other text, and any text that one of their
+    checks refuses, goes to the line reader, which raises every error."""
+    header = _HEADER.match(text)
+    if header is None:
+        return _parse_graph_lines(text)
+    n, m = int(header[1]), int(header[2])
+    if n > MAX_VERTICES:
+        return _parse_graph_lines(text)
+    body = text[header.end():]
+    # Deleting every run of edge lines leaves nothing only if each line is one.
+    if body.count("\n") != m or _EDGE_LINES.sub("", body):
+        return _parse_graph_lines(text)
+    ends = json.loads("[" + body.replace(" ", ",").replace("\n", ",")[:-1] + "]")
+    if ends and max(ends) >= n:
+        return _parse_graph_lines(text)
+    adj = [0] * n
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    # Each edge sets two bits, unless it is a self-loop or a duplicate.
+    if sum(map(int.bit_count, adj)) != 2 * m:
+        return _parse_graph_lines(text)
+    return Graph(tuple(adj))
+
+
+def _parse_graph_lines(text: str) -> Graph:
+    """Read a graph file line by line, raising at the first line that fails."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()

@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from stringraph.errors import ParseError, SchemaError
+from stringraph.fileio import MAX_VERTICES
 from stringraph.geometry import (Coord, Point, _overlap, _within_bbox, dist_sq,
                                  exact_coord, interpolate, orientation_sign)
 from stringraph.graph import Graph, bits
@@ -150,3 +152,49 @@ def max_independent_set_reference(G: Graph) -> tuple[int, ...]:
             else:
                 mask &= ~(1 << v)
     return tuple(chosen)
+
+
+def parse_graph_text_reference(text: str) -> Graph:
+    """Read a graph file line by line: the reference for
+    `fileio.parse_graph_text`, which reads graph_text's own layout in C-level
+    passes. Same graph, or the same error type, message and line."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            rows.append((lineno, body))
+    if not rows:
+        raise ParseError("empty graph file", line=1)
+    lineno, head = rows[0]
+    parts = head.split()
+    if len(parts) != 2:
+        raise ParseError("header must be 'n m'", line=lineno)
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise ParseError("header must hold two integers", line=lineno) from exc
+    if n < 0 or m < 0:
+        raise SchemaError("vertex and edge counts cannot be negative")
+    if n > MAX_VERTICES:
+        raise SchemaError(f"graph has {n} vertices, above the {MAX_VERTICES} cap")
+    if len(rows) - 1 != m:
+        raise ParseError(f"expected {m} edge lines, found {len(rows) - 1}",
+                         line=rows[-1][0])
+    adj = [0] * n
+    for lineno, body in rows[1:]:
+        parts = body.split()
+        if len(parts) != 2:
+            raise ParseError("edge line must be 'u v'", line=lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ParseError("edge line must hold two integers", line=lineno) from exc
+        if not (0 <= u < n and 0 <= v < n):
+            raise SchemaError(f"edge ({u}, {v}) outside 0..{n - 1}")
+        if u == v:
+            raise SchemaError(f"self-loop at vertex {u}")
+        if adj[u] >> v & 1:
+            raise SchemaError(f"duplicate edge ({u}, {v})")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(tuple(adj))

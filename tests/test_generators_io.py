@@ -21,6 +21,9 @@ from stringraph.fileio import (MAX_VERTICES, RunReport, drawing_json,
                                report_json, sha256_digest)
 from stringraph.generators import FAMILY_KINDS, MAX_SEGMENTS
 
+from tests.conftest import FAMILIES, er_graph, family_graph
+from tests.reference import parse_graph_text_reference
+
 
 def parse_family(text, inexact=False):
     """parse_input of a text that must hold a family."""
@@ -245,6 +248,8 @@ def test_graph_text_roundtrip():
     assert parse_graph_text(commented) == G
     inline = "4 2  # n m\n# edges follow\n0 1 # first\n\n2 3\n"
     assert parse_graph_text(inline) == G
+    # int() reads leading zeros, which JSON refuses.
+    assert parse_graph_text("4 2\n00 01\n02 3\n") == G
     empty = Graph.from_edges(0, [])
     assert graph_text(empty) == "0 0\n"
     assert parse_graph_text(graph_text(empty)) == empty
@@ -271,6 +276,12 @@ GRAPH_TEXT_ERRORS = [
     # Lines are checked in order: the first bad line decides the error.
     ("3 3\n0 1\n1 0\n0 9\n", SchemaError, "duplicate edge (1, 0)", None),
     ("3 2\n0 9\n1 1\n", SchemaError, "edge (0, 9) outside 0..2", None),
+    # Texts in graph_text's layout, or one line short of it, that a check
+    # refuses: the line reader still raises the first bad line's error.
+    ("3 2\n0 9\n1 x\n", SchemaError, "edge (0, 9) outside 0..2", None),
+    ("3 2\n0 1\n0 1\n", SchemaError, "duplicate edge (0, 1)", None),
+    (f"{MAX_VERTICES + 1} 1\n0 1\n", SchemaError,
+     f"graph has {MAX_VERTICES + 1} vertices, above the {MAX_VERTICES} cap", None),
 ]
 
 
@@ -284,6 +295,98 @@ def test_graph_text_errors():
         assert str(exc.value) == message, text
         if error is ParseError:
             assert exc.value.line == line, text
+
+
+def _read_outcome(parse, text):
+    """The graph a reader returns, or the type, message and line of the error
+    it raises."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _assert_reads_like_reference(text):
+    got = _read_outcome(parse_graph_text, text)
+    assert got == _read_outcome(parse_graph_text_reference, text), repr(text)
+    return got
+
+
+def _edge_lines(G, rng):
+    """G's edge lines in a shuffled order, each with its ends in a random order."""
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in G.edges()]
+    rng.shuffle(edges)
+    return [f"{u} {v}" for u, v in edges]
+
+
+def test_graph_text_matches_reference_reader(rng):
+    graphs = [er_graph(n, p, rng.randrange(1 << 30))
+              for n in (0, 1, 2, 5, 17, 64) for p in (0.0, 0.3, 0.9)]
+    graphs += [family_graph(kind, 150, seed) for kind in FAMILIES for seed in (1, 2)]
+    for G in graphs:
+        assert _assert_reads_like_reference(graph_text(G)) == G
+        lines = [f"{G.n} {G.m}"] + _edge_lines(G, rng)
+        assert _assert_reads_like_reference("\n".join(lines) + "\n") == G
+        # One edge line replaced anywhere, deep into a long file too.
+        for bad in ("0 01", "1\t2", "3 3", "1 0", f"0 {G.n}", "4 5 # c"):
+            if G.m:
+                i = rng.randrange(1, len(lines))
+                _assert_reads_like_reference("\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n")
+
+
+# Tokens that int() reads and JSON does not ("00", "01", "+1", "1_0", the
+# Arabic-Indic three), that neither reads, and out-of-range ones.
+FUZZ_TOKENS = ("0", "1", "2", "3", "9", "00", "01", "+1", "1_0", "\u0663",
+               "-1", "x", "1000000000")
+
+
+def _fuzz_graph_text(rng):
+    """A random small graph's text with zero to three random faults."""
+    G = er_graph(rng.randrange(7), rng.choice((0.3, 0.7)), rng.randrange(1 << 30))
+    lines = [f"{G.n} {G.m}"] + _edge_lines(G, rng)
+    end, last = "\n", "\n"
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        i = rng.randrange(len(lines))
+        tokens = lines[i].split(" ")
+        fault = rng.randrange(9)
+        if fault == 0:  # any token
+            tokens[rng.randrange(len(tokens))] = rng.choice(FUZZ_TOKENS)
+            lines[i] = " ".join(tokens)
+        elif fault == 1:  # a self-loop, or an edge listed again in either order
+            if i and len(tokens) == 2:
+                if rng.random() < 0.5:
+                    lines[i] = f"{tokens[0]} {tokens[0]}"
+                else:
+                    lines.insert(rng.randint(1, len(lines)),
+                                 " ".join(tokens[::rng.choice((1, -1))]))
+        elif fault == 2:  # a header that counts too many or too few lines
+            lines[0] = f"{G.n} {max(0, G.m + rng.choice((-1, 1)))}"
+        elif fault == 3:  # a line dropped
+            del lines[i]
+            if not lines:
+                lines = [""]
+        elif fault == 4:  # blank and comment lines, and a comment after a line
+            lines.insert(i, rng.choice(("", "   ", "# note", "#")))
+            lines[rng.randrange(len(lines))] += " # " + rng.choice(FUZZ_TOKENS)
+        elif fault == 5:  # other whitespace between and around the tokens
+            lines[i] = rng.choice(("\t", "  ", " \x0c ")).join(tokens)
+            if rng.random() < 0.5:
+                lines[i] = " " + lines[i] + "\t"
+        elif fault == 6:  # other line breaks
+            end = last = rng.choice(("\r\n", "\r", "\x0c", "\x85"))
+        elif fault == 7:  # no final line break
+            last = ""
+        else:  # an extra token
+            lines[i] += " " + rng.choice(FUZZ_TOKENS)
+    return end.join(lines) + last
+
+
+def test_graph_text_fuzz_matches_reference_reader(rng):
+    """Seeded differential fuzz: every text reads as the reference line
+    reader reads it, to the error type, message and line."""
+    outcomes = [_assert_reads_like_reference(_fuzz_graph_text(rng)) for _ in range(4000)]
+    graphs = sum(isinstance(got, Graph) for got in outcomes)
+    assert 1000 < graphs < 3000
 
 
 def test_report_json_is_canonical():
