@@ -3,10 +3,13 @@
 Every report command (separator, extract, color-or-clique, qp, oracle) runs
 through one path, `_report`: read and digest the input, load the tuning
 parameters, fix the report's parameters, run the command's function, re-check
-its result with an independent verifier, and emit a canonical JSON run report
-(sorted keys, stable layout) holding the parameters, the result and the
-verification outcome. Wall-clock timings only appear with --timings, so that
-identical inputs give byte-identical reports.
+its result with an independent verifier, and hand the parameters, the result
+and the verification outcome to fileio.report_json, which writes the canonical
+JSON report. Wall-clock timings only appear with --timings, so that identical
+inputs give byte-identical reports. --verify off skips only this module's
+re-check. Extract, color-or-clique and qp sparse witnesses were already
+validated in the library before they returned; qp bound and oracle have no
+re-check and report "pass" either way.
 
 Exit codes: 0 success and verified, 2 verification failure, 3 a declared
 failure outcome (precondition violated, refinement or cover failure,
@@ -71,19 +74,9 @@ def _write(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
-def _jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def _witness_obj(w: ExtractionWitness) -> dict:
-    return {"kind": w.kind,
-            "vertices": _jsonable(list(w.vertices)),
-            "size": len(w.vertices),
-            "certificate": _jsonable(w.certificate)}
+    return {"kind": w.kind, "vertices": w.vertices, "size": len(w.vertices),
+            "certificate": w.certificate}
 
 
 def _load_params(args) -> AlgorithmParams:
@@ -206,11 +199,9 @@ def _report(args) -> int:
         result, verifier = args.run(data, parameters, params)
     except _DECLARED as exc:
         result = {"outcome": type(exc).__name__, "message": str(exc)}
-        witness = getattr(exc, "witness", None)
-        if isinstance(witness, ExtractionWitness):
-            result["witness"] = _witness_obj(witness)
-        elif witness is not None:
-            result["witness"] = _jsonable(tuple(witness))
+        # Only PreconditionViolated carries a witness, an ExtractionWitness.
+        if getattr(exc, "witness", None) is not None:
+            result["witness"] = _witness_obj(exc.witness)
         verification, code = {"witness_revalidated": False, "status": "not_applicable"}, 3
     else:
         verification, code = _verification(args, verifier)
@@ -219,10 +210,8 @@ def _report(args) -> int:
     timings = None
     if args.timings:
         timings = {"wall_seconds": round(time.perf_counter() - started, 6)}
-    report = fileio.RunReport(operation, fileio.sha256_digest(text),
-                              _jsonable(parameters), _jsonable(result),
-                              _jsonable(verification), timings)
-    _write(args.output, fileio.report_json(report))
+    _write(args.output, fileio.report_json(operation, fileio.sha256_digest(text),
+                                           parameters, result, verification, timings))
     return code
 
 

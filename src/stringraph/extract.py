@@ -285,10 +285,9 @@ def _cover(G: Graph, params: AlgorithmParams) -> tuple[int, dict[int, int]]:
 
 
 def kr1_free_subgraph(G: Graph, r: int,
-                      params: Optional[AlgorithmParams] = None) -> ExtractionWitness:
+                      params: AlgorithmParams = DEFAULT_PARAMS) -> ExtractionWitness:
     """K_{r-1}-free induced subgraph of a K_r-free graph, via the apex
     argument: a clique in a covered component would extend by its apex."""
-    params = params or DEFAULT_PARAMS
     if r < 3:
         raise ValueError("forbidden clique size r must be at least 3")
     _verify_no_clique(G, G.full_mask, r)
@@ -394,9 +393,8 @@ def find_balanced_biclique(G: Graph, t_min: int, mask: Optional[int] = None
 # whose sides must avoid K_{ceil(r/2)}; sparse graphs recurse by separator.
 
 def half_clique_free_subgraph(G: Graph, r: int,
-                              params: Optional[AlgorithmParams] = None
+                              params: AlgorithmParams = DEFAULT_PARAMS
                               ) -> ExtractionWitness:
-    params = params or DEFAULT_PARAMS
     if r < 3:
         raise ValueError("forbidden clique size r must be at least 3")
     _verify_no_clique(G, G.full_mask, r)
@@ -428,9 +426,8 @@ def half_clique_free_subgraph(G: Graph, r: int,
 # Dense cores.
 
 def dense_core(G: Graph, epsilon: float,
-               params: Optional[AlgorithmParams] = None) -> ExtractionWitness:
+               params: AlgorithmParams = DEFAULT_PARAMS) -> ExtractionWitness:
     """Subset V' with average degree d' >= (1-eps)*d and |V'| <= max(1, C*d')."""
-    params = params or DEFAULT_PARAMS
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must lie in (0, 1)")
     C = Fraction(params.C_refine(epsilon))
@@ -476,11 +473,10 @@ def dense_core(G: Graph, epsilon: float,
 # Complete multipartite covers, built on the complement graph: vertices in
 # different complement components are pairwise adjacent in G.
 
-def multipartite_cover(G: Graph, alpha: float, params: Optional[AlgorithmParams] = None,
+def multipartite_cover(G: Graph, alpha: float, params: AlgorithmParams = DEFAULT_PARAMS,
                        mask: Optional[int] = None) -> MultipartiteCover:
     """Complete multipartite cover of G[mask] (all of G when mask is None); n
     and the edge floor alpha*n^2 count inside mask, parts are in G's indices."""
-    params = params or DEFAULT_PARAMS
     mask = vertex_mask(G, mask)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -597,8 +593,7 @@ def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
 
 
 def independent_set(G: Graph, s: int,
-                    params: Optional[AlgorithmParams] = None) -> ExtractionWitness:
-    params = params or DEFAULT_PARAMS
+                    params: AlgorithmParams = DEFAULT_PARAMS) -> ExtractionWitness:
     if s < 1:
         raise ValueError("s must be at least 1")
     floor = independent_floor(G.n, s, params.c)
@@ -611,8 +606,7 @@ def independent_set(G: Graph, s: int,
 
 
 def q_independent_set(G: Graph, s: int, q: int,
-                      params: Optional[AlgorithmParams] = None) -> ExtractionWitness:
-    params = params or DEFAULT_PARAMS
+                      params: AlgorithmParams = DEFAULT_PARAMS) -> ExtractionWitness:
     if q < 1 or s < q:
         raise ValueError("need s >= q >= 1")
     # The certificate records p = 2^q, so q is held to a finite float's range,
@@ -666,10 +660,9 @@ def choose_delta(epsilon: float, c: float) -> float:
 
 
 def color_or_clique(G: Graph, epsilon: float,
-                    params: Optional[AlgorithmParams] = None) -> ExtractionWitness:
+                    params: AlgorithmParams = DEFAULT_PARAMS) -> ExtractionWitness:
     """Either a proper coloring with at most n^epsilon classes or a clique of
     size at least n^delta; the achieved branch is verified before returning."""
-    params = params or DEFAULT_PARAMS
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must lie in (0, 1)")
     n = G.n

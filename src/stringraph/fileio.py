@@ -5,11 +5,13 @@ rationals are "p/q" strings, and decimal literals parse to the exact rational
 they denote. With inexact=True decimal literals are read as IEEE doubles
 instead (then converted to the exact rational of the double). Emission is
 canonical (sorted keys, fixed indentation), so parse-emit round trips are
-byte-stable and reports are reproducible. Inputs that would be too costly to
-hold or could not be written back are refused with SchemaError: graph files,
-families and drawings whose graph would have more than MAX_VERTICES vertices
-(strings of a family, edges of a drawing), and number literals above
-MAX_DIGITS digits.
+byte-stable and reports are reproducible. report_json is the one place a run
+report becomes JSON: keys become strings sorted as strings, tuples arrays,
+and rationals integers when integral and "p/q" strings otherwise. Inputs
+that would be too costly to hold or could not be written back are refused
+with SchemaError: graph files, families and drawings whose graph would have
+more than MAX_VERTICES vertices (strings of a family, edges of a drawing),
+and number literals above MAX_DIGITS digits.
 
 A graph file is text: a header line "n m", then exactly m edge lines "u v"
 with 0 <= u, v < n and u != v, no edge listed twice in either order. Tokens
@@ -27,7 +29,6 @@ import decimal
 import hashlib
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -321,34 +322,29 @@ def _parse_graph_lines(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 # Run reports.
 
-@dataclass(frozen=True)
-class RunReport:
-    operation: str
-    input_digest: str
-    parameters: dict
-    result: dict
-    verification: dict
-    timings: Optional[dict] = None
-
-
-def _json_default(value):
-    if isinstance(value, Fraction):
+def _canonical(value):
+    """value with tuples as lists, keys as str and each Fraction as an int
+    when integral, "p/q" otherwise. Reports hold plain dicts, lists and
+    tuples, so exact types are tested: isinstance of Fraction goes through
+    its ABC metaclass and costs ten times more on every int leaf."""
+    kind = type(value)
+    if kind is dict:
+        return {str(k): _canonical(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [_canonical(v) for v in value]
+    if kind is Fraction:
         return value.numerator if value.denominator == 1 else str(value)
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    return value
 
 
-def report_json(report: RunReport) -> str:
-    """Canonical JSON for a run: sorted keys, no timings unless requested."""
-    obj = {"operation": report.operation,
-           "input_digest": report.input_digest,
-           "parameters": report.parameters,
-           "result": report.result,
-           "verification": report.verification}
-    if report.timings is not None:
-        obj["timings"] = report.timings
-    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
+def report_json(operation: str, input_digest: str, parameters: dict, result: dict,
+                verification: dict, timings: Optional[dict] = None) -> str:
+    """The canonical JSON text of a run report, timings only when given."""
+    obj = {"operation": operation, "input_digest": input_digest,
+           "parameters": parameters, "result": result, "verification": verification}
+    if timings is not None:
+        obj["timings"] = timings
+    return _dumps(_canonical(obj))
 
 
 def sha256_digest(data: Union[str, bytes]) -> str:

@@ -242,7 +242,7 @@ def is_r_quasiplanar(curves: StringFamily, r: int) -> tuple[bool, Optional[tuple
 
 
 def sparse_subgraph(crossings: Graph, s: int,
-                    params: Optional[AlgorithmParams] = None) -> ExtractionWitness:
+                    params: AlgorithmParams = DEFAULT_PARAMS) -> ExtractionWitness:
     """Extract an edge subset whose restriction is 4-quasiplanar.
 
     `crossings` is `crossing_graph(drawing)`. The drawing must be
@@ -251,7 +251,6 @@ def sparse_subgraph(crossings: Graph, s: int,
     q_independent_set's own validation has checked that no 4 of them
     pairwise cross before it returns.
     """
-    params = params or DEFAULT_PARAMS
     check_s(s)
     try:
         inner = q_independent_set(crossings, s, 2, params)

@@ -15,7 +15,7 @@ from stringraph import (BadSpec, Drawing, GeneratorSpec, Graph, ParseError,
                         Point, Polyline, SchemaError, StringFamily,
                         StringraphError, generate,
                         intersection_graph)
-from stringraph.fileio import (MAX_VERTICES, RunReport, drawing_json,
+from stringraph.fileio import (MAX_VERTICES, drawing_json,
                                family_json, graph_text,
                                parse_drawing, parse_graph_text, parse_input,
                                report_json, sha256_digest)
@@ -389,17 +389,63 @@ def test_graph_text_fuzz_matches_reference_reader(rng):
     assert 1000 < graphs < 3000
 
 
+# The report bytes of REPORT_PARTS, pinned: every golden report follows these
+# rules, so the literal changes only with a recorded change of report output.
+REPORT_PARTS = dict(
+    operation="demo", input_digest="abc",
+    parameters={"b": 2, "a": 1, "apexes": {2: (0, 1), 10: (2, 3)}},
+    result={"outcome": "ok", "ratio": Fraction(1, 3), "whole": Fraction(6, 3),
+            "parts": [{"edge": (4, 5)}], "none": None, "flag": True, "alpha": 0.25},
+    verification={"status": "pass", "witness_revalidated": True})
+REPORT_TEXT = """\
+{
+  "input_digest": "abc",
+  "operation": "demo",
+  "parameters": {
+    "a": 1,
+    "apexes": {
+      "10": [
+        2,
+        3
+      ],
+      "2": [
+        0,
+        1
+      ]
+    },
+    "b": 2
+  },
+  "result": {
+    "alpha": 0.25,
+    "flag": true,
+    "none": null,
+    "outcome": "ok",
+    "parts": [
+      {
+        "edge": [
+          4,
+          5
+        ]
+      }
+    ],
+    "ratio": "1/3",
+    "whole": 2
+  },
+  "verification": {
+    "status": "pass",
+    "witness_revalidated": true
+  }
+}
+"""
+
+
 def test_report_json_is_canonical():
-    rep = RunReport(operation="demo", input_digest="abc", parameters={"b": 2, "a": 1},
-                    result={"value": Fraction(1, 3)}, verification={"status": "pass"})
-    one = report_json(rep)
-    two = report_json(rep)
-    assert one == two
-    assert '"1/3"' in one
-    assert "timings" not in one
-    timed = RunReport(operation="demo", input_digest="abc", parameters={},
-                      result={}, verification={}, timings={"wall_seconds": 0.5})
-    assert "timings" in report_json(timed)
+    """Keys are strings sorted as strings, tuples are arrays, an integral
+    rational is an integer and any other one "p/q"; timings only when given."""
+    assert report_json(**REPORT_PARTS) == REPORT_TEXT
+    timed = REPORT_TEXT.replace('  "verification"',
+                                '  "timings": {\n    "wall_seconds": 0.5\n  },\n  "verification"')
+    assert report_json(**REPORT_PARTS, timings={"wall_seconds": 0.5}) == timed
 
 
 def test_sha256_digest_stable():

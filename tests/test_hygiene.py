@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import in the package is used, and
-every module-level function is reached from the package or exported."""
+every module-level function and class is reached from the package or
+exported."""
 
 import ast
 from pathlib import Path
@@ -51,17 +52,17 @@ def _names_in(node: ast.AST) -> set[str]:
 
 
 def test_every_function_is_reached():
-    """Fail on a module-level function that no src module refers to, other
-    than by calling itself, and that __init__ does not export: library code
-    that nothing runs."""
+    """Fail on a module-level function or class that no src module refers
+    to, other than from inside itself, and that __init__ does not export:
+    library code that nothing runs."""
     referenced = _exported()
     defined = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=path.name).body:
             names = _names_in(node)
-            if isinstance(node, ast.FunctionDef):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((path.stem, node.name))
                 names.discard(node.name)
             referenced |= names
     unreached = [f"{module}.{name}" for module, name in defined if name not in referenced]
-    assert not unreached, f"functions no src module reaches: {unreached}"
+    assert not unreached, f"functions and classes no src module reaches: {unreached}"
