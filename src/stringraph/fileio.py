@@ -11,6 +11,7 @@ and rationals integers when integral and "p/q" strings otherwise. Inputs
 that would be too costly to hold or could not be written back are refused
 with SchemaError: graph files, families and drawings whose graph would have
 more than MAX_VERTICES vertices (strings of a family, edges of a drawing),
+families and drawings whose curves hold more than MAX_SEGMENTS segments,
 and number literals above MAX_DIGITS digits.
 
 A graph file is text: a header line "n m", then exactly m edge lines "u v"
@@ -41,6 +42,9 @@ from .quasiplanar import DrawnEdge, Drawing
 # highest neighbour's index in bits, so n vertices may need n^2 bits however
 # few the edges: 2^15 vertices is 128 MiB.
 MAX_VERTICES = 1 << 15
+# Segments a family or drawing may hold: intersection_graph files every
+# segment's box, in one strip or more, so its memory grows with this count.
+MAX_SEGMENTS = 1_000_000
 # Python's default limit for int <-> str conversion, which json.dumps obeys.
 MAX_DIGITS = 4300
 
@@ -116,6 +120,15 @@ def _points_in(value, where: str) -> tuple[Point, ...]:
     return tuple(_point_in(p, f"{where}[{i}]") for i, p in enumerate(value))
 
 
+def _check_segments(curves: list, kind: str) -> None:
+    """Refuse curves of more than MAX_SEGMENTS segments in all, counted from
+    the point arrays before any point is read."""
+    segments = sum(len(c["points"]) - 1 for c in curves
+                   if isinstance(c, dict) and isinstance(c.get("points"), list))
+    if segments > MAX_SEGMENTS:
+        raise SchemaError(f"{kind} has {segments} segments, above the {MAX_SEGMENTS} cap")
+
+
 def _point_out(p: Point) -> list:
     return [_coord_out(p.x), _coord_out(p.y)]
 
@@ -136,6 +149,7 @@ def family_from_obj(obj) -> StringFamily:
     if len(obj["strings"]) > MAX_VERTICES:
         raise SchemaError(f"family has {len(obj['strings'])} strings, "
                           f"above the {MAX_VERTICES} cap")
+    _check_segments(obj["strings"], "family")
     strings = []
     for i, raw in enumerate(obj["strings"]):
         where = f"strings[{i}]"
@@ -173,6 +187,7 @@ def drawing_from_obj(obj) -> Drawing:
     if len(obj["edges"]) > MAX_VERTICES:
         raise SchemaError(f"drawing has {len(obj['edges'])} edges, "
                           f"above the {MAX_VERTICES} cap")
+    _check_segments(obj["edges"], "drawing")
     verts = tuple(_point_in(p, f"vertices[{i}]") for i, p in enumerate(obj["vertices"]))
     edges = []
     for k, raw in enumerate(obj["edges"]):

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Union
 
 from .errors import BadSpec
-from .fileio import MAX_VERTICES
+from .fileio import MAX_SEGMENTS, MAX_VERTICES
 from .geometry import Point, Polyline, StringFamily, exact_coord
 from .quasiplanar import DrawnEdge, Drawing
 
@@ -30,8 +30,6 @@ FAMILY_KINDS = tuple(kind for kind in KINDS if kind != "convex_chords")
 _SEGMENT_LENGTH_FACTOR = 3.6
 
 _MAX_CONVEX = 64
-# Segments a family may hold, so that a few strings with many bends stay small.
-MAX_SEGMENTS = 1_000_000
 # The generators place points with float arithmetic, which holds every
 # integer of at most this magnitude exactly.
 _MAX_REGION = 2 ** 53

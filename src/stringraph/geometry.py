@@ -14,6 +14,7 @@ the cost, and the kernel pays it once per point instead.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -301,48 +302,95 @@ def rational_point_segment_dist_sq(h: Homogeneous, s: RationalSegment) -> Coord:
     return exact_coord(Fraction(cross * cross, wp * wp * ab2))
 
 
+def _float_key(c: Coord) -> float:
+    """The correctly rounded float of c, or -inf or inf beyond the float
+    range. It never decreases as c grows, so _float_key(a) < _float_key(b)
+    implies a < b."""
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
+
+
+def _float_keys(coords: list[Coord]) -> list[float]:
+    """_float_key of each coordinate, converted in C unless one overflows."""
+    try:
+        return list(map(float, coords))
+    except OverflowError:
+        return list(map(_float_key, coords))
+
+
 def intersection_graph(family: StringFamily) -> Graph:
     """Build the intersection graph: one vertex per string, an edge iff the curves meet.
 
-    One sweep in x over the segments' closed bounding boxes: a segment is
-    tested only against the active segments of other strings whose boxes
-    reach its left x and overlap it in y, and only until the two strings are
-    known to meet. A box is dropped once its right x lies strictly left of the
-    sweep, so touching boxes stay; every candidate pair gets the exact
-    segment test, hence the same graph as testing every pair. The test is
-    chosen once for the family: `segments_intersect` when every coordinate is
-    an int, the gcd-free `rational_segments_intersect` otherwise. An empty
-    family gives the empty graph.
+    One sweep in x over the closed bounding boxes of the B segments, with the
+    plane cut into floor(sqrt(B)) horizontal strips at every (B / strips)-th
+    lowest box bottom, so that about as many boxes start in each strip. A box
+    is filed in every strip its y-range covers: as starting in the strip of
+    its bottom, as passing through the others. A new box scans the boxes
+    starting in each of its strips and the boxes passing through its first
+    strip, so two boxes meet in the first strip they share and nowhere else.
+
+    A scanned box has expired when its right x lies strictly left of the new
+    box's left x; one that only touches it stays. A scan that meets at least
+    as many expired boxes as it scans lists drops them from those lists, so
+    rebuilding a list costs at most one expired box dropped. A scanned box
+    that has not expired, of a string not yet known to meet this one, and
+    that overlaps the new box in y, gets the exact segment test:
+    `segments_intersect` when every coordinate is an int, the gcd-free
+    `rational_segments_intersect` otherwise. An empty family gives the empty
+    graph.
+
+    The sort, the expiry and y-overlap tests and the strip filing compare
+    float keys, made once per coordinate by `_float_key`. Correctly rounded
+    conversion never decreases, so fl(a) < fl(b) implies a < b: a pair
+    whose boxes overlap exactly is never filtered out, and a tie only adds
+    an exact test. The graph is the one testing every pair gives.
     """
     strings = family.strings
+    points = [p for s in strings for p in s.points]
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    rational = set(map(type, chain(xs, ys))) != {int}
+    fx, fy = _float_keys(xs), _float_keys(ys)
     boxes = []
+    start = 0
     for i, s in enumerate(strings):
-        for a, b in zip(s.points, s.points[1:]):
-            x0, x1 = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-            y0, y1 = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-            boxes.append((x0, x1, y0, y1, i, a, b, None))
-    # Every coordinate is a box bound; the scan runs in C.
-    if set(map(type, chain.from_iterable(map(itemgetter(0, 1, 2, 3), boxes)))) != {int}:
-        boxes = [(*box[:7], RationalSegment.of(box[5], box[6])) for box in boxes]
-    boxes.sort(key=lambda box: box[0])
+        stop = start + len(s.points) - 1
+        for t in range(start, stop):
+            a, b = points[t], points[t + 1]
+            x0, x1 = (fx[t], fx[t + 1]) if fx[t] <= fx[t + 1] else (fx[t + 1], fx[t])
+            y0, y1 = (fy[t], fy[t + 1]) if fy[t] <= fy[t + 1] else (fy[t + 1], fy[t])
+            boxes.append((x0, x1, y0, y1, i, a, b,
+                          RationalSegment.of(a, b) if rational else None))
+        start = stop + 1
+    boxes.sort(key=itemgetter(0))
+    count = len(boxes)
+    strips = max(math.isqrt(count), 1)
+    bottoms = sorted(map(itemgetter(2), boxes))
+    cuts = [bottoms[k * count // strips] for k in range(1, strips)]
+    starting: list[list[tuple]] = [[] for _ in range(strips)]
+    passing: list[list[tuple]] = [[] for _ in range(strips)]
     adj = [0] * len(strings)
-    active: list[tuple] = []
     for box in boxes:
         x0, _, y0, y1, i, a, b, seg = box
+        lo = bisect_right(cuts, y0)
+        hi = bisect_right(cuts, y1) + 1
         met = adj[i] | 1 << i
-        kept = []
-        for other in active:
-            if other[1] < x0:
-                continue
-            kept.append(other)
-            j = other[4]
-            if (met >> j & 1 or other[3] < y0 or y1 < other[2]
-                    or not (segments_intersect(a, b, other[5], other[6]) if seg is None
-                            else rational_segments_intersect(seg, other[7]))):
-                continue
-            met |= 1 << j
-            adj[j] |= 1 << i
+        dead = 0
+        for _, ox1, oy0, oy1, j, c, d, other in chain(passing[lo], *starting[lo:hi]):
+            if ox1 < x0:
+                dead += 1
+            elif (not met >> j & 1 and oy0 <= y1 and y0 <= oy1
+                  and (segments_intersect(a, b, c, d) if seg is None
+                       else rational_segments_intersect(seg, other))):
+                met |= 1 << j
+                adj[j] |= 1 << i
         adj[i] = met & ~(1 << i)
-        kept.append(box)
-        active = kept
+        if dead > hi - lo:
+            passing[lo] = [o for o in passing[lo] if o[1] >= x0]
+            starting[lo:hi] = [[o for o in strip if o[1] >= x0] for strip in starting[lo:hi]]
+        starting[lo].append(box)
+        for strip in passing[lo + 1:hi]:
+            strip.append(box)
     return Graph(tuple(adj))

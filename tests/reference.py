@@ -12,7 +12,8 @@ from fractions import Fraction
 from stringraph.errors import ParseError, SchemaError
 from stringraph.fileio import MAX_VERTICES
 from stringraph.geometry import (Coord, Point, _overlap, _within_bbox, dist_sq,
-                                 exact_coord, interpolate, orientation_sign)
+                                 exact_coord, interpolate, orientation_sign,
+                                 polylines_intersect)
 from stringraph.graph import Graph, bits
 
 
@@ -104,6 +105,16 @@ def crossing_graph_reference(drawing) -> Graph:
                for x in segment_intersection_points(a, b, c, d)):
             pairs.append((i, j))
     return Graph.from_edges(len(edges), pairs)
+
+
+def intersection_graph_reference(family) -> Graph:
+    """Intersection graph of a family by testing every pair of strings with
+    `polylines_intersect`, which tests every pair of their segments. The
+    reference for `geometry.intersection_graph`."""
+    strings = family.strings
+    edges = [(i, j) for i, j in itertools.combinations(range(len(strings)), 2)
+             if polylines_intersect(strings[i], strings[j])]
+    return Graph.from_edges(len(strings), edges)
 
 
 def _alpha_reference(adj: tuple[int, ...], mask: int, size: int, best: int) -> int:

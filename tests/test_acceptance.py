@@ -18,27 +18,20 @@ from stringraph import (Graph, choose_delta, color_or_clique, crossing_graph,
                         kr1_free_subgraph, max_balanced_biclique_exact,
                         max_clique_exact, max_independent_set_exact,
                         max_kp_free_subset_exact, multipartite_cover,
-                        pairwise_crossing_exact, polylines_intersect,
-                        q_independent_set, separator_size_survey,
-                        sparse_subgraph, truncate_edges, validate_coloring,
+                        pairwise_crossing_exact, q_independent_set,
+                        separator_size_survey, sparse_subgraph,
+                        truncate_edges, validate_coloring,
                         validate_partition, validate_witness)
 from stringraph.cli import main
 from stringraph.extract import independent_floor, validate_multipartite_cover
 from stringraph.generators import GeneratorSpec, generate
 from stringraph.graph import Coloring, induced_subgraph
 from tests.conftest import er_graph
-from tests.reference import convex_interleaving_graph
+from tests.reference import convex_interleaving_graph, intersection_graph_reference
 from tests.test_separator import _min_separator_size
 
 _FAMILY_KINDS = ("random_segments", "random_polylines", "grid_paths",
                  "disjoint_segments", "all_crossing_segments")
-
-
-def _brute_intersection_graph(family) -> Graph:
-    strings = family.strings
-    edges = [(i, j) for i, j in combinations(range(len(strings)), 2)
-             if polylines_intersect(strings[i], strings[j])]
-    return Graph.from_edges(len(strings), edges)
 
 
 def _probe_free_s(G: Graph, cap: int = 4) -> int:
@@ -64,7 +57,7 @@ def test_criterion_1_intersection_graph_matches_brute_force():
         kind = _FAMILY_KINDS[i % len(_FAMILY_KINDS)]
         count = 2 + i % 11  # n <= 12 strings
         family = generate(GeneratorSpec(kind=kind, count=count, seed=i))
-        assert intersection_graph(family) == _brute_intersection_graph(family)
+        assert intersection_graph(family) == intersection_graph_reference(family)
         checked += 1
     elapsed = time.perf_counter() - started
     assert checked == 500

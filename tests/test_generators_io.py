@@ -15,11 +15,13 @@ from stringraph import (BadSpec, Drawing, GeneratorSpec, Graph, ParseError,
                         Point, Polyline, SchemaError, StringFamily,
                         StringraphError, generate,
                         intersection_graph)
-from stringraph.fileio import (MAX_VERTICES, drawing_json,
+from stringraph import fileio
+from stringraph.cli import main
+from stringraph.fileio import (MAX_SEGMENTS, MAX_VERTICES, drawing_json,
                                family_json, graph_text,
                                parse_drawing, parse_graph_text, parse_input,
                                report_json, sha256_digest)
-from stringraph.generators import FAMILY_KINDS, MAX_SEGMENTS
+from stringraph.generators import FAMILY_KINDS
 
 from tests.conftest import FAMILIES, er_graph, family_graph
 from tests.reference import parse_graph_text_reference
@@ -181,6 +183,28 @@ def test_families_and_drawings_above_the_vertex_cap_are_refused(tmp_path):
         assert proc.returncode == 4, proc.stderr
         assert message in proc.stderr
         assert not out.exists()
+
+
+def test_families_and_drawings_above_the_segment_cap_are_refused(tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "MAX_SEGMENTS", 4)
+    at_cap = [{"id": "a", "points": [[0, 0], [1, 1], [2, 0]]},
+              {"id": "b", "points": [[0, 1], [1, 0], [2, 1]]}]
+    assert len(parse_family(json.dumps({"kind": "family", "strings": at_cap}))) == 2
+    # The third string repeats a point, which building its Polyline would
+    # refuse; the count comes first.
+    over = at_cap + [{"id": "c", "points": [[5, 5], [5, 5]]}]
+    with pytest.raises(SchemaError, match="family has 5 segments, above the 4 cap"):
+        parse_input(json.dumps({"kind": "family", "strings": over}))
+    zigzag = [[x, x % 2] for x in range(6)]
+    drawing = {"kind": "drawing", "vertices": [[0, 0], [5, 1]],
+               "edges": [{"u": 0, "v": 1, "points": zigzag}]}
+    with pytest.raises(SchemaError, match="drawing has 5 segments, above the 4 cap"):
+        parse_input(json.dumps(drawing))
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"kind": "family", "strings": over}))
+    out = tmp_path / "g.txt"
+    assert main(["build-graph", str(fam), "-o", str(out)]) == 4
+    assert not out.exists()
 
 
 def test_family_json_roundtrip():

@@ -1,5 +1,7 @@
 """Exact predicates, segment intersection points and intersection graphs."""
 
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,13 +9,14 @@ import pytest
 from stringraph import (DuplicateId, GeneratorSpec, Graph, Point, Polyline,
                         StringFamily, generate, intersection_graph,
                         orientation_sign, segments_intersect)
-from stringraph.geometry import (RationalSegment, dist_sq, exact_coord,
+from stringraph.cli import main
+from stringraph.geometry import (RationalSegment, _float_key, dist_sq, exact_coord,
                                  homogeneous, homogeneous_dist_sq, interpolate,
                                  line_through, rational_contact_points,
                                  rational_point_segment_dist_sq,
                                  rational_segments_intersect, side)
-from tests.reference import point_segment_dist_sq, segment_intersection_points
-from tests.test_acceptance import _brute_intersection_graph
+from tests.reference import (intersection_graph_reference, point_segment_dist_sq,
+                             segment_intersection_points)
 
 
 def _pt(x, y):
@@ -197,7 +200,7 @@ def test_prefilter_agrees_with_full_scan(rng):
                 pts.append(_pt(x + 1, y))
             strings.append(Polyline(f"s{k}", tuple(pts)))
         fam = StringFamily(tuple(strings))
-        assert intersection_graph(fam) == _brute_intersection_graph(fam)
+        assert intersection_graph(fam) == intersection_graph_reference(fam)
 
 
 def _family(*chains):
@@ -212,7 +215,7 @@ def test_sweep_matches_brute_force_on_large_families(kind):
     for n, seed in ((60, 1), (97, 2), (150, 3)):
         fam = generate(GeneratorSpec(kind=kind, count=n, seed=seed))
         G = intersection_graph(fam)
-        assert G == _brute_intersection_graph(fam)
+        assert G == intersection_graph_reference(fam)
 
 
 def test_sweep_on_degenerate_contacts():
@@ -234,7 +237,7 @@ def test_sweep_on_degenerate_contacts():
         [(41, -5), (41, 1)],   # s14: ends on s12's first segment
     )
     G = intersection_graph(fam)
-    assert G == _brute_intersection_graph(fam)
+    assert G == intersection_graph_reference(fam)
     assert G.edges() == [(0, 2), (3, 4), (5, 6), (7, 8), (10, 11), (12, 14)]
 
 
@@ -249,22 +252,138 @@ def test_sweep_with_fraction_coordinates():
         [(Fraction(2, 3), Fraction(2, 3)), (2, 2)],  # collinear with s0, touching
     )
     G = intersection_graph(fam)
-    assert G == _brute_intersection_graph(fam)
+    assert G == intersection_graph_reference(fam)
     assert G.edges() == [(0, 1), (0, 4)]
 
 
+def _grid_family(rng, coord=lambda v: v):
+    """20-60 strings of 1-3 segments with coordinates in 0..4, mapped by
+    coord. Such a grid forces many shared endpoints, vertical and collinear
+    segments and boxes that meet at a single x."""
+    chains = []
+    for _ in range(rng.randrange(20, 61)):
+        chain = [(rng.randrange(5), rng.randrange(5))]
+        while len(chain) < 2 or (len(chain) < 4 and rng.random() < 0.5):
+            nxt = (rng.randrange(5), rng.randrange(5))
+            if nxt != chain[-1]:
+                chain.append(nxt)
+        chains.append([(coord(x), coord(y)) for x, y in chain])
+    return _family(*chains)
+
+
 def test_sweep_matches_brute_force_on_small_coordinate_grid(rng):
-    # Coordinates in 0..4 force many shared endpoints, vertical and
-    # collinear segments and boxes that meet at a single x.
     for trial in range(12):
         scale = Fraction(1, 3) if trial % 2 else 1
-        chains = []
-        for _ in range(rng.randrange(20, 61)):
-            chain = [(rng.randrange(5), rng.randrange(5))]
-            while len(chain) < 2 or (len(chain) < 4 and rng.random() < 0.5):
-                nxt = (rng.randrange(5), rng.randrange(5))
-                if nxt != chain[-1]:
-                    chain.append(nxt)
-            chains.append([(x * scale, y * scale) for x, y in chain])
+        fam = _grid_family(rng, lambda v: v * scale)
+        assert intersection_graph(fam) == intersection_graph_reference(fam)
+
+
+_EPS = Fraction(1, 3 << 150)
+
+# Increasing maps of the grid's 0..4 onto coordinates whose float keys tie or
+# overflow; then the keys decide nothing and every box pair that ties gets
+# the exact test.
+_KEY_HAZARDS = {
+    # Floats of 2^53 + v tie in pairs, floats of 2^60 + v all tie.
+    "int_2^53": lambda v: 2 ** 53 + v,
+    "int_2^60": lambda v: 2 ** 60 + v,
+    # Ints and Fractions above 2^54, where a float of a Fraction can lie
+    # below a smaller int.
+    "mixed_2^54": lambda v: 2 ** 54 + Fraction(v, 2),
+    # Beyond the float range, keys are -inf or inf.
+    "int_10^400": lambda v: 10 ** 400 + v,
+    "fraction_-10^400": lambda v: Fraction(-10 ** 400 + v, 3),
+    "mixed_range": lambda v: (-10 ** 400, -1, 0, 10 ** 400, 10 ** 400 + 1)[v],
+    # About 150-bit denominators whose floats all tie.
+    "fraction_150_bit": lambda v: Fraction(1, 3) + v * _EPS,
+}
+
+
+def test_float_keys_never_reverse_exact_order():
+    assert _float_key(2 ** 60) == _float_key(2 ** 60 + 4)
+    small, large = 2 ** 54 + 1, Fraction(2 ** 55 + 3, 2)
+    assert small < large and float(large) < small
+    assert _float_key(small) <= _float_key(large)
+    assert _float_key(Fraction(1, 3)) == _float_key(Fraction(1, 3) + 4 * _EPS)
+    assert _float_key(10 ** 400) == _float_key(Fraction(10 ** 401, 3)) == math.inf
+    assert _float_key(-10 ** 400) == -math.inf
+    for coord in _KEY_HAZARDS.values():
+        values = [coord(v) for v in range(5)]
+        keys = [_float_key(c) for c in values]
+        assert values == sorted(values) and keys == sorted(keys)
+        assert len(set(keys)) < 5
+
+
+@pytest.mark.parametrize("hazard", sorted(_KEY_HAZARDS))
+def test_sweep_matches_brute_force_where_float_keys_tie_or_overflow(rng, hazard):
+    for _ in range(4):
+        fam = _grid_family(rng, _KEY_HAZARDS[hazard])
+        assert intersection_graph(fam) == intersection_graph_reference(fam)
+
+
+def test_build_graph_reads_coordinates_beyond_the_float_range(tmp_path):
+    big = 10 ** 400
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"kind": "family", "strings": [
+        {"id": "a", "points": [[big, 0], [big + 2, 2]]},
+        {"id": "b", "points": [[big, 2], [big + 2, 0]]},      # crosses a
+        {"id": "c", "points": [[big + 3, 0], [big + 3, 2]]},  # misses both
+        {"id": "d", "points": [[-big, -big], [0, 0]]}]}))
+    graph = tmp_path / "g.txt"
+    assert main(["build-graph", str(fam), "-o", str(graph)]) == 0
+    assert graph.read_text() == "4 1\n0 1\n"
+
+
+def test_sweep_with_segments_spanning_every_strip(rng):
+    # Verticals from bottoms in 0..59 up past every bottom: the strip cuts
+    # lie among the bottoms, so a box spans every strip from its own up, and
+    # the lowest span them all. Shared x values give collinear overlaps.
+    chains = [[(x, bottom), (x, 100 + rng.randrange(3))]
+              for x, bottom in ((rng.randrange(30), rng.randrange(60)) for _ in range(80))]
+    chains += [[(rng.randrange(30), rng.randrange(110)), (rng.randrange(30), rng.randrange(110))]
+               for _ in range(20)]
+    fam = _family(*(chain for chain in chains if chain[0] != chain[1]))
+    G = intersection_graph(fam)
+    assert G == intersection_graph_reference(fam)
+    assert G.m > 0
+
+
+def test_sweep_with_horizontals_on_strip_cuts(rng):
+    # Every box bottom is in 0..9 and there are horizontals at each of those
+    # y, so every strip cut has horizontals lying on it; the verticals end on
+    # them or cross them.
+    chains = [[(x, y), (x + 1 + rng.randrange(6), y)]
+              for y in range(10) for x in range(0, 30, 8)]
+    chains += [[(x, y), (x, y + rng.randrange(1, 4))]
+               for x, y in ((rng.randrange(36), rng.randrange(10)) for _ in range(60))]
+    fam = _family(*chains)
+    G = intersection_graph(fam)
+    assert G == intersection_graph_reference(fam)
+    assert G.m > 0
+
+
+def test_sweep_with_fewer_than_four_segments():
+    # With B < 4 boxes there is one strip.
+    for chains, edges in (
+            ([[(0, 0), (2, 2)]], []),
+            ([[(0, 0), (2, 2)], [(0, 2), (2, 0)]], [(0, 1)]),
+            ([[(0, 0), (2, 2), (2, 0), (0, 2)]], []),
+            ([[(0, 0), (2, 2)], [(2, 2), (4, 0)], [(3, 0), (5, 2)]], [(0, 1), (1, 2)]),
+            ([[(0, 0), (1, 0)], [(1, 0), (1, 1), (2, 1)]], [(0, 1)])):
         fam = _family(*chains)
-        assert intersection_graph(fam) == _brute_intersection_graph(fam)
+        G = intersection_graph(fam)
+        assert G == intersection_graph_reference(fam)
+        assert G.edges() == edges
+
+
+def test_sweep_on_rational_family_with_many_strips():
+    # Scaling by 1/3 keeps every contact, so the graph is the integer
+    # family's; the 1200 boxes make 34 strips on the rational kernel.
+    fam = generate(GeneratorSpec(kind="random_polylines", count=400, seed=11))
+    third = StringFamily(tuple(
+        Polyline(s.id, tuple(_pt(Fraction(p.x, 3), Fraction(p.y, 3)) for p in s.points))
+        for s in fam.strings))
+    assert any(isinstance(p.x, Fraction) for s in third.strings for p in s.points)
+    G = intersection_graph(third)
+    assert G == intersection_graph_reference(fam)
+    assert G.m > 1000
