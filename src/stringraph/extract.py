@@ -435,8 +435,8 @@ def dense_core(G: Graph, epsilon: float,
     mask = G.full_mask
     while True:
         nm = mask.bit_count()
-        d_i = Fraction(2 * edges_in_mask(G, mask), nm)
-        if nm == 1 or d_i >= Fraction(nm) / C:
+        d_prime = Fraction(2 * edges_in_mask(G, mask), nm)
+        if nm == 1 or d_prime >= Fraction(nm) / C:
             break
         s_mask, v1, v2 = _split_by_separator(G, mask, params)
         side1 = v1 | s_mask
@@ -453,15 +453,14 @@ def dense_core(G: Graph, epsilon: float,
         if not chosen or chosen == mask:
             raise RefinementFailed("separator produced no strictly smaller side")
         mask = chosen
-    size = mask.bit_count()
-    d_prime = Fraction(2 * edges_in_mask(G, mask), size)
+    # The loop stops only at |V'| <= max(1, C*d'), which validate_witness
+    # re-checks; only the density can fail.
     eps = Fraction(epsilon)
     if d_prime < (1 - eps) * d_full:
         raise RefinementFailed(
             f"core density {float(d_prime):.4f} fell below (1-eps)*d = "
-            f"{float((1 - eps) * d_full):.4f}; retry with strategy=exact or larger C")
-    if Fraction(size) > max(Fraction(1), C * d_prime):
-        raise RefinementFailed(f"core size {size} exceeds C*d'")
+            f"{float((1 - eps) * d_full):.4f}; a larger c1, hence a larger C, "
+            "stops the refinement on a larger core")
     witness = ExtractionWitness(
         "dense_core", tuple(bits(mask)),
         {"epsilon": epsilon, "C": float(C), "d": d_full, "d_prime": d_prime})

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional, Sequence
 
 from .errors import TooLarge
@@ -53,13 +53,16 @@ def validate_partition(G: Graph, part: SeparatorPartition) -> None:
             raise ValueError(f"edge joins V1 and V2 at vertex {v}")
 
 
-def _pack_two_bins(sizes: Sequence[int], cap: int) -> Optional[list[int]]:
-    """Partition chunk sizes into two bins of load <= cap.
+def _pack_two_bins(chunks: Sequence[int], cap: int) -> Optional[int]:
+    """V1 as a union of chunks, disjoint vertex masks, such that V1 and the
+    other chunks each hold at most cap vertices; None when no union does.
 
-    Subset sums via one bitmask; the chosen first-bin load is the feasible sum
-    closest to half the total, ties to the smaller sum. Returns chunk indices
-    for bin one, or None.
+    Subset sums via one bitmask; V1's size is the feasible sum closest to half
+    the total, ties to the smaller sum.
     """
+    sizes = [c.bit_count() for c in chunks]
+    if any(sz > cap for sz in sizes):
+        return None
     total = sum(sizes)
     reach = 1
     prefix = []
@@ -67,65 +70,38 @@ def _pack_two_bins(sizes: Sequence[int], cap: int) -> Optional[list[int]]:
         prefix.append(reach)
         reach |= reach << c
     best: Optional[int] = None
-    for s1 in range(0, min(cap, total) + 1):
-        if total - s1 > cap:
-            continue
-        if not (reach >> s1 & 1):
-            continue
-        if best is None or abs(2 * s1 - total) < abs(2 * best - total):
+    for s1 in range(max(0, total - cap), min(cap, total) + 1):
+        if reach >> s1 & 1 and (best is None or abs(2 * s1 - total) < abs(2 * best - total)):
             best = s1
     if best is None:
         return None
-    chosen = []
+    v1 = 0
     target = best
     for i in range(len(sizes) - 1, -1, -1):
-        if prefix[i] >> target & 1:
-            continue
-        chosen.append(i)
-        target -= sizes[i]
-    chosen.reverse()
-    return chosen
+        if not prefix[i] >> target & 1:
+            v1 |= chunks[i]
+            target -= sizes[i]
+    return v1
 
 
-def _split(mask: int, s_mask: int, chunks: Sequence[int]
-           ) -> Optional[SeparatorPartition]:
-    """S plus the chunks of mask - S packed into two sides closest to half,
-    or None when no packing keeps both sides within the balance cap."""
-    cap = balance_cap(mask.bit_count())
-    sizes = [c.bit_count() for c in chunks]
-    if any(sz > cap for sz in sizes):
-        return None
-    chosen = _pack_two_bins(sizes, cap)
-    if chosen is None:
-        return None
-    v1 = 0
-    for i in chosen:
-        v1 |= chunks[i]
-    v2 = mask & ~s_mask & ~v1
-    return SeparatorPartition(S=tuple(bits(s_mask)), V1=tuple(bits(v1)), V2=tuple(bits(v2)))
-
-
-def _partition_from_separator(G: Graph, mask: int, s_mask: int
-                              ) -> Optional[SeparatorPartition]:
-    """Distribute the components of G[mask] - S into balanced sides, if possible."""
-    return _split(mask, s_mask, components_masked(G, mask & ~s_mask))
-
-
-def _whole(mask: int) -> SeparatorPartition:
-    """The trivial partition that puts every vertex into S."""
-    return SeparatorPartition(S=tuple(bits(mask)), V1=(), V2=())
+def _partition(mask: int, s_mask: int, v1: int) -> SeparatorPartition:
+    """S, V1 and the rest of mask as V2."""
+    return SeparatorPartition(S=tuple(bits(s_mask)), V1=tuple(bits(v1)),
+                              V2=tuple(bits(mask & ~s_mask & ~v1)))
 
 
 def _exact(G: Graph, mask: int) -> SeparatorPartition:
     n = mask.bit_count()
     if n > _EXACT_LIMIT:
         raise TooLarge(f"exact separator strategy capped at n <= {_EXACT_LIMIT}, got {n}")
-    for k in range(n + 1):
+    cap = balance_cap(n)
+    for k in range(n):
         for subset in combinations(tuple(bits(mask)), k):
-            part = _partition_from_separator(G, mask, mask_of(subset))
-            if part is not None:
-                return part
-    return _whole(mask)
+            s_mask = mask_of(subset)
+            v1 = _pack_two_bins(components_masked(G, mask & ~s_mask), cap)
+            if v1 is not None:
+                return _partition(mask, s_mask, v1)
+    return _partition(mask, mask, 0)
 
 
 def _bfs_layers(G: Graph, root: int, comp: int) -> list[int]:
@@ -151,46 +127,67 @@ def _pseudo_peripheral(G: Graph, comp: int) -> int:
 
 
 def _bfs_layer(G: Graph, mask: int) -> SeparatorPartition:
+    cap = balance_cap(mask.bit_count())
     comps = components_masked(G, mask)
     comp = max(comps, key=int.bit_count, default=0)
-    if comp.bit_count() <= balance_cap(mask.bit_count()):
-        part = _split(mask, 0, comps)
-        return part if part is not None else _whole(mask)
+    if comp.bit_count() <= cap:
+        # Pieces of at most ceil(2n/3) vertices always pack: the largest alone
+        # when it holds n/3 or more, else pieces until the side holds n/3.
+        return _partition(mask, 0, _pack_two_bins(comps, cap))
     others = [c for c in comps if c != comp]
-    best: Optional[SeparatorPartition] = None
+    s_mask, v1 = mask, 0
     below = 0
     for layer in _bfs_layers(G, _pseudo_peripheral(G, comp), comp):
         above = comp & ~below & ~layer
-        chunks = [c for c in (below, above) if c] + others
+        if layer.bit_count() < s_mask.bit_count():
+            side = _pack_two_bins([c for c in (below, above) if c] + others, cap)
+            if side is not None:
+                s_mask, v1 = layer, side
         below |= layer
-        if best is not None and layer.bit_count() >= len(best.S):
-            continue
-        best = _split(mask, layer, chunks) or best
-    if best is None and others:
-        best = _split(mask, comp, others)
-    return best if best is not None else _whole(mask)
+    if s_mask == mask and others:
+        # No layer splits comp: all of comp goes into S.
+        side = _pack_two_bins(others, cap)
+        if side is not None:
+            s_mask, v1 = comp, side
+    return _partition(mask, s_mask, v1)
 
 
-def _degree_peel(G: Graph, mask: int) -> SeparatorPartition:
+def _degree_peel(G: Graph, mask: int, best: Optional[SeparatorPartition] = None
+                 ) -> SeparatorPartition:
     """S is the shortest prefix of peel_order(G, mask), the vertex with the
     most neighbours in the rest first, whose rest packs into balanced sides.
 
     Packing is monotone in the prefix: peeling one more vertex only splits and
     shrinks the pieces of the rest, and each new piece can stay in the side of
-    the piece it came from. So the shortest prefix is found by bisection, with O(log n)
-    component computations; the prefix of every vertex always packs.
+    the piece it came from. So the shortest prefix is found by bisection, with
+    O(log n) component computations; the prefix of every vertex always packs.
+
+    Given best, only prefixes shorter than best.S are tried, and only that
+    many vertices are taken from the order. The longest of them is tested
+    first; when it does not pack, no shorter one does, and best is returned.
     """
-    order = list(peel_order(G, mask))
+    cap = balance_cap(mask.bit_count())
+    if best is None:
+        order = list(peel_order(G, mask))
+        s_mask, v1 = mask, 0
+    elif not best.S:
+        return best
+    else:
+        order = list(islice(peel_order(G, mask), len(best.S) - 1))
+        s_mask = mask_of(order)
+        v1 = _pack_two_bins(components_masked(G, mask & ~s_mask), cap)
+        if v1 is None:
+            return best
     lo, hi = 0, len(order)
-    best = _whole(mask)
     while lo < hi:
         mid = (lo + hi) // 2
-        part = _partition_from_separator(G, mask, mask_of(order[:mid]))
-        if part is None:
+        prefix = mask_of(order[:mid])
+        side = _pack_two_bins(components_masked(G, mask & ~prefix), cap)
+        if side is None:
             lo = mid + 1
         else:
-            hi, best = mid, part
-    return best
+            hi, s_mask, v1 = mid, prefix, side
+    return _partition(mask, s_mask, v1)
 
 
 def find_balanced_separator(G: Graph, strategy: str = "auto",
@@ -198,7 +195,10 @@ def find_balanced_separator(G: Graph, strategy: str = "auto",
     """Balanced separator of G[mask]; mask None means every vertex of G.
 
     The balance cap and the exact size limit count the vertices of mask, and
-    S, V1 and V2 are in G's vertex indices.
+    S, V1 and V2 are in G's vertex indices. `auto` is `exact` up to 14
+    vertices; above, it is the `degree_peel` search seeded with the
+    `bfs_layer` answer, so it returns the smaller of the two separators, ties
+    to `bfs_layer`.
     """
     mask = vertex_mask(G, mask)
     if strategy not in STRATEGIES:
@@ -209,9 +209,7 @@ def find_balanced_separator(G: Graph, strategy: str = "auto",
         return _bfs_layer(G, mask)
     if strategy == "degree_peel":
         return _degree_peel(G, mask)
-    a = _bfs_layer(G, mask)
-    b = _degree_peel(G, mask)
-    return a if len(a.S) <= len(b.S) else b
+    return _degree_peel(G, mask, _bfs_layer(G, mask))
 
 
 def separator_size_survey(spec, sizes: Sequence[int], trials: int = 20,

@@ -15,6 +15,7 @@ from stringraph.geometry import (Coord, Point, _overlap, _within_bbox, dist_sq,
                                  exact_coord, interpolate, orientation_sign,
                                  polylines_intersect)
 from stringraph.graph import Graph, bits
+from stringraph.separator import SeparatorPartition, find_balanced_separator
 
 
 def point_segment_dist_sq(p: Point, a: Point, b: Point) -> Coord:
@@ -88,6 +89,17 @@ def convex_interleaving_graph(n: int) -> Graph:
             if a < c < b < d or c < a < d < b:
                 edges.append((i, j))
     return Graph.from_edges(len(chords), edges)
+
+
+def auto_separator_reference(G: Graph, mask: int) -> SeparatorPartition:
+    """The `auto` separator as two full searches: `exact` up to 14 vertices,
+    and above that both `bfs_layer` and `degree_peel`, keeping the smaller
+    S, ties to `bfs_layer`. The reference for the seeded `auto` search."""
+    if mask.bit_count() <= 14:
+        return find_balanced_separator(G, "exact", mask)
+    a = find_balanced_separator(G, "bfs_layer", mask)
+    b = find_balanced_separator(G, "degree_peel", mask)
+    return a if len(a.S) <= len(b.S) else b
 
 
 def crossing_graph_reference(drawing) -> Graph:

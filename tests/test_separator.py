@@ -10,9 +10,11 @@ from stringraph import (Graph, SeparatorPartition, TooLarge, balance_cap,
                         separator_size_survey, validate_partition)
 from stringraph import separator as separator_module
 from stringraph.generators import GeneratorSpec
-from stringraph.graph import components_masked, mask_of, most_adjacent
-from stringraph.separator import _degree_peel, _partition_from_separator
+from stringraph.graph import (bits, components_masked, mask_of, most_adjacent,
+                              peel_order)
+from stringraph.separator import _degree_peel, _pack_two_bins
 from tests.conftest import FAMILIES, er_graph, er_masked, family_graph
+from tests.reference import auto_separator_reference, convex_interleaving_graph
 
 
 def _min_separator_size(G: Graph) -> int:
@@ -141,11 +143,13 @@ def test_loglog_slope_fit():
 def _degree_peel_reference(G, mask):
     """The linear loop _degree_peel replaces: move the vertex with the most
     neighbours in the rest into S until the rest packs into balanced sides."""
+    cap = balance_cap(mask.bit_count())
     s_mask = 0
-    while (part := _partition_from_separator(G, mask, s_mask)) is None:
+    while (v1 := _pack_two_bins(components_masked(G, mask & ~s_mask), cap)) is None:
         rest = mask & ~s_mask
         s_mask |= 1 << most_adjacent(G, rest, rest)
-    return part
+    return SeparatorPartition(S=tuple(bits(s_mask)), V1=tuple(bits(v1)),
+                              V2=tuple(bits(mask & ~s_mask & ~v1)))
 
 
 def test_degree_peel_bisection_matches_the_linear_loop(rng):
@@ -157,10 +161,8 @@ def test_degree_peel_bisection_matches_the_linear_loop(rng):
         assert _degree_peel(G, mask) == _degree_peel_reference(G, mask)
 
 
-def test_degree_peel_computes_components_logarithmically_often(monkeypatch):
-    # The linear loop computes the components once per vertex moved into S;
-    # bisecting the peel order needs about log2(n + 1) of them.
-    G = family_graph("random_segments", 1600, 3)
+def _count_components(monkeypatch) -> list[int]:
+    """Record the mask of every components_masked call the separator makes."""
     calls = []
 
     def counted(graph, mask):
@@ -168,6 +170,60 @@ def test_degree_peel_computes_components_logarithmically_often(monkeypatch):
         return components_masked(graph, mask)
 
     monkeypatch.setattr(separator_module, "components_masked", counted)
+    return calls
+
+
+def test_degree_peel_computes_components_logarithmically_often(monkeypatch):
+    # The linear loop computes the components once per vertex moved into S;
+    # bisecting the peel order needs about log2(n + 1) of them.
+    G = family_graph("random_segments", 1600, 3)
+    calls = _count_components(monkeypatch)
     part = _degree_peel(G, G.full_mask)
     bound = math.ceil(math.log2(G.n + 1)) + 1
     assert 1 <= len(calls) <= bound < part.size
+
+
+def test_auto_equals_the_smaller_of_both_heuristics(rng):
+    # auto seeds the degree_peel search with the bfs_layer answer; it must
+    # return what running both in full and keeping the smaller S returns.
+    instances = list(er_masked(rng))
+    for kind in FAMILIES:
+        for n in (60, 150, 300):
+            G = family_graph(kind, n, 8)
+            instances += [(G, G.full_mask), (G, rng.getrandbits(G.n))]
+    for n in range(5, 15):
+        G = convex_interleaving_graph(n)
+        instances.append((G, G.full_mask))
+    for G, mask in instances:
+        assert (find_balanced_separator(G, "auto", mask)
+                == auto_separator_reference(G, mask))
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_auto_computes_components_at_most_twice_on_string_graphs(kind, monkeypatch):
+    # bfs_layer computes the components once; the one prefix of the peel
+    # order shorter than its S does not pack, which ends the search.
+    G = family_graph(kind, 1600, 3)
+    peeled = []
+
+    def counted_order(graph, mask):
+        for v in peel_order(graph, mask):
+            peeled.append(v)
+            yield v
+
+    monkeypatch.setattr(separator_module, "peel_order", counted_order)
+    calls = _count_components(monkeypatch)
+    part = find_balanced_separator(G, "auto")
+    assert 1 <= len(calls) <= 2
+    assert len(peeled) < part.size
+
+
+def test_auto_on_a_matching_computes_components_once(monkeypatch):
+    # The components of a perfect matching pack with S empty, so no prefix
+    # is shorter and the peel order is never started.
+    n = 2000
+    G = Graph.from_edges(n, [(i, i + n // 2) for i in range(n // 2)])
+    monkeypatch.setattr(separator_module, "peel_order", None)
+    calls = _count_components(monkeypatch)
+    part = find_balanced_separator(G, "auto")
+    assert part.size == 0 and len(calls) == 1
