@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
-from .errors import (ExtractorViolation, InternalBoundViolation, NoCoverFound,
+from .errors import (DomainError, ExtractorViolation, InternalBoundViolation, NoCoverFound,
                      PreconditionViolated, RefinementFailed, finite_value)
 from .graph import (Coloring, Graph, average_degree, bits, clique_in_mask,
                     components_masked, edges_in_mask, greedy_color, mask_of,
@@ -62,9 +62,14 @@ class AlgorithmParams:
             raise ValueError(f"unknown separator strategy {self.separator_strategy!r}")
 
     def C_refine(self, epsilon: float) -> float:
-        return finite_value(
+        """max((12 c1)^2, 4 c1^2 / epsilon^2), refused with DomainError when it
+        overflows or when a small c1 makes it underflow to 0."""
+        C = finite_value(
             lambda: max((12 * self.c1) ** 2, 4 * self.c1 ** 2 / epsilon ** 2),
             "refinement constant C")
+        if C == 0:
+            raise DomainError("refinement constant C underflows to 0 for these arguments")
+        return C
 
 
 def _finite(value: Optional[float]) -> bool:

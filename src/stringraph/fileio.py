@@ -54,8 +54,13 @@ MAX_DIGITS = 4300
 
 def _check_digits(text: str) -> None:
     """Refuse a number literal whose exact value may need more than MAX_DIGITS
-    digits, before anything of that size is computed."""
-    mantissa, _, exponent = text.strip().lower().partition("e")
+    digits, before anything of that size is computed. A literal of at most
+    MAX_DIGITS characters and no exponent has no more digits than characters,
+    so it passes without a count."""
+    literal = text.strip().lower()
+    if len(literal) <= MAX_DIGITS and "e" not in literal:
+        return
+    mantissa, _, exponent = literal.partition("e")
     try:
         scale = abs(int(exponent or 0))
     except ValueError:  # not a number (left to the caller), or a huge exponent

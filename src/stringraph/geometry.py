@@ -6,10 +6,11 @@ input always build the same graph.
 
 Points with a Fraction coordinate go through a gcd-free kernel: each point
 becomes integers (X, Y, W) with W > 0, and signs and squared distances are
-integer expressions in those numerators, with one Fraction at most per
-distance. A `Fraction` operation reduces by a gcd every time; on the 40-150
-bit denominators of convex drawings and their cut points that gcd is most of
-the cost, and the kernel pays it once per point instead.
+integer expressions in those numerators. A squared distance is an unreduced
+integer pair (numerator, denominator), which callers compare by cross
+multiplication. A `Fraction` operation reduces by a gcd every time; on the
+40-150 bit denominators of convex drawings and their cut points that gcd is
+most of the cost, and the kernel pays it once per point instead.
 """
 from __future__ import annotations
 
@@ -148,16 +149,6 @@ def polylines_intersect(p: Polyline, q: Polyline) -> bool:
                for a, b in p.segments() for c, d in qsegs)
 
 
-def dist_sq(p: Point, q: Point) -> Coord:
-    """Exact squared Euclidean distance between two points."""
-    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
-
-
-def interpolate(a: Point, b: Point, t: Fraction) -> Point:
-    """The point a + t*(b - a), exact for rational t."""
-    return Point(exact_coord(a.x + t * (b.x - a.x)), exact_coord(a.y + t * (b.y - a.y)))
-
-
 def _overlap(p1: Point, p2: Point, q1: Point, q2: Point) -> list[Point]:
     """Contact points of two segments on one supporting line: the ends of
     the intersection of their parameter intervals."""
@@ -181,7 +172,7 @@ def _overlap(p1: Point, p2: Point, q1: Point, q2: Point) -> list[Point]:
 # product h x g, and the sign of its dot product with a third point k is the
 # sign of det[h; g; k] = W_h W_g W_k * ((g - h) x (k - h)): the orientation
 # sign of (h, g, k), since every W is positive. A squared distance is a sum
-# of squared numerators over a square of W's, built as one Fraction.
+# of squared numerators over a positive product of W's, left unreduced.
 
 Homogeneous = tuple[int, int, int]
 
@@ -207,11 +198,12 @@ def side(line: Homogeneous, k: Homogeneous) -> int:
     return (v > 0) - (v < 0)
 
 
-def homogeneous_dist_sq(h: Homogeneous, g: Homogeneous) -> Coord:
-    """dist_sq of the two points, as one Fraction."""
+def homogeneous_dist_sq(h: Homogeneous, g: Homogeneous) -> tuple[int, int]:
+    """Squared distance of the two points, as an unreduced (numerator, denominator)
+    with denominator > 0."""
     dx = h[0] * g[2] - g[0] * h[2]
     dy = h[1] * g[2] - g[1] * h[2]
-    return exact_coord(Fraction(dx * dx + dy * dy, (h[2] * g[2]) ** 2))
+    return dx * dx + dy * dy, (h[2] * g[2]) ** 2
 
 
 class RationalSegment(NamedTuple):
@@ -278,9 +270,9 @@ def rational_contact_points(s: RationalSegment, t: RationalSegment) -> list[Poin
     return out
 
 
-def rational_point_segment_dist_sq(h: Homogeneous, s: RationalSegment) -> Coord:
-    """Exact squared distance from the point h to the closed segment s, as
-    one Fraction.
+def rational_point_segment_dist_sq(h: Homogeneous, s: RationalSegment) -> tuple[int, int]:
+    """Exact squared distance from the point h to the closed segment s, as an
+    unreduced (numerator, denominator) with denominator > 0.
 
     a->b and a->p are numerators over Wa*Wb and Wa*Wp, so the projection
     parameter is t = dot * Wb / (ab2 * Wp), and the distance to the line is
@@ -293,13 +285,13 @@ def rational_point_segment_dist_sq(h: Homogeneous, s: RationalSegment) -> Coord:
     apx, apy = xp * wa - xa * wp, yp * wa - ya * wp
     dot = abx * apx + aby * apy
     if dot <= 0:
-        return exact_coord(Fraction(apx * apx + apy * apy, (wa * wp) ** 2))
+        return apx * apx + apy * apy, (wa * wp) ** 2
     ab2 = abx * abx + aby * aby
     if dot * wb >= ab2 * wp:
         return homogeneous_dist_sq(h, s.hb)
     line = s.line
     cross = line[0] * xp + line[1] * yp + line[2] * wp
-    return exact_coord(Fraction(cross * cross, wp * wp * ab2))
+    return cross * cross, wp * wp * ab2
 
 
 def _float_key(c: Coord) -> float:

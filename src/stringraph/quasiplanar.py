@@ -19,9 +19,8 @@ from typing import Optional
 from .errors import DegenerateDrawing, DomainError, PreconditionViolated, finite_value
 from .extract import DEFAULT_PARAMS, AlgorithmParams, ExtractionWitness, q_independent_set
 from .geometry import (Homogeneous, Point, Polyline, RationalSegment, StringFamily,
-                       dist_sq, homogeneous, homogeneous_dist_sq,
-                       interpolate, intersection_graph, rational_contact_points,
-                       rational_point_segment_dist_sq)
+                       exact_coord, homogeneous, homogeneous_dist_sq, intersection_graph,
+                       rational_contact_points, rational_point_segment_dist_sq, side)
 from .graph import Graph, find_clique
 
 
@@ -89,53 +88,61 @@ def _auto_radius_sq(drawing: Drawing) -> Fraction:
     curve, which is a clearance of the first kind. Nor can a contact lie on
     another vertex's point: that vertex would lie on a curve that does not
     end there, which the first loop refuses before any contact is measured.
+    Two segments that both end at the shared vertex's point and do not lie
+    on one line meet only at that point, so such a pair is not measured.
 
     Distances and contacts go through the gcd-free kernel of `geometry`.
-    truncate_edges asks only when there is an edge, so the endpoint term
-    exists.
+    Each squared clearance is an unreduced integer pair, and the running
+    minimum bn / bd is kept by cross multiplication, so the one Fraction is
+    built at the end. truncate_edges asks only when there is an edge, so
+    the endpoint term exists.
     """
     verts = drawing.vertices
     hverts = [homogeneous(p) for p in verts]
     curves = [[RationalSegment.of(a, b) for a, b in e.curve.segments()] for e in drawing.edges]
-    best = min(Fraction(homogeneous_dist_sq(hverts[e.u], hverts[e.v]), 4)
-               for e in drawing.edges)
-
-    def shrink(val) -> None:
-        nonlocal best
-        f = Fraction(val)
-        if f < best:
-            best = f
-
+    bn, bd = 1, 0  # 1/0 stands for infinity: every n * 0 < 1 * d
+    for e in drawing.edges:
+        n, d = homogeneous_dist_sq(hverts[e.u], hverts[e.v])
+        d *= 4
+        if n * bd < bn * d:
+            bn, bd = n, d
     for w, hw in enumerate(hverts):
         for e, segs in zip(drawing.edges, curves):
             if w == e.u or w == e.v:
                 continue
             for seg in segs:
-                d2 = rational_point_segment_dist_sq(hw, seg)
-                if d2 == 0:
+                n, d = rational_point_segment_dist_sq(hw, seg)
+                if n == 0:
                     raise DegenerateDrawing(
                         f"vertex {w} lies on the curve of edge ({e.u}, {e.v})")
-                shrink(d2)
+                if n * bd < bn * d:
+                    bn, bd = n, d
     incident: list[list[list[RationalSegment]]] = [[] for _ in verts]
     for e, segs in zip(drawing.edges, curves):
         incident[e.u].append(segs)
         incident[e.v].append(segs)
-    for pw, at_w in zip(verts, incident):
+    for pw, hw, at_w in zip(verts, hverts, incident):
         for ci, cj in itertools.combinations(at_w, 2):
             for s in ci:
+                s_ends = hw == s.ha or hw == s.hb
                 for t in cj:
+                    if (s_ends and (hw == t.ha or hw == t.hb)
+                            and (side(s.line, t.ha) or side(s.line, t.hb))):
+                        continue
                     for x in rational_contact_points(s, t):
                         if x != pw:
-                            shrink(dist_sq(pw, x))
-    return best / 4
+                            n, d = homogeneous_dist_sq(hw, homogeneous(x))
+                            if n * bd < bn * d:
+                                bn, bd = n, d
+    return Fraction(bn, 4 * bd)
 
 
-def _first_exit(pts: tuple[Point, ...], hpts: list[Homogeneous], center: Homogeneous,
-                rho_sq: Fraction, edge_index: int) -> tuple[int, Fraction, Point]:
-    """First point along pts leaving the open disk around center.
+def _first_exit(hpts: list[Homogeneous], center: Homogeneous, rho_sq: Fraction,
+                edge_index: int) -> tuple[int, Fraction, Point]:
+    """First point along a curve leaving the open disk around center.
 
-    hpts are pts in `geometry.homogeneous` form. Returns (segment index,
-    parameter, point) with the point's distance d satisfying
+    hpts are the curve's points in `geometry.homogeneous` form. Returns
+    (segment index, parameter, point) with the point's distance d satisfying
     rho <= d < 1.5 * rho, found by dyadic bisection. Squared distance is
     convex along a segment, so a segment with both endpoints inside the disk
     lies wholly inside and can be skipped.
@@ -144,11 +151,14 @@ def _first_exit(pts: tuple[Point, ...], hpts: list[Homogeneous], center: Homogen
     center and v = b - a as integer numerators over one denominator d, so
     rd * 4^e * dist^2 at t = m / 2^e is the integer s(m, e) below, and each
     test of the bisection compares it with rn * d^2 * 4^e, for
-    rho_sq = rn / rd. The point is built once, at the parameter found.
+    rho_sq = rn / rd. The point is built once, at the parameter t = hi / 2^e
+    found, from the same numerators: each coordinate is
+    (xa wb (2^e - hi) + xb wa hi) / (wa wb 2^e), one Fraction and so one gcd,
+    normalized to int when integral as `exact_coord` does.
     """
     xc, yc, wc = center
     rn, rd = rho_sq.numerator, rho_sq.denominator
-    for k in range(len(pts) - 1):
+    for k in range(len(hpts) - 1):
         (xa, ya, wa), (xb, yb, wb) = hpts[k], hpts[k + 1]
         ux, uy = (xa * wc - xc * wa) * wb, (ya * wc - yc * wa) * wb
         vx, vy = (xb * wa - xa * wb) * wc, (yb * wa - ya * wb) * wc
@@ -173,8 +183,9 @@ def _first_exit(pts: tuple[Point, ...], hpts: list[Homogeneous], center: Homogen
                 lo = mid
             if e > 512:
                 raise DegenerateDrawing("truncation cut search did not converge")
-        t = Fraction(hi, 1 << e)
-        return k, t, interpolate(pts[k], pts[k + 1], t)
+        fa, fb, w = wb * ((1 << e) - hi), wa * hi, wa * wb << e
+        return k, Fraction(hi, 1 << e), Point(exact_coord(Fraction(xa * fa + xb * fb, w)),
+                                              exact_coord(Fraction(ya * fa + yb * fb, w)))
     raise DegenerateDrawing(
         f"edge {edge_index} never leaves its endpoint disk, which the automatic "
         "radius rules out")
@@ -200,8 +211,8 @@ def truncate_edges(drawing: Drawing) -> StringFamily:
     for k, e in enumerate(drawing.edges):
         pts = e.curve.points
         hpts = [homogeneous(p) for p in pts]
-        ku, _, pu = _first_exit(pts, hpts, hverts[e.u], rho_sq, k)
-        kr, _, pv = _first_exit(pts[::-1], hpts[::-1], hverts[e.v], rho_sq, k)
+        ku, _, pu = _first_exit(hpts, hverts[e.u], rho_sq, k)
+        kr, _, pv = _first_exit(hpts[::-1], hverts[e.v], rho_sq, k)
         mid = [pu] + list(pts[ku + 1:len(pts) - 1 - kr]) + [pv]
         # A cut at parameter 1 repeats the next bend.
         out = [mid[0]]

@@ -11,11 +11,24 @@ from fractions import Fraction
 
 from stringraph.errors import ParseError, SchemaError
 from stringraph.fileio import MAX_VERTICES
-from stringraph.geometry import (Coord, Point, _overlap, _within_bbox, dist_sq,
-                                 exact_coord, interpolate, orientation_sign,
-                                 polylines_intersect)
+from stringraph.geometry import (Coord, Point, _overlap, _within_bbox, exact_coord,
+                                 orientation_sign, polylines_intersect)
 from stringraph.graph import Graph, bits
 from stringraph.separator import SeparatorPartition, find_balanced_separator
+
+
+def dist_sq(p: Point, q: Point) -> Coord:
+    """Exact squared Euclidean distance between two points.
+
+    The reference for `geometry.homogeneous_dist_sq`."""
+    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+
+
+def interpolate(a: Point, b: Point, t: Fraction) -> Point:
+    """The point a + t*(b - a), exact for rational t.
+
+    The reference for the cut points of `quasiplanar._first_exit`."""
+    return Point(exact_coord(a.x + t * (b.x - a.x)), exact_coord(a.y + t * (b.y - a.y)))
 
 
 def point_segment_dist_sq(p: Point, a: Point, b: Point) -> Coord:

@@ -557,3 +557,16 @@ def test_non_finite_numbers_never_reach_a_report(tmp_path, capsys, args, params,
         assert _strict_json(dest.read_text())["result"] == {
             "outcome": "DomainError",
             "message": f"{message} is not a finite float for these arguments"}
+
+
+def test_refinement_constant_underflowing_to_zero_is_a_domain_error(tmp_path):
+    # (12 c1)^2 and 4 c1^2 / epsilon^2 are both 0.0 in floats.
+    path = _write_graph(tmp_path, Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))
+    params_path = tmp_path / "params.json"
+    params_path.write_text('{"c1": 1e-200}')
+    dest = tmp_path / "out.json"
+    assert main(["extract", "densecore", path, "--epsilon", "0.5",
+                 "--params", str(params_path), "-o", str(dest)]) == 3
+    assert _strict_json(dest.read_text())["result"] == {
+        "outcome": "DomainError",
+        "message": "refinement constant C underflows to 0 for these arguments"}

@@ -420,6 +420,9 @@ def test_floors_and_refinement_constant_refuse_overflow():
     # epsilon ** 2 underflows to zero: the quotient is past any float.
     with pytest.raises(DomainError, match="^refinement constant C is not a finite float"):
         AlgorithmParams().C_refine(1e-200)
+    # Both terms underflow to 0.0, and a C of 0 would divide by zero.
+    with pytest.raises(DomainError, match="^refinement constant C underflows to 0"):
+        AlgorithmParams(c1=1e-200).C_refine(0.5)
 
 
 def test_extractors_refuse_an_overflowing_floor_before_recursing():

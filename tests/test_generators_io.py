@@ -507,3 +507,42 @@ def test_oversized_coordinate_literals_refused_fast():
     fam = parse_family(template % "1e400")
     assert fam.strings[0].points[0].x == 10 ** 400
     assert parse_family(family_json(fam)) == fam
+
+
+_FAMILY_WITH = '{"kind": "family", "strings": [{"id": "a", "points": [[%s, 0], [1, 1]]}]}'
+
+
+@pytest.mark.parametrize("literal,message", [
+    ('"%s"' % ("7" * 4301), "number literal '%s' exceeds 4300 digits" % ("7" * 24)),
+    ('"%s/%s"' % ("3" * 2200, "7" * 2200),
+     "number literal '%s' exceeds 4300 digits" % ("3" * 24)),
+    ('"1e5000"', "number literal '1e5000' exceeds 4300 digits"),
+    ('"1E4301"', "number literal '1E4301' exceeds 4300 digits"),
+    ("1e5000", "number literal '1e5000' exceeds 4300 digits"),
+    ("1e-5000", "number literal '1e-5000' exceeds 4300 digits"),
+    ("7" * 4301, "number literal exceeds 4300 digits"),
+], ids=["string-4301-digits", "ratio-2200-over-2200", "string-1e5000", "string-1E4301",
+        "float-1e5000", "float-1e-5000", "int-4301-digits"])
+def test_literals_past_the_digit_cap_are_refused(tmp_path, capsys, literal, message):
+    text = _FAMILY_WITH % literal
+    with pytest.raises(SchemaError) as exc:
+        parse_input(text)
+    assert str(exc.value) == message
+    path, out = tmp_path / "fam.json", tmp_path / "g.txt"
+    path.write_text(text)
+    assert main(["build-graph", str(path), "-o", str(out)]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal,value", [
+    ('"%s"' % ("7" * 4300), int("7" * 4300)),
+    ('" 1e3 "', 1000),
+], ids=["string-4300-digits", "string-1e3-spaced"])
+def test_literals_within_the_digit_cap_are_read(tmp_path, literal, value):
+    text = _FAMILY_WITH % literal
+    assert parse_family(text).strings[0].points[0].x == value
+    path, out = tmp_path / "fam.json", tmp_path / "g.txt"
+    path.write_text(text)
+    assert main(["build-graph", str(path), "-o", str(out)]) == 0
+    assert parse_graph_text(out.read_text()).n == 1

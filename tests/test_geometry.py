@@ -10,13 +10,13 @@ from stringraph import (DuplicateId, GeneratorSpec, Graph, Point, Polyline,
                         StringFamily, generate, intersection_graph,
                         orientation_sign, segments_intersect)
 from stringraph.cli import main
-from stringraph.geometry import (RationalSegment, _float_key, dist_sq, exact_coord,
-                                 homogeneous, homogeneous_dist_sq, interpolate,
+from stringraph.geometry import (RationalSegment, _float_key, exact_coord,
+                                 homogeneous, homogeneous_dist_sq,
                                  line_through, rational_contact_points,
                                  rational_point_segment_dist_sq,
                                  rational_segments_intersect, side)
-from tests.reference import (intersection_graph_reference, point_segment_dist_sq,
-                             segment_intersection_points)
+from tests.reference import (dist_sq, interpolate, intersection_graph_reference,
+                             point_segment_dist_sq, segment_intersection_points)
 
 
 def _pt(x, y):
@@ -97,9 +97,10 @@ def test_rational_point_segment_distance_matches_fraction_arithmetic(rng):
         if a == b:
             continue
         want = point_segment_dist_sq(p, a, b)
-        got = rational_point_segment_dist_sq(homogeneous(p), RationalSegment.of(a, b))
-        assert got == want and type(got) is type(want)
-        assert homogeneous_dist_sq(homogeneous(p), homogeneous(a)) == dist_sq(p, a)
+        n, d = rational_point_segment_dist_sq(homogeneous(p), RationalSegment.of(a, b))
+        assert d > 0 and Fraction(n, d) == want
+        n, d = homogeneous_dist_sq(homogeneous(p), homogeneous(a))
+        assert d > 0 and Fraction(n, d) == dist_sq(p, a)
 
 
 def test_rational_segment_tests_match_fraction_reference(rng):

@@ -14,11 +14,12 @@ from stringraph import (DegenerateDrawing, DomainError, DrawnEdge, Drawing,
                         q_independent_set, sparse_subgraph, truncate_edges)
 from stringraph.cli import main
 from stringraph.generators import GeneratorSpec, generate
-from stringraph.geometry import dist_sq, homogeneous, interpolate
+from stringraph.geometry import homogeneous
 from stringraph.graph import clique_in_mask, mask_of
 from stringraph.quasiplanar import _auto_radius_sq, _first_exit
 from tests.reference import (convex_interleaving_graph, crossing_graph_reference,
-                             point_segment_dist_sq, segment_intersection_points)
+                             dist_sq, interpolate, point_segment_dist_sq,
+                             segment_intersection_points)
 
 
 def _draw(coords, pairs, curves=None):
@@ -245,6 +246,17 @@ def _bent_grid_drawing(rng):
     return _draw(coords, pairs, curves)
 
 
+def _folded_back_drawing():
+    """Edge 0 runs out along edge 1 and folds back through its own vertex, so
+    two segments that both end at vertex 0 overlap on one line, with a
+    contact at (1, 0) that sets the radius: rho^2 = 1/4, and the two edges
+    cross. Skipping every segment pair that ends at the shared vertex would
+    give 25/16 and lose the crossing."""
+    return _draw([(0, 0), (0, 5), (4, -5)], [(0, 1), (0, 2)],
+                 [[Point(0, 0), Point(1, 0), Point(0, 0), Point(0, 5)],
+                  [Point(0, 0), Point(4, 0), Point(4, -5)]])
+
+
 def _radius_or_message(radius_sq, drawing):
     try:
         return radius_sq(drawing)
@@ -256,6 +268,7 @@ def test_auto_radius_matches_every_term():
     rng = random.Random(20211203)
     drawings = [generate(GeneratorSpec("convex_chords", n, seed=n)) for n in range(4, 13)]
     drawings += [_bent_grid_drawing(rng) for _ in range(320)]
+    drawings.append(_folded_back_drawing())
     outcomes = set()
     for D in drawings:
         if not D.m:
@@ -270,6 +283,7 @@ def test_crossing_graph_matches_uncut_reference():
     rng = random.Random(20211203)
     drawings = [generate(GeneratorSpec("convex_chords", n, seed=1)) for n in range(4, 13)]
     drawings += [_bent_grid_drawing(rng) for _ in range(320)]
+    drawings.append(_folded_back_drawing())
     checked = 0
     for D in drawings:
         try:
@@ -278,7 +292,7 @@ def test_crossing_graph_matches_uncut_reference():
             continue
         assert got == crossing_graph_reference(D)
         checked += 1
-    assert checked == 182
+    assert checked == 183
 
 
 def test_radius_of_many_vertices_and_one_edge_is_fast(tmp_path):
@@ -359,9 +373,14 @@ def test_first_exit_matches_fraction_bisection(family):
                 pts = e.curve.points
                 for path, center in ((pts, D.vertices[e.u]), (pts[::-1], D.vertices[e.v])):
                     hpts = [homogeneous(p) for p in path]
-                    got = _exit_or_message(_first_exit, path, hpts, homogeneous(center),
-                                           rho_sq, k)
-                    assert got == _exit_or_message(_first_exit_by_fractions, path, center,
-                                                   rho_sq, k)
+                    got = _exit_or_message(_first_exit, hpts, homogeneous(center), rho_sq, k)
+                    want = _exit_or_message(_first_exit_by_fractions, path, center,
+                                            rho_sq, k)
+                    assert got == want
+                    if isinstance(got, tuple):
+                        # Fraction(2, 1) == 2, so the values alone would not
+                        # show an integral coordinate left as a Fraction.
+                        assert type(got[2].x) is type(want[2].x)
+                        assert type(got[2].y) is type(want[2].y)
                     outcomes.add(type(got))
     assert outcomes == {tuple, str}
