@@ -23,8 +23,7 @@ from .extract import (DEFAULT_PARAMS, AlgorithmParams, ExtractionWitness,
                       validate_witness)
 from .generators import KINDS, GeneratorSpec, generate
 from .geometry import (Point, Polyline, StringFamily, intersection_graph,
-                       orientation_sign, polylines_intersect,
-                       segments_intersect)
+                       polylines_intersect, segments_intersect)
 from .graph import (Coloring, Graph, find_clique, greedy_color,
                     induced_subgraph, is_independent, validate_coloring)
 from .oracles import (max_balanced_biclique_exact, max_clique_exact,
@@ -58,7 +57,6 @@ __all__ = [
     "max_balanced_biclique_exact", "max_clique_exact",
     "max_independent_set_exact", "max_kp_free_subset_exact",
     "min_balanced_separator_exact", "multipartite_cover",
-    "orientation_sign",
     "pairwise_crossing_exact", "polylines_intersect", "q_independent_set",
     "fit_loglog_slope", "segments_intersect", "separator_size_survey", "sparse_subgraph",
     "truncate_edges", "validate_coloring", "validate_multipartite_cover",

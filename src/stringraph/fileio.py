@@ -3,7 +3,9 @@
 Coordinates in files stay exact: integers are plain JSON numbers, other
 rationals are "p/q" strings, and decimal literals parse to the exact rational
 they denote. With inexact=True decimal literals are read as IEEE doubles
-instead (then converted to the exact rational of the double). Emission is
+instead (then converted to the exact rational of the double). A point is
+checked once, as it is read: two ints become a Point as they stand, and any
+other point goes through _coord_in, whose errors name the point. Emission is
 canonical (sorted keys, fixed indentation), so parse-emit round trips are
 byte-stable and reports are reproducible. report_json is the one place a run
 report becomes JSON: keys become strings sorted as strings, tuples arrays,
@@ -31,6 +33,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from operator import ne
 from typing import Optional, Union
 
 from .errors import ParseError, SchemaError
@@ -91,20 +94,16 @@ def _loads(text: str, inexact: bool = False):
 
 
 def _coord_in(value, where: str) -> Coord:
-    if isinstance(value, bool):
-        raise SchemaError(f"{where}: coordinate cannot be a boolean")
-    if isinstance(value, (int, float, Fraction)):
-        try:
-            return exact_coord(value)
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
+    """exact_coord of a file's coordinate; a refusal names where."""
     if isinstance(value, str):
         _check_digits(value)
-        try:
-            return exact_coord(value)
-        except ValueError as exc:
-            raise SchemaError(f"{where}: bad coordinate {value!r}") from exc
-    raise SchemaError(f"{where}: unsupported coordinate type {type(value).__name__}")
+    try:
+        return exact_coord(value)
+    except TypeError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+    except ValueError as exc:
+        detail = f"bad coordinate {value!r}" if isinstance(value, str) else exc
+        raise SchemaError(f"{where}: {detail}") from exc
 
 
 def _coord_out(c: Coord) -> Union[int, str]:
@@ -119,23 +118,34 @@ def _point_in(value, where: str) -> Point:
     return Point(_coord_in(value[0], where), _coord_in(value[1], where))
 
 
-def _points_in(value, where: str) -> tuple[Point, ...]:
+def _points_in(values: list, where: str) -> tuple[Point, ...]:
+    """The points of values, each checked once; errors name where[i]."""
+    return tuple([tuple.__new__(Point, p) if type(p) is list and len(p) == 2
+                   and type(p[0]) is int and type(p[1]) is int
+                   else _point_in(p, f"{where}[{i}]") for i, p in enumerate(values)])
+
+
+def _curve_in(value, where: str, curve_id: str) -> Polyline:
     if not isinstance(value, list) or len(value) < 2:
         raise SchemaError(f"{where}: need an array of at least 2 points")
-    return tuple(_point_in(p, f"{where}[{i}]") for i, p in enumerate(value))
+    pts = _points_in(value, where)
+    if all(map(ne, pts, pts[1:])):
+        return Polyline.of_exact(curve_id, pts)
+    try:  # the checked constructor raises for the point that repeats
+        return Polyline(curve_id, pts)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _check_segments(curves: list, kind: str) -> None:
-    """Refuse curves of more than MAX_SEGMENTS segments in all, counted from
-    the point arrays before any point is read."""
+def _check_caps(curves: list, kind: str, noun: str) -> None:
+    """Refuse more than MAX_VERTICES curves, then more than MAX_SEGMENTS
+    segments, counted from the point arrays before any point is read."""
+    if len(curves) > MAX_VERTICES:
+        raise SchemaError(f"{kind} has {len(curves)} {noun}, above the {MAX_VERTICES} cap")
     segments = sum(len(c["points"]) - 1 for c in curves
                    if isinstance(c, dict) and isinstance(c.get("points"), list))
     if segments > MAX_SEGMENTS:
         raise SchemaError(f"{kind} has {segments} segments, above the {MAX_SEGMENTS} cap")
-
-
-def _point_out(p: Point) -> list:
-    return [_coord_out(p.x), _coord_out(p.y)]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +153,7 @@ def _point_out(p: Point) -> list:
 
 def family_to_obj(family: StringFamily) -> dict:
     return {"kind": "family",
-            "strings": [{"id": s.id, "points": [_point_out(p) for p in s.points]}
+            "strings": [{"id": s.id, "points": [list(map(_coord_out, p)) for p in s.points]}
                         for s in family.strings]}
 
 
@@ -151,10 +161,7 @@ def family_from_obj(obj) -> StringFamily:
     if not isinstance(obj, dict) or not isinstance(obj.get("strings"), list):
         raise SchemaError("family file needs a top-level 'strings' array",
                           field="strings")
-    if len(obj["strings"]) > MAX_VERTICES:
-        raise SchemaError(f"family has {len(obj['strings'])} strings, "
-                          f"above the {MAX_VERTICES} cap")
-    _check_segments(obj["strings"], "family")
+    _check_caps(obj["strings"], "family", "strings")
     strings = []
     for i, raw in enumerate(obj["strings"]):
         where = f"strings[{i}]"
@@ -163,10 +170,7 @@ def family_from_obj(obj) -> StringFamily:
         sid = raw.get("id")
         if not isinstance(sid, str) or not sid:
             raise SchemaError(f"{where}: missing string id", field="id")
-        try:
-            strings.append(Polyline(sid, _points_in(raw.get("points"), where)))
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
+        strings.append(_curve_in(raw.get("points"), where, sid))
     return StringFamily(tuple(strings))
 
 
@@ -175,9 +179,9 @@ def family_from_obj(obj) -> StringFamily:
 
 def drawing_to_obj(drawing: Drawing) -> dict:
     return {"kind": "drawing",
-            "vertices": [_point_out(p) for p in drawing.vertices],
+            "vertices": [list(map(_coord_out, p)) for p in drawing.vertices],
             "edges": [{"u": e.u, "v": e.v,
-                       "points": [_point_out(p) for p in e.curve.points]}
+                       "points": [list(map(_coord_out, p)) for p in e.curve.points]}
                       for e in drawing.edges]}
 
 
@@ -188,12 +192,8 @@ def drawing_from_obj(obj) -> Drawing:
         raise SchemaError("drawing file needs a 'vertices' array", field="vertices")
     if not isinstance(obj.get("edges"), list):
         raise SchemaError("drawing file needs an 'edges' array", field="edges")
-    # The crossing graph has one vertex per edge.
-    if len(obj["edges"]) > MAX_VERTICES:
-        raise SchemaError(f"drawing has {len(obj['edges'])} edges, "
-                          f"above the {MAX_VERTICES} cap")
-    _check_segments(obj["edges"], "drawing")
-    verts = tuple(_point_in(p, f"vertices[{i}]") for i, p in enumerate(obj["vertices"]))
+    _check_caps(obj["edges"], "drawing", "edges")
+    verts = _points_in(obj["vertices"], "vertices")
     edges = []
     for k, raw in enumerate(obj["edges"]):
         where = f"edges[{k}]"
@@ -202,11 +202,7 @@ def drawing_from_obj(obj) -> Drawing:
         u, v = raw.get("u"), raw.get("v")
         if not isinstance(u, int) or not isinstance(v, int) or isinstance(u, bool) or isinstance(v, bool):
             raise SchemaError(f"{where}: u and v must be integers")
-        try:
-            curve = Polyline(f"e{k}", _points_in(raw.get("points"), where))
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
-        edges.append(DrawnEdge(u, v, curve))
+        edges.append(DrawnEdge(u, v, _curve_in(raw.get("points"), where, f"e{k}")))
     try:
         return Drawing(verts, tuple(edges))
     except ValueError as exc:

@@ -104,7 +104,7 @@ def _random_segments(spec: GeneratorSpec) -> StringFamily:
             if (dx, dy) == (0, 0):
                 continue
             if xmin <= x + dx <= xmax and ymin <= y + dy <= ymax:
-                strings.append(Polyline(f"s{i}", (Point(x, y), Point(x + dx, y + dy))))
+                strings.append(Polyline.of_exact(f"s{i}", (Point(x, y), Point(x + dx, y + dy))))
                 break
         else:
             raise BadSpec("region too small to place the requested segments")
@@ -131,7 +131,7 @@ def _random_polylines(spec: GeneratorSpec) -> StringFamily:
                 nx = nx + 1 if nx < xmax else nx - 1
             x, y = nx, ny
             pts.append(Point(x, y))
-        strings.append(Polyline(f"s{i}", tuple(pts)))
+        strings.append(Polyline.of_exact(f"s{i}", tuple(pts)))
     return StringFamily(tuple(strings))
 
 
@@ -158,12 +158,11 @@ def _convex_chords(spec: GeneratorSpec) -> Drawing:
     verts = []
     for t in ts:
         denom = 1 + t * t
-        px = exact_coord(cx + radius * (1 - t * t) / denom)
-        py = exact_coord(cy + radius * 2 * t / denom)
-        verts.append(Point(px, py))
+        verts.append(Point(exact_coord(cx + radius * (1 - t * t) / denom),
+                           exact_coord(cy + radius * 2 * t / denom)))
     edges = []
     for u, v in combinations(range(n), 2):
-        edges.append(DrawnEdge(u, v, Polyline(f"e{len(edges)}", (verts[u], verts[v]))))
+        edges.append(DrawnEdge(u, v, Polyline.of_exact(f"e{len(edges)}", (verts[u], verts[v]))))
     return Drawing(tuple(verts), tuple(edges))
 
 
@@ -181,7 +180,7 @@ def _grid_paths(spec: GeneratorSpec) -> StringFamily:
         y = ymin + g * (r + 1)
         pts = (Point(x - arm, y), Point(x + arm, y), Point(x, y),
                Point(x, y - arm), Point(x, y + arm))
-        strings.append(Polyline(f"s{i}", pts))
+        strings.append(Polyline.of_exact(f"s{i}", pts))
     return StringFamily(tuple(strings))
 
 
@@ -193,7 +192,7 @@ def _disjoint_segments(spec: GeneratorSpec) -> StringFamily:
     strings = []
     for i in range(spec.count):
         y = ymin + 1 + i * gap
-        strings.append(Polyline(f"s{i}", (Point(xmin + 1, y), Point(xmax - 1, y))))
+        strings.append(Polyline.of_exact(f"s{i}", (Point(xmin + 1, y), Point(xmax - 1, y))))
     return StringFamily(tuple(strings))
 
 
@@ -212,7 +211,7 @@ def _all_crossing_segments(spec: GeneratorSpec) -> StringFamily:
         dy = int(round(length * math.sin(theta)))
         if (dx, dy) == (0, 0):
             dx = 1
-        strings.append(Polyline(
+        strings.append(Polyline.of_exact(
             f"s{i}", (Point(cx - dx, cy - dy), Point(cx + dx, cy + dy))))
     return StringFamily(tuple(strings))
 

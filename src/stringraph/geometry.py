@@ -1,8 +1,10 @@
 """Planar polyline strings and exact pairwise-intersection tests.
 
-All predicates run on exact arithmetic: coordinates are ints or Fractions,
-orientation signs are computed without rounding, so two runs on the same
-input always build the same graph.
+A point is a `Point`, an (x, y) pair of ints and Fractions. Points are
+checked once, where they enter: `Polyline` and `Drawing` check points built
+in code, while the file readers, generators and truncation check their own
+and build curves with `Polyline.of_exact`. All predicates run on exact
+arithmetic, so two runs on the same input always build the same graph.
 
 Points with a Fraction coordinate go through a gcd-free kernel: each point
 becomes integers (X, Y, W) with W > 0, and signs and squared distances are
@@ -32,10 +34,11 @@ def exact_coord(value) -> Coord:
     """Convert a parsed number (int, float, decimal/ratio string, Fraction) to an exact coordinate.
 
     Integral values are normalized to int, which keeps the hot orientation
-    arithmetic on machine integers.
+    arithmetic on machine integers. A plain ASCII "p/q" or "-p/q" with q not
+    0 is read without Fraction's regular expression.
     """
     if isinstance(value, bool):
-        raise TypeError("coordinate cannot be a bool")
+        raise TypeError("coordinate cannot be a boolean")
     if isinstance(value, int):
         return value
     if isinstance(value, float):
@@ -43,24 +46,33 @@ def exact_coord(value) -> Coord:
             raise ValueError(f"coordinate must be finite, got {value!r}")
         value = Fraction(value)
     elif isinstance(value, str):
-        try:
-            value = Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"{value!r} has a zero denominator") from None
+        num, _, den = value.partition("/")
+        if value.isascii() and den.isdigit() and den.strip("0") and num.removeprefix("-").isdigit():
+            value = Fraction(int(num), int(den))
+        else:
+            try:
+                value = Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"{value!r} has a zero denominator") from None
     elif not isinstance(value, Fraction):
         raise TypeError(f"unsupported coordinate type {type(value).__name__}")
     return int(value) if value.denominator == 1 else value
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
+class Point(NamedTuple):
+    """An exact (x, y) pair, checked where it enters, not here."""
+
     x: Coord
     y: Coord
 
-    def __post_init__(self):
-        for c in (self.x, self.y):
-            if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
-                raise TypeError(f"coordinates must be int or Fraction, got {type(c).__name__}")
+
+def exact_points(points) -> tuple[Point, ...]:
+    """points as Points; TypeError for a coordinate not an int or Fraction."""
+    pts = tuple(map(Point._make, points))
+    for c in chain.from_iterable(pts):
+        if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
+            raise TypeError(f"coordinates must be int or Fraction, got {type(c).__name__}")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -71,13 +83,21 @@ class Polyline:
     points: tuple[Point, ...]
 
     def __post_init__(self):
-        pts = tuple(self.points)
+        pts = exact_points(self.points)
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise ValueError(f"polyline {self.id!r} needs at least 2 points")
         for a, b in zip(pts, pts[1:]):
             if a == b:
                 raise ValueError(f"polyline {self.id!r} has consecutive duplicate point {a}")
+
+    @classmethod
+    def of_exact(cls, id: str, points: tuple[Point, ...]) -> "Polyline":
+        """A Polyline of points checked where they entered (a file reader, a
+        generator, the truncation), which are not checked again."""
+        line = object.__new__(cls)
+        line.__dict__.update(id=id, points=points)  # past the frozen __setattr__
+        return line
 
     def segments(self) -> list[tuple[Point, Point]]:
         return list(zip(self.points, self.points[1:]))
@@ -100,16 +120,6 @@ class StringFamily:
         return len(self.strings)
 
 
-def orientation_sign(o: Point, a: Point, b: Point) -> int:
-    """Sign of the cross product (a-o) x (b-o): +1 ccw, -1 cw, 0 collinear."""
-    cross = (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-    if cross > 0:
-        return 1
-    if cross < 0:
-        return -1
-    return 0
-
-
 def _within_bbox(p: Point, a: Point, b: Point) -> bool:
     # Assumes p collinear with a-b; reduces to a coordinate range check.
     return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
@@ -119,23 +129,25 @@ def _within_bbox(p: Point, a: Point, b: Point) -> bool:
 def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     """True iff the closed segments p1-p2 and q1-q2 share at least one point.
 
-    Endpoint and tangential contact count; collinear overlap counts.
+    Endpoint and tangential contact count; collinear overlap counts. A
+    segment strictly on one side of the other's line returns False before
+    the other two signs are computed.
     """
-    d1 = orientation_sign(q1, q2, p1)
-    d2 = orientation_sign(q1, q2, p2)
-    d3 = orientation_sign(p1, p2, q1)
-    d4 = orientation_sign(p1, p2, q2)
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        return True
-    if d1 == 0 and _within_bbox(p1, q1, q2):
-        return True
-    if d2 == 0 and _within_bbox(p2, q1, q2):
-        return True
-    if d3 == 0 and _within_bbox(q1, p1, p2):
-        return True
-    if d4 == 0 and _within_bbox(q2, p1, p2):
-        return True
-    return False
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = p1, p2, q1, q2
+    ex, ey = dx - cx, dy - cy
+    d1 = ex * (ay - cy) - ey * (ax - cx)
+    d2 = ex * (by - cy) - ey * (bx - cx)
+    if d1 > 0 and d2 > 0 or d1 < 0 and d2 < 0:
+        return False
+    fx, fy = bx - ax, by - ay
+    d3 = fx * (cy - ay) - fy * (cx - ax)
+    d4 = fx * (dy - ay) - fy * (dx - ax)
+    if d3 > 0 and d4 > 0 or d3 < 0 and d4 < 0:
+        return False
+    if d1 and d2 and d3 and d4:
+        return True  # each pair of signs is opposite: a proper crossing
+    return (not d1 and _within_bbox(p1, q1, q2) or not d2 and _within_bbox(p2, q1, q2)
+            or not d3 and _within_bbox(q1, p1, p2) or not d4 and _within_bbox(q2, p1, p2))
 
 
 def polylines_intersect(p: Polyline, q: Polyline) -> bool:
@@ -151,15 +163,11 @@ def polylines_intersect(p: Polyline, q: Polyline) -> bool:
 
 def _overlap(p1: Point, p2: Point, q1: Point, q2: Point) -> list[Point]:
     """Contact points of two segments on one supporting line: the ends of
-    the intersection of their parameter intervals."""
-    def key(pt: Point):
-        return (pt.x, pt.y)
-
-    lo_p, hi_p = (p1, p2) if key(p1) <= key(p2) else (p2, p1)
-    lo_q, hi_q = (q1, q2) if key(q1) <= key(q2) else (q2, q1)
-    start = lo_p if key(lo_p) >= key(lo_q) else lo_q
-    end = hi_p if key(hi_p) <= key(hi_q) else hi_q
-    if key(start) > key(end):
+    the intersection of their parameter intervals, with points ordered as
+    (x, y) pairs."""
+    start = max(min(p1, p2), min(q1, q2))
+    end = min(max(p1, p2), max(q1, q2))
+    if start > end:
         return []
     if start == end:
         return [start]
@@ -193,7 +201,7 @@ def line_through(h: Homogeneous, g: Homogeneous) -> Homogeneous:
 
 
 def side(line: Homogeneous, k: Homogeneous) -> int:
-    """orientation_sign(h, g, k) for line = line_through(h, g)."""
+    """The orientation sign of (h, g, k), for line = line_through(h, g)."""
     v = line[0] * k[0] + line[1] * k[1] + line[2] * k[2]
     return (v > 0) - (v < 0)
 
@@ -341,8 +349,7 @@ def intersection_graph(family: StringFamily) -> Graph:
     """
     strings = family.strings
     points = [p for s in strings for p in s.points]
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
+    xs, ys = zip(*points) if points else ((), ())
     rational = set(map(type, chain(xs, ys))) != {int}
     fx, fy = _float_keys(xs), _float_keys(ys)
     boxes = []

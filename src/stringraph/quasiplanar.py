@@ -19,8 +19,9 @@ from typing import Optional
 from .errors import DegenerateDrawing, DomainError, PreconditionViolated, finite_value
 from .extract import DEFAULT_PARAMS, AlgorithmParams, ExtractionWitness, q_independent_set
 from .geometry import (Homogeneous, Point, Polyline, RationalSegment, StringFamily,
-                       exact_coord, homogeneous, homogeneous_dist_sq, intersection_graph,
-                       rational_contact_points, rational_point_segment_dist_sq, side)
+                       exact_coord, exact_points, homogeneous, homogeneous_dist_sq,
+                       intersection_graph, line_through, rational_contact_points,
+                       rational_point_segment_dist_sq, side)
 from .graph import Graph, find_clique
 
 
@@ -44,7 +45,7 @@ class Drawing:
     edges: tuple[DrawnEdge, ...]
 
     def __post_init__(self) -> None:
-        verts = tuple(self.vertices)
+        verts = exact_points(self.vertices)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(self.edges))
         if len(set(verts)) != len(verts):
@@ -71,7 +72,7 @@ class Drawing:
         return len(self.edges)
 
 
-def _auto_radius_sq(drawing: Drawing) -> Fraction:
+def _auto_radius_sq(drawing: Drawing, hverts: list, hcurves: list) -> Fraction:
     """Exact square of the automatic truncation radius.
 
     The radius is half the smallest clearance, where clearances are: vertex
@@ -91,15 +92,17 @@ def _auto_radius_sq(drawing: Drawing) -> Fraction:
     Two segments that both end at the shared vertex's point and do not lie
     on one line meet only at that point, so such a pair is not measured.
 
-    Distances and contacts go through the gcd-free kernel of `geometry`.
-    Each squared clearance is an unreduced integer pair, and the running
-    minimum bn / bd is kept by cross multiplication, so the one Fraction is
-    built at the end. truncate_edges asks only when there is an edge, so
-    the endpoint term exists.
+    Distances and contacts go through the gcd-free kernel of `geometry`, on
+    the triples truncate_edges derives once (hcurves[k][i] for point i of
+    edge k). Each squared clearance is an unreduced integer pair, and the
+    running minimum bn / bd is kept by cross multiplication, so the one
+    Fraction is built at the end. truncate_edges asks only when there is an
+    edge, so the endpoint term exists.
     """
     verts = drawing.vertices
-    hverts = [homogeneous(p) for p in verts]
-    curves = [[RationalSegment.of(a, b) for a, b in e.curve.segments()] for e in drawing.edges]
+    curves = [[RationalSegment(a, b, ha, hb, line_through(ha, hb))
+               for a, b, ha, hb in zip(pts, pts[1:], hpts, hpts[1:])]
+              for pts, hpts in zip((e.curve.points for e in drawing.edges), hcurves)]
     bn, bd = 1, 0  # 1/0 stands for infinity: every n * 0 < 1 * d
     for e in drawing.edges:
         n, d = homogeneous_dist_sq(hverts[e.u], hverts[e.v])
@@ -205,21 +208,18 @@ def truncate_edges(drawing: Drawing) -> StringFamily:
     """
     if drawing.m == 0:
         return StringFamily(())
-    rho_sq = _auto_radius_sq(drawing)
     hverts = [homogeneous(p) for p in drawing.vertices]
+    hcurves = [[homogeneous(p) for p in e.curve.points] for e in drawing.edges]
+    rho_sq = _auto_radius_sq(drawing, hverts, hcurves)
     strings = []
-    for k, e in enumerate(drawing.edges):
+    for k, (e, hpts) in enumerate(zip(drawing.edges, hcurves)):
         pts = e.curve.points
-        hpts = [homogeneous(p) for p in pts]
         ku, _, pu = _first_exit(hpts, hverts[e.u], rho_sq, k)
         kr, _, pv = _first_exit(hpts[::-1], hverts[e.v], rho_sq, k)
         mid = [pu] + list(pts[ku + 1:len(pts) - 1 - kr]) + [pv]
         # A cut at parameter 1 repeats the next bend.
-        out = [mid[0]]
-        for p in mid[1:]:
-            if p != out[-1]:
-                out.append(p)
-        strings.append(Polyline(f"e{k}", tuple(out)))
+        out = [p for p, prev in zip(mid, [None, *mid]) if p != prev]
+        strings.append(Polyline.of_exact(f"e{k}", tuple(out)))
     return StringFamily(tuple(strings))
 
 

@@ -10,11 +10,25 @@ import itertools
 from fractions import Fraction
 
 from stringraph.errors import ParseError, SchemaError
-from stringraph.fileio import MAX_VERTICES
-from stringraph.geometry import (Coord, Point, _overlap, _within_bbox, exact_coord,
-                                 orientation_sign, polylines_intersect)
+from stringraph.fileio import MAX_SEGMENTS, MAX_VERTICES, _check_digits
+from stringraph.geometry import (Coord, Point, Polyline, StringFamily, _overlap,
+                                 _within_bbox, exact_coord, polylines_intersect)
 from stringraph.graph import Graph, bits
+from stringraph.quasiplanar import DrawnEdge, Drawing
 from stringraph.separator import SeparatorPartition, find_balanced_separator
+
+
+def orientation_sign(o: Point, a: Point, b: Point) -> int:
+    """Sign of the cross product (a-o) x (b-o): +1 ccw, -1 cw, 0 collinear.
+
+    The reference for `geometry.side` and for the signs inside
+    `geometry.segments_intersect`."""
+    cross = (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+    if cross > 0:
+        return 1
+    if cross < 0:
+        return -1
+    return 0
 
 
 def dist_sq(p: Point, q: Point) -> Coord:
@@ -234,3 +248,104 @@ def parse_graph_text_reference(text: str) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(tuple(adj))
+
+
+def coord_in_reference(value, where: str) -> Coord:
+    """A file coordinate as an exact value, every string through Fraction's
+    own parser: the reference for `fileio._coord_in`, whose `exact_coord`
+    reads a plain "p/q" without it."""
+    if isinstance(value, bool):
+        raise SchemaError(f"{where}: coordinate cannot be a boolean")
+    if isinstance(value, (int, float, Fraction)):
+        try:
+            return exact_coord(value)
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+    if isinstance(value, str):
+        _check_digits(value)
+        try:
+            q = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"{where}: bad coordinate {value!r}") from exc
+        return q.numerator if q.denominator == 1 else q
+    raise SchemaError(f"{where}: unsupported coordinate type {type(value).__name__}")
+
+
+def _point_reference(value, where: str) -> Point:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise SchemaError(f"{where}: a point must be a two-element array")
+    return Point(coord_in_reference(value[0], where), coord_in_reference(value[1], where))
+
+
+def _curve_reference(value, where: str) -> tuple[Point, ...]:
+    if not isinstance(value, list) or len(value) < 2:
+        raise SchemaError(f"{where}: need an array of at least 2 points")
+    return tuple(_point_reference(p, f"{where}[{i}]") for i, p in enumerate(value))
+
+
+def _check_segments_reference(curves: list, kind: str) -> None:
+    segments = sum(len(c["points"]) - 1 for c in curves
+                   if isinstance(c, dict) and isinstance(c.get("points"), list))
+    if segments > MAX_SEGMENTS:
+        raise SchemaError(f"{kind} has {segments} segments, above the {MAX_SEGMENTS} cap")
+
+
+def family_from_obj_reference(obj) -> StringFamily:
+    """Read a decoded family file point by point, every coordinate through
+    `coord_in_reference` and every curve through the checked `Polyline`
+    constructor: the reference for `fileio.family_from_obj`. Same family, or
+    the same error type, message and field."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("strings"), list):
+        raise SchemaError("family file needs a top-level 'strings' array",
+                          field="strings")
+    if len(obj["strings"]) > MAX_VERTICES:
+        raise SchemaError(f"family has {len(obj['strings'])} strings, "
+                          f"above the {MAX_VERTICES} cap")
+    _check_segments_reference(obj["strings"], "family")
+    strings = []
+    for i, raw in enumerate(obj["strings"]):
+        where = f"strings[{i}]"
+        if not isinstance(raw, dict):
+            raise SchemaError(f"{where}: each string must be an object")
+        sid = raw.get("id")
+        if not isinstance(sid, str) or not sid:
+            raise SchemaError(f"{where}: missing string id", field="id")
+        try:
+            strings.append(Polyline(sid, _curve_reference(raw.get("points"), where)))
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+    return StringFamily(tuple(strings))
+
+
+def drawing_from_obj_reference(obj) -> Drawing:
+    """Read a decoded drawing file as `family_from_obj_reference` reads a
+    family: the reference for `fileio.drawing_from_obj`."""
+    if not isinstance(obj, dict):
+        raise SchemaError("drawing file must be a JSON object")
+    if not isinstance(obj.get("vertices"), list):
+        raise SchemaError("drawing file needs a 'vertices' array", field="vertices")
+    if not isinstance(obj.get("edges"), list):
+        raise SchemaError("drawing file needs an 'edges' array", field="edges")
+    if len(obj["edges"]) > MAX_VERTICES:
+        raise SchemaError(f"drawing has {len(obj['edges'])} edges, "
+                          f"above the {MAX_VERTICES} cap")
+    _check_segments_reference(obj["edges"], "drawing")
+    verts = tuple(_point_reference(p, f"vertices[{i}]") for i, p in enumerate(obj["vertices"]))
+    edges = []
+    for k, raw in enumerate(obj["edges"]):
+        where = f"edges[{k}]"
+        if not isinstance(raw, dict):
+            raise SchemaError(f"{where}: each edge must be an object")
+        u, v = raw.get("u"), raw.get("v")
+        if (not isinstance(u, int) or not isinstance(v, int)
+                or isinstance(u, bool) or isinstance(v, bool)):
+            raise SchemaError(f"{where}: u and v must be integers")
+        try:
+            curve = Polyline(f"e{k}", _curve_reference(raw.get("points"), where))
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+        edges.append(DrawnEdge(u, v, curve))
+    try:
+        return Drawing(verts, tuple(edges))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc

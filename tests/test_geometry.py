@@ -8,7 +8,7 @@ import pytest
 
 from stringraph import (DuplicateId, GeneratorSpec, Graph, Point, Polyline,
                         StringFamily, generate, intersection_graph,
-                        orientation_sign, segments_intersect)
+                        segments_intersect)
 from stringraph.cli import main
 from stringraph.geometry import (RationalSegment, _float_key, exact_coord,
                                  homogeneous, homogeneous_dist_sq,
@@ -16,7 +16,8 @@ from stringraph.geometry import (RationalSegment, _float_key, exact_coord,
                                  rational_point_segment_dist_sq,
                                  rational_segments_intersect, side)
 from tests.reference import (dist_sq, interpolate, intersection_graph_reference,
-                             point_segment_dist_sq, segment_intersection_points)
+                             orientation_sign, point_segment_dist_sq,
+                             segment_intersection_points)
 
 
 def _pt(x, y):
@@ -119,6 +120,20 @@ def test_rational_segment_tests_match_fraction_reference(rng):
         assert rational_segments_intersect(s, t) == segments_intersect(p1, p2, q1, q2)
         kinds.add(len(want))
     assert kinds == {0, 1, 2}
+
+
+def test_integer_segment_test_matches_reference(rng):
+    # A 5x5 grid: shared endpoints, T-contacts, collinear overlaps, crossings
+    # and misses all occur, through both early exits.
+    outcomes = set()
+    for _ in range(4000):
+        p1, p2, q1, q2 = (Point(rng.randrange(5), rng.randrange(5)) for _ in range(4))
+        if p1 == p2 or q1 == q2:
+            continue
+        want = segment_intersection_points(p1, p2, q1, q2)
+        assert segments_intersect(p1, p2, q1, q2) == bool(want)
+        outcomes.add(len(want))
+    assert outcomes == {0, 1, 2}
 
 
 def test_segments_intersect_cases():

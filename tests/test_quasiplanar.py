@@ -11,7 +11,7 @@ import pytest
 from stringraph import (DegenerateDrawing, DomainError, DrawnEdge, Drawing,
                         Point, Polyline, crossing_graph, dense_threshold,
                         edge_bound, edge_bound_holds, find_clique, is_r_quasiplanar,
-                        q_independent_set, sparse_subgraph, truncate_edges)
+                        q_independent_set, quasiplanar, sparse_subgraph, truncate_edges)
 from stringraph.cli import main
 from stringraph.generators import GeneratorSpec, generate
 from stringraph.geometry import homogeneous
@@ -257,6 +257,12 @@ def _folded_back_drawing():
                   [Point(0, 0), Point(4, 0), Point(4, -5)]])
 
 
+def _radius_sq(drawing):
+    """_auto_radius_sq given the homogeneous triples truncate_edges derives."""
+    return _auto_radius_sq(drawing, [homogeneous(p) for p in drawing.vertices],
+                           [[homogeneous(p) for p in e.curve.points] for e in drawing.edges])
+
+
 def _radius_or_message(radius_sq, drawing):
     try:
         return radius_sq(drawing)
@@ -273,7 +279,7 @@ def test_auto_radius_matches_every_term():
     for D in drawings:
         if not D.m:
             continue  # truncate_edges never asks for an edgeless drawing's radius
-        got = _radius_or_message(_auto_radius_sq, D)
+        got = _radius_or_message(_radius_sq, D)
         assert got == _radius_or_message(_radius_sq_all_terms, D)
         outcomes.add(type(got))
     assert outcomes == {Fraction, str}
@@ -293,6 +299,26 @@ def test_crossing_graph_matches_uncut_reference():
         assert got == crossing_graph_reference(D)
         checked += 1
     assert checked == 183
+
+
+def test_truncation_derives_each_homogeneous_triple_once(monkeypatch):
+    """One `homogeneous` call per vertex and per curve point: the radius
+    takes the triples truncate_edges derives. Convex chords meet nowhere but
+    at shared vertices, so no contact point adds a call."""
+    calls = 0
+    real = quasiplanar.homogeneous
+
+    def counting(p):
+        nonlocal calls
+        calls += 1
+        return real(p)
+
+    monkeypatch.setattr(quasiplanar, "homogeneous", counting)
+    for n in (8, 9, 10):
+        D = generate(GeneratorSpec("convex_chords", n, seed=n))
+        calls = 0
+        truncate_edges(D)
+        assert calls == D.n + sum(len(e.curve.points) for e in D.edges)
 
 
 def test_radius_of_many_vertices_and_one_edge_is_fast(tmp_path):
@@ -365,7 +391,7 @@ def test_first_exit_matches_fraction_bisection(family):
             continue  # truncate_edges never asks for an edgeless drawing's radius
         rho_sqs = [Fraction(r) ** 2 for r in radii]
         try:
-            rho_sqs.append(_auto_radius_sq(D))
+            rho_sqs.append(_radius_sq(D))
         except DegenerateDrawing:
             pass
         for rho_sq in rho_sqs:
