@@ -7,9 +7,9 @@ its result with an independent verifier, and hand the parameters, the result
 and the verification outcome to fileio.report_json, which writes the canonical
 JSON report. Wall-clock timings only appear with --timings, so that identical
 inputs give byte-identical reports. --verify off skips only this module's
-re-check. Extract, color-or-clique and qp sparse witnesses were already
-validated in the library before they returned; qp bound and oracle have no
-re-check and report "pass" either way.
+re-check, so only the commands that have one take it: separator, extract,
+color-or-clique, qp check and qp sparse. Extract, color-or-clique and qp
+sparse witnesses were already validated in the library before they returned.
 
 Exit codes: 0 success and verified, 2 verification failure, 3 a declared
 failure outcome (precondition violated, refinement or cover failure,
@@ -250,13 +250,10 @@ _EXTRACT_OPS = {
 }
 
 
-def _extract_parameters(args, params) -> dict:
+def _extract_parameters(args, _) -> dict:
     parameters = {"op": args.op}
     for flag in _EXTRACT_OPS[args.op][0]:
-        # An option left out takes the tuning constant of its name, if any.
         value = getattr(args, flag)
-        if value is None:
-            value = getattr(params, flag, None)
         if value is None:
             raise ValueError(f"extract {args.op} needs --{flag}")
         parameters[flag] = value
@@ -356,11 +353,15 @@ def _build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("-o", "--output", help="output file ('-' or omitted: stdout)")
 
-    report = argparse.ArgumentParser(add_help=False, parents=[out])
+    # Report commands with nothing to re-check (qp bound, oracle) take timed;
+    # the others take report.
+    timed = argparse.ArgumentParser(add_help=False, parents=[out])
+    timed.add_argument("--timings", action="store_true",
+                       help="include wall-clock timings in the report")
+
+    report = argparse.ArgumentParser(add_help=False, parents=[timed])
     report.add_argument("--verify", choices=("on", "off"), default="on",
                         help="independently re-check the witness (default on)")
-    report.add_argument("--timings", action="store_true",
-                        help="include wall-clock timings in the report")
 
     tuning = argparse.ArgumentParser(add_help=False)
     tuning.add_argument("--params", help="JSON file of tuning constants")
@@ -397,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--epsilon", type=float)
+    p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--alpha", type=float)
     p.set_defaults(func=_report, run=_extract, parameters=_extract_parameters)
 
@@ -417,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--inexact", action="store_true")
     p.set_defaults(func=_report, run=_qp_check,
-                   parameters=lambda a, _: {"r": a.r, "radius": "auto"})
+                   parameters=lambda a, _: _given(a, "r"))
 
     p = qp.add_parser("sparse", parents=[report, tuning],
                       help="4-quasiplanar edge subset of a 2^s-quasiplanar drawing")
@@ -426,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inexact", action="store_true")
     p.set_defaults(func=_report, run=_qp_sparse, parameters=lambda a, _: _given(a, "s"))
 
-    p = qp.add_parser("bound", parents=[report], help="edge-count bound evaluation")
+    p = qp.add_parser("bound", parents=[timed], help="edge-count bound evaluation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--C", type=float, default=1.0)
@@ -440,12 +441,12 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_defaults = dict(func=_report, run=_oracle, parameters=lambda a, _: {
         "oracle": a.which, **_given(a, "r", "p")})
     for name in ("mis", "clique", "kpfree", "sep", "biclique"):
-        p = orc.add_parser(name, parents=[report])
+        p = orc.add_parser(name, parents=[timed])
         p.add_argument("graph")
         if name == "kpfree":
             p.add_argument("--p", type=int, required=True)
         p.set_defaults(**oracle_defaults)
-    p = orc.add_parser("crossings", parents=[report])
+    p = orc.add_parser("crossings", parents=[timed])
     p.add_argument("drawing")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--inexact", action="store_true")

@@ -29,10 +29,10 @@ from .separator import STRATEGIES, find_balanced_separator
 class AlgorithmParams:
     """Tunable constants for the extraction recursions.
 
-    None of the defaults are forced by theory; c is conventionally tied to the
-    others (c = c_dblprime * c_prime / 30) but any positive value is accepted
-    and no relation is enforced. delta, when None, is derived from epsilon by
-    color_or_clique.
+    None of the defaults are forced by theory; any positive value is accepted
+    and no relation between them is enforced. epsilon is an argument of
+    dense_core and color_or_clique, not a constant; when delta is None,
+    color_or_clique derives it from that epsilon.
     """
 
     c1: float = 2.0
@@ -40,19 +40,16 @@ class AlgorithmParams:
     c: float = 0.01
     c_prime: float = 0.01
     c_dblprime: float = 0.05
-    epsilon: float = 0.5
     delta: Optional[float] = None
     separator_strategy: str = "auto"
 
     def __post_init__(self) -> None:
-        for name in ("c1", "c2", "c", "c_prime", "c_dblprime", "epsilon", "delta"):
+        for name in ("c1", "c2", "c", "c_prime", "c_dblprime", "delta"):
             if isinstance(getattr(self, name), bool):
                 raise TypeError(f"{name} cannot be a boolean")
         for name in ("c1", "c2", "c", "c_prime", "c_dblprime"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if not (0 < self.epsilon < 1):
-            raise ValueError("epsilon must lie in (0, 1)")
         if self.delta is not None and self.delta <= 0:
             raise ValueError("delta must be strictly positive when given")
         for name in ("c1", "c2", "c", "c_prime", "c_dblprime", "delta"):

@@ -223,11 +223,6 @@ class RationalSegment(NamedTuple):
     hb: Homogeneous
     line: Homogeneous
 
-    @classmethod
-    def of(cls, a: Point, b: Point) -> "RationalSegment":
-        ha, hb = homogeneous(a), homogeneous(b)
-        return cls(a, b, ha, hb, line_through(ha, hb))
-
 
 def rational_segments_intersect(s: RationalSegment, t: RationalSegment) -> bool:
     """segments_intersect(s.a, s.b, t.a, t.b) by the gcd-free kernel."""
@@ -351,6 +346,8 @@ def intersection_graph(family: StringFamily) -> Graph:
     points = [p for s in strings for p in s.points]
     xs, ys = zip(*points) if points else ((), ())
     rational = set(map(type, chain(xs, ys))) != {int}
+    # One homogeneous triple per point, shared by the two segments at a bend.
+    hs = list(map(homogeneous, points)) if rational else None
     fx, fy = _float_keys(xs), _float_keys(ys)
     boxes = []
     start = 0
@@ -360,8 +357,9 @@ def intersection_graph(family: StringFamily) -> Graph:
             a, b = points[t], points[t + 1]
             x0, x1 = (fx[t], fx[t + 1]) if fx[t] <= fx[t + 1] else (fx[t + 1], fx[t])
             y0, y1 = (fy[t], fy[t + 1]) if fy[t] <= fy[t + 1] else (fy[t + 1], fy[t])
-            boxes.append((x0, x1, y0, y1, i, a, b,
-                          RationalSegment.of(a, b) if rational else None))
+            seg = (RationalSegment(a, b, hs[t], hs[t + 1], line_through(hs[t], hs[t + 1]))
+                   if rational else None)
+            boxes.append((x0, x1, y0, y1, i, a, b, seg))
         start = stop + 1
     boxes.sort(key=itemgetter(0))
     count = len(boxes)

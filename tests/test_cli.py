@@ -358,9 +358,8 @@ def test_gen_region_stays_within_exact_floats(tmp_path, capsys, kind):
     ({"c": True}, "c"),
     ({"c_prime": False}, "c_prime"),
     ({"c_dblprime": True}, "c_dblprime"),
-    ({"epsilon": True}, "epsilon"),
     ({"delta": True}, "delta"),
-], ids=["c-and-c1", "c2", "c", "c_prime-false", "c_dblprime", "epsilon", "delta"])
+], ids=["c-and-c1", "c2", "c", "c_prime-false", "c_dblprime", "delta"])
 def test_boolean_tuning_constants_are_refused(tmp_path, capsys, params, name):
     path = _write_graph(tmp_path, Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))
     params_path = tmp_path / "params.json"
@@ -369,6 +368,46 @@ def test_boolean_tuning_constants_are_refused(tmp_path, capsys, params, name):
                         "--params", str(params_path))
     assert (code, report) == (4, "")
     assert capsys.readouterr().err == f"error: bad parameters: {name} cannot be a boolean\n"
+
+
+def test_epsilon_in_params_file_is_an_unknown_parameter(tmp_path, capsys):
+    # epsilon is an option of the commands that use it, not a tuning constant.
+    path = _write_graph(tmp_path, Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))
+    params_path = tmp_path / "params.json"
+    params_path.write_text('{"epsilon": 0.4}')
+    code, report = _run(tmp_path, "extract", "densecore", path, "--epsilon", "0.4",
+                        "--params", str(params_path))
+    assert (code, report) == (4, "")
+    assert capsys.readouterr().err == "error: epsilon: unknown parameter 'epsilon'\n"
+
+
+def test_densecore_epsilon_defaults_to_one_half(tmp_path):
+    path = _write_graph(tmp_path, er_graph(15, 0.4, 4))
+    code, report = _run(tmp_path, "extract", "densecore", path)
+    assert code == 0
+    assert report["parameters"]["epsilon"] == 0.5
+    assert "epsilon" not in report["parameters"]["params"]
+    assert report["result"]["witness"]["certificate"]["epsilon"] == 0.5
+
+
+def test_color_or_clique_reports_one_epsilon(tmp_path):
+    path = _write_graph(tmp_path, er_graph(15, 0.4, 4))
+    code, report = _run(tmp_path, "color-or-clique", path, "--epsilon", "0.4")
+    assert code == 0
+    assert report["parameters"]["epsilon"] == 0.4
+    assert "epsilon" not in report["parameters"]["params"]
+
+
+def test_verify_is_refused_where_nothing_is_rechecked(tmp_path, capsys):
+    # qp bound and oracle answers have no verifier; --timings still works.
+    path = _write_graph(tmp_path, Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))
+    for argv in (["oracle", "mis", path], ["qp", "bound", "--n", "256", "--s", "3"]):
+        code, report = _run(tmp_path, *argv, "--verify", "off", out=f"{argv[0]}-off.json")
+        assert (code, report) == (4, "")
+        assert "unrecognized arguments: --verify off" in capsys.readouterr().err
+        code, report = _run(tmp_path, *argv, "--timings", out=f"{argv[0]}-timed.json")
+        assert code == 0 and report["verification"]["status"] == "pass"
+        assert "wall_seconds" in report["timings"]
 
 
 def test_oracle_commands(tmp_path):

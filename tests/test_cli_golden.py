@@ -89,67 +89,67 @@ CASES = {
     "separator-verify-off": ("separator polys.txt --verify off", 0,
         "3085cb0e30ad3ad07006f06010c890d13795c5f6c84037685e78199173c032f9", QUIET),
     "extract-independent": ("extract independent c5.txt --s 2", 0,
-        "31dad591f268ce0292fa565ea4742447e0ecfbbdefd1d8dd1453ead98e53aa56", QUIET),
+        "7f1570da0a21601c927812490ae13f0948a411e365042ae37b2fbc4d32cca433", QUIET),
     "extract-independent-big": ("extract independent big.txt --s 3", 0,
-        "7fd77c46e1d0c28104cdb95b747737ec447db8ae2d90cc6180eea2e227cadf06", QUIET),
+        "84f1a3bd3f4c8827c1c0dcaa8c8caa03cf2b503e8a382d4a38c0c834c5d6a28e", QUIET),
     "extract-independent-strategy": ("extract independent segs.txt --s 3 --strategy degree_peel", 0,
-        "797508c2469a6232a247ebef126b5434c355b34f15a9e0a1931c9c3e345bb4d3", QUIET),
+        "f8f3130834d1c2d216b861d417fc81b2204005064c41a3a1b9d5f11344f2335e", QUIET),
     "extract-qindep": ("extract qindep segs.txt --s 3 --q 2", 0,
-        "e12cd57e91ca6f90feb502c3011c18b0a018694d0c607f26f78c2ba3d6a24aaf", QUIET),
+        "a4b26e6ebf300b736f828fbf5d45f5bc7d48b23cbb05bdb4bdf4f5b832df8af1", QUIET),
     "extract-qindep-verify-off": ("extract qindep segs.txt --s 3 --q 2 --verify off", 0,
-        "d4cf5c2d71d90665c823f91f1fa07d2e613b76376f71a20aca6cac1c09d76a5b", QUIET),
+        "bf20b17030aa8726222ca81a51c268697cc24f55a2299815b2f2a0908c8a412c", QUIET),
     "extract-kr1free": ("extract kr1free c5.txt --r 3", 0,
-        "41456fc9dc161983deb423c58e667014cd7bebb8a6e37e70cf5d9212678957bb", QUIET),
+        "e57853654c0be1a4fc850644c71ed761e64d8ed90ed881d0ee4ee542c96d3ec1", QUIET),
     "extract-kr1free-grid": ("extract kr1free grid.txt --r 5", 0,
-        "1206f923d37858059180ed20f2ce7ee881a34d22f2665b4d05c16be410a64d15", QUIET),
+        "34c37859e713c54a91c7ea069b51b51dae6b8a171de98c19857e94f6353af589", QUIET),
     "extract-halfclique": ("extract halfclique c5.txt --r 3", 0,
-        "5573d4b1de74d0dc22557ab5ea5aaaeea32472257948525e835dcc8923f467a8", QUIET),
+        "896cde25905145c1606848e929c69c772e1189db14ef6a3b7aa8d08623e16944", QUIET),
     "extract-halfclique-grid": ("extract halfclique grid.txt --r 5", 0,
-        "a90e7d0db48d8481b014b9628247de1d1f8352ae8a205a3516106c63e61a52d5", QUIET),
+        "c3838f003b1ad50b7c05c8d7f6362f7faa864ac3128ab3c2854fbb81c403d867", QUIET),
     "declared-halfclique-polys": ("extract halfclique polys.txt --r 4", 3,
-        "6a56e9ce0b28b503be762c76243a465fffc00264d7e754c2c87b424db4839bd0", QUIET),
+        "7250f5e5b6a9718ff43dcfcc7da24cf498c6b2e8c5570d5ee4541e719c4685c9", QUIET),
     "declared-verify-off": ("extract kr1free k4.txt --r 3 --verify off", 3,
-        "b20677dd90df090383cc4f776a0056fa19b36b88d44b0947b7159609a9a821f1", QUIET),
+        "ad19f5ef9e561ce1ccb48de0af48a7a83b91ca2a05198f0bacc2a2b332560615", QUIET),
     "extract-densecore": ("extract densecore big.txt --epsilon 0.5", 0,
-        "467b0ffdf439830cdff5c4ebdf81da60d3ba687d0d1b0bddf34ee059a0e03a77", QUIET),
+        "0a39f4b2e20d9d6b5109867a7038113ddf21db2b9cf77c3dc389b83068722bd4", QUIET),
     "extract-densecore-default-epsilon": ("extract densecore segs.txt", 0,
-        "3441ddb89c26931e035c0164e0f958b81a76a0c4af98c67f23f504e215634556", QUIET),
+        "714578929c4554d15e36aee20f3d352c25f24a27ee2a38d775dae961646136ca", QUIET),
     "extract-densecore-params-file": ("extract densecore big.txt --epsilon 0.5 --params params.json", 0,
-        "6e87d12b371896b0814c6eab5283a581ee0ac722da69453ed8172c85758a0baf", QUIET),
+        "840e50812655b2c4e0134b346dcfefde3b1c48309453ab4bfe0680182b702b19", QUIET),
     "extract-densecore-edgeless-one-vertex": ("extract densecore edgeless.txt --epsilon 0.5 --strategy degree_peel", 0,
-        "7b5e5b34fd523a6b715a7dec55f50903dae8d8210ed91c43c165a12a1fc34188", QUIET),
+        "b067130528b6b106b21481f7e0e319d5e2a73c64c7de05ae2a505af0cb16d529", QUIET),
     "extract-multipartite": ("extract multipartite octa.txt --alpha 0.3", 0,
-        "032890b3fd956569886932c61bda386c96f71293f904137be8bf52f4d4eeeff2", QUIET),
+        "435c77e0f08c77d0199365e9919cea03502394a155caf437d84e6e79b45a82ac", QUIET),
     "extract-multipartite-big": ("extract multipartite big.txt --alpha 0.05", 0,
-        "97149febf04fe2d13bdcb2a088317a84ae034b57407fe38e91292b9ff07e43cb", QUIET),
+        "64b9f12a0750fe5f44d2d42d99a2d1f06eb1be59ef4b9cfc0513a988cedb3143", QUIET),
     "color-or-clique": ("color-or-clique big.txt --epsilon 0.5", 0,
-        "daf4ed4d8f5bc44763f00b1ca7e51c54b99ec2d2fbd2f1d6f97dc1509b2cd238", QUIET),
+        "3587f118dfaa913bd406bf791cef842a72ba3d8c433650a6603ce9560ab1d410", QUIET),
     "verify-fail-color-or-clique-delta": ("color-or-clique segs.txt --epsilon 0.5 --delta 0.3", 2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "3711a568633c451d842c2e79119a927c00c75d1ad51f085eaa32e8e337b98d25"),
     "color-or-clique-params-file": ("color-or-clique polys.txt --epsilon 0.4 --params params.json", 0,
-        "dd822c9a132258df36ba0551d969131e51676756e9006ff58a38b2e4db9fc7f3", QUIET),
+        "7ca17baaea3e88db67b7e38a4b71777ac9c36afe8a8171dffc2e6b7fa6aa8c10", QUIET),
     "qp-check-r3": ("qp check chords.json --r 3", 0,
-        "03c9225d52d336f9276e0351a531d2482237b4dd6c1df7d93d16002eecb68ec1", QUIET),
+        "d99ceb83879e1e6a1c77bee52c93135337f8542a668aeaec8bee19ef21c154a5", QUIET),
     "qp-check-r4": ("qp check chords.json --r 4", 0,
-        "06cdd7689c9be5791c79292d79502e12cf95f06364172b3c87513c1c46d659d8", QUIET),
+        "698b6fa864d6728fe57280914e7ce6599598a3b3dd0da3c01bb582093b15b759", QUIET),
     "qp-check-verify-off": ("qp check chords.json --r 3 --verify off", 0,
-        "b594e5a24cfc7b7386a5be8265cf577861f634b6c0ffb998e6957b24b7bf34cf", QUIET),
+        "b4eef9b02e75b6de1ecfca97fda9f53f04de1b3b683e12fd4c2d46ca0318a587", QUIET),
     "qp-check-edgeless-drawing": ("qp check noedges.json --r 2", 0,
-        "d228f44e6113eaf2cef404b99d9a8e753b71d4a6ba57c90c6221bce9abead1e9", QUIET),
+        "b2d650fc9fca33dded21af36228fa690614b075474f840ef68078ab94c107241", QUIET),
     "qp-check-near-vertex": ("qp check near.json --r 2", 0,
-        "9ce4d04059a678a28619df8b78586187e136310fc4cb283fb5c611a8a84a4d25", QUIET),
+        "2856818aa080acc3b3ed2010737536d4ca447bf40e1a1687646acb43fbb4314b", QUIET),
     "qp-sparse-edgeless-drawing": ("qp sparse noedges.json --s 3", 0,
-        "2dec05b9101bc19a000ba45f1d5c7f5cfe975fb291f6ddd7a3d2b8534d0b4d20", QUIET),
+        "c2899a626192ecc227155e226e5382667a892fe0004a84c66945634c24c81d99", QUIET),
     "qp-sparse": ("qp sparse chords.json --s 3", 0,
-        "b9b222942ecf832c151ff28a4f31c53cb2c326aa5443ba2baf66b9beae7c840f", QUIET),
+        "9a2005374a304918ce54eca25430ba5c7a56b41708de6beb2271e457044310b2", QUIET),
     "qp-sparse-params-file": ("qp sparse chords.json --s 3 --params params.json", 0,
-        "1403e1aa1ddb15062c4aabf57a3c0838d5dadb7b942370d8b1729fea7f0c6bcf", QUIET),
+        "d5c8d9db8b9cd18bec005a87c54c737fa0ced768556ea2dc76a7e53f175f225d", QUIET),
     "qp-bound": ("qp bound --n 256 --s 3 --edges 1820", 0,
         "04f86b99c7f6c3e6435533813820b97619d17b81e9cf5a202caf12a14ecb4477", QUIET),
     "qp-bound-epsilon": ("qp bound --n 300 --s 4 --C 0.5 --epsilon 0.25", 0,
         "90e0207b852ec11000e1f14a1bfe5c6693c828a6484010fb1dffe16a8db61904", QUIET),
-    "qp-bound-verify-off": ("qp bound --n 256 --s 3 --verify off", 0,
-        "2b35959ddf6e65bcc5faa8b53744a155718c249c80cfd41f659485ffc9ca4419", QUIET),
+    "qp-bound-verify-off": ("qp bound --n 256 --s 3 --verify off", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "oracle-mis": ("oracle mis c5.txt", 0,
         "d6c2f7c298d2e9f163612b4583ba5e425619bba1799a4791a4ccdf9659fb017b", QUIET),
     "oracle-mis-segments": ("oracle mis segs.txt", 0,
@@ -168,20 +168,20 @@ CASES = {
         "d4e7dfc5195aa76d8eacd219edca614cfd47cda6bbb5fd27b9d878c3bfa66841", QUIET),
     "oracle-crossings-near-vertex": ("oracle crossings near.json --r 2", 0,
         "791977a7fe4316eacb00048a90eedc5ab94a92b27634e99e3383f0af4368eac3", QUIET),
-    "oracle-verify-off": ("oracle mis c5.txt --verify off", 0,
-        "d6c2f7c298d2e9f163612b4583ba5e425619bba1799a4791a4ccdf9659fb017b", QUIET),
+    "oracle-verify-off": ("oracle mis c5.txt --verify off", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "declared-kr1free-k4": ("extract kr1free k4.txt --r 3", 3,
-        "b20677dd90df090383cc4f776a0056fa19b36b88d44b0947b7159609a9a821f1", QUIET),
+        "ad19f5ef9e561ce1ccb48de0af48a7a83b91ca2a05198f0bacc2a2b332560615", QUIET),
     "declared-independent-k4": ("extract independent k4.txt --s 2", 3,
-        "2338d2f759bfc9558b8e501d0311c7a6caaa50617b30c1659485bdee5fc7f49d", QUIET),
+        "418e7ce5702ae30c0340372ef8b111543251a53937f6974424988b33b8e198f3", QUIET),
     "declared-multipartite-sparse": ("extract multipartite c5.txt --alpha 0.9", 3,
-        "d415991a44c3c0e10ba2816bbb2a84257c00e3b73afb41c711d4968c9f5fa4fe", QUIET),
+        "ee57d9e01bc5589c4e454e19fc02681d6685202492d27bb8ee440f9645338214", QUIET),
     "declared-qp-bound-domain": ("qp bound --n 4 --s 3", 3,
         "d99531c3f85a2e6032b6503eb4ca00ba3ad4ea14def99ec4e453a492903a04d6", QUIET),
     "declared-qp-check-degenerate": ("qp check degenerate.json --r 3", 3,
-        "216de1248062df91abd6d9e9b2ebf56f12772f7b5c59c61130d93fdcc9c9b742", QUIET),
+        "d37ff5791dbb70f54b0478235011657cdf1900791abbb39a863e155096af3ec6", QUIET),
     "declared-qp-sparse-degenerate": ("qp sparse degenerate.json --s 3", 3,
-        "0d89e8d442304744cf95dc89a0bec85646d422517bd143cfa2c1b0627802b3ae", QUIET),
+        "0971651d0e5df2f0b1112f27b0498184f47ebf5b4fafffd1b22a76707f854659", QUIET),
     "declared-oracle-crossings-degenerate": ("oracle crossings degenerate.json --r 3", 3,
         "c7633f4906a4b295be09921b420f251b569837fc2f30e9a6a1c84d016fe870f4", QUIET),
     "declared-build-graph-degenerate": ("build-graph degenerate.json", 3,
@@ -228,19 +228,19 @@ CASES = {
     "separator-empty-graph-degree-peel": ("separator empty.txt --strategy degree_peel", 0,
         "a0496d5284255605d4e84414c8ffa19074a9ead487dcbe467e1be9dc03e32308", QUIET),
     "extract-independent-empty-graph": ("extract independent empty.txt --s 2", 0,
-        "5d8402abd402079e0e3ade82e737e1b13595c523fcc40e6e792667883faf0881", QUIET),
+        "4ae04e484d996c6fdcd2b12392a93ff99308c689c4fdecf96f008fd783a2a7be", QUIET),
     "extract-qindep-empty-graph": ("extract qindep empty.txt --s 3 --q 2", 0,
-        "82624cde74d1e33de6f45a1bfd271bd803fea4be5185132757344dd4d7154775", QUIET),
+        "1630bc060fe0a33eca647303e19e388d412cec0c75f356b1650d32dc867941ad", QUIET),
     "extract-kr1free-empty-graph": ("extract kr1free empty.txt --r 3", 0,
-        "901fd995312238a34d0408689bc355fe014314920da1991540bd5d3dcd49a107", QUIET),
+        "b2370bb2833df19a95a248d31347c210654db6d5432a7530df816f5e4ec3917e", QUIET),
     "extract-halfclique-empty-graph": ("extract halfclique empty.txt --r 3", 0,
-        "4b2e906e0aa98c813d11a5392e19248827da76b63a8e63cc7848d9861615d8b7", QUIET),
+        "abe66052e40a0120c8289af7d8c024706908de7c447684a77e8322855eec10c0", QUIET),
     "extract-densecore-empty-graph": ("extract densecore empty.txt --epsilon 0.5", 4,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "205a18c08f27cf9bfe72af8666df4e2f0bf1ade828a91d58fb186fa95f394110"),
     "extract-multipartite-empty-graph": ("extract multipartite empty.txt --alpha 0.3", 4,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6c280adea0bace590a3022f44b02c0eccaccbbdf93854b9e3ecd21a329d80ed9"),
     "color-or-clique-empty-graph": ("color-or-clique empty.txt --epsilon 0.5", 0,
-        "5342ea757876f979f11663f6d6ac4bb4bb8b343f0662a6eb749114b4146a70ae", QUIET),
+        "87cffe2d1a0233cb9ddf15d03518930547d4ea7d631c70af81b040a262df2fe4", QUIET),
     "oracle-mis-empty-graph": ("oracle mis empty.txt", 0,
         "65a0773e46b360b82a284cfb4eb55f15f3d837d0d53f207cb77c0d5d95d1c5c3", QUIET),
     "oracle-clique-empty-graph": ("oracle clique empty.txt", 0,

@@ -38,7 +38,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         AlgorithmParams(c1=0)
     with pytest.raises(ValueError):
-        AlgorithmParams(epsilon=1.5)
+        AlgorithmParams(c_prime=-0.5)
+    # epsilon is an argument of dense_core and color_or_clique, not a constant.
+    with pytest.raises(TypeError):
+        AlgorithmParams(epsilon=0.5)
     p = AlgorithmParams()
     assert p.C_refine(0.5) >= (12 * p.c1) ** 2
 

@@ -10,6 +10,7 @@ from stringraph import (DuplicateId, GeneratorSpec, Graph, Point, Polyline,
                         StringFamily, generate, intersection_graph,
                         segments_intersect)
 from stringraph.cli import main
+from stringraph import geometry
 from stringraph.geometry import (RationalSegment, _float_key, exact_coord,
                                  homogeneous, homogeneous_dist_sq,
                                  line_through, rational_contact_points,
@@ -22,6 +23,12 @@ from tests.reference import (dist_sq, interpolate, intersection_graph_reference,
 
 def _pt(x, y):
     return Point(exact_coord(x), exact_coord(y))
+
+
+def _segment(a, b):
+    """The RationalSegment a-b, as the sweep and truncation build it."""
+    ha, hb = homogeneous(a), homogeneous(b)
+    return RationalSegment(a, b, ha, hb, line_through(ha, hb))
 
 
 def test_exact_coord_normalizes_integral_values():
@@ -98,7 +105,7 @@ def test_rational_point_segment_distance_matches_fraction_arithmetic(rng):
         if a == b:
             continue
         want = point_segment_dist_sq(p, a, b)
-        n, d = rational_point_segment_dist_sq(homogeneous(p), RationalSegment.of(a, b))
+        n, d = rational_point_segment_dist_sq(homogeneous(p), _segment(a, b))
         assert d > 0 and Fraction(n, d) == want
         n, d = homogeneous_dist_sq(homogeneous(p), homogeneous(a))
         assert d > 0 and Fraction(n, d) == dist_sq(p, a)
@@ -114,7 +121,7 @@ def test_rational_segment_tests_match_fraction_reference(rng):
                           for _ in range(4))
         if p1 == p2 or q1 == q2:
             continue
-        s, t = RationalSegment.of(p1, p2), RationalSegment.of(q1, q2)
+        s, t = _segment(p1, p2), _segment(q1, q2)
         want = segment_intersection_points(p1, p2, q1, q2)
         assert rational_contact_points(s, t) == want
         assert rational_segments_intersect(s, t) == segments_intersect(p1, p2, q1, q2)
@@ -270,6 +277,26 @@ def test_sweep_with_fraction_coordinates():
     G = intersection_graph(fam)
     assert G == intersection_graph_reference(fam)
     assert G.edges() == [(0, 1), (0, 4)]
+
+
+def test_rational_sweep_derives_each_homogeneous_triple_once(monkeypatch):
+    """One `homogeneous` call per point: the two segments at an interior
+    bend share its triple."""
+    calls = 0
+    real = geometry.homogeneous
+
+    def counting(p):
+        nonlocal calls
+        calls += 1
+        return real(p)
+
+    monkeypatch.setattr(geometry, "homogeneous", counting)
+    half = Fraction(1, 2)
+    fam = _family([(0, 0), (half, 2), (2, half), (3, 3)],
+                  [(0, 3), (1, half), (3, 0)])
+    G = intersection_graph(fam)
+    assert calls == 7
+    assert G == intersection_graph_reference(fam) and G.m == 1
 
 
 def _grid_family(rng, coord=lambda v: v):

@@ -66,3 +66,28 @@ def test_every_function_is_reached():
             referenced |= names
     unreached = [f"{module}.{name}" for module, name in defined if name not in referenced]
     assert not unreached, f"functions and classes no src module reaches: {unreached}"
+
+
+
+def test_every_tuning_constant_is_read():
+    """Fail on an AlgorithmParams field that no src code reads: a tuning
+    value that every report prints and nothing uses. A read is an attribute
+    of a name holding the constants (`params`, `DEFAULT_PARAMS`), or of
+    `self` in a method of the class other than its validation, __post_init__;
+    an option of the same name on an argparse namespace does not count."""
+    fields, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "AlgorithmParams":
+                fields = [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
+                read |= {n.attr for s in node.body
+                         if isinstance(s, ast.FunctionDef) and s.name != "__post_init__"
+                         for n in ast.walk(s) if isinstance(n, ast.Attribute)
+                         and isinstance(n.value, ast.Name) and n.value.id == "self"}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and "params" in node.value.id.lower()):
+                read.add(node.attr)
+    assert "c1" in fields and "separator_strategy" in fields
+    unread = [name for name in fields if name not in read]
+    assert not unread, f"AlgorithmParams fields nothing reads: {unread}"
