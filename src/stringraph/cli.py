@@ -236,27 +236,34 @@ def _cover_witness(cover, params) -> ExtractionWitness:
                               "covered": sum(len(p) for p in cover.parts)})
 
 
-# extract op -> (options it needs, call). Each call names its library
-# function when it runs, so a module global replaced after import (a tracer
-# wrapping it, say) is the function that runs.
+# extract op -> (the options it reads, each with its default or None when it
+# is required, call). Each call names its library function when it runs, so a
+# module global replaced after import (a tracer wrapping it, say) is the
+# function that runs.
 _EXTRACT_OPS = {
-    "independent": (("s",), lambda G, v, p: independent_set(G, v["s"], p)),
-    "qindep": (("s", "q"), lambda G, v, p: q_independent_set(G, v["s"], v["q"], p)),
-    "kr1free": (("r",), lambda G, v, p: kr1_free_subgraph(G, v["r"], p)),
-    "halfclique": (("r",), lambda G, v, p: half_clique_free_subgraph(G, v["r"], p)),
-    "densecore": (("epsilon",), lambda G, v, p: dense_core(G, v["epsilon"], p)),
-    "multipartite": (("alpha",), lambda G, v, p: _cover_witness(
+    "independent": ({"s": None}, lambda G, v, p: independent_set(G, v["s"], p)),
+    "qindep": ({"s": None, "q": None}, lambda G, v, p: q_independent_set(G, v["s"], v["q"], p)),
+    "kr1free": ({"r": None}, lambda G, v, p: kr1_free_subgraph(G, v["r"], p)),
+    "halfclique": ({"r": None}, lambda G, v, p: half_clique_free_subgraph(G, v["r"], p)),
+    "densecore": ({"epsilon": 0.5}, lambda G, v, p: dense_core(G, v["epsilon"], p)),
+    "multipartite": ({"alpha": None}, lambda G, v, p: _cover_witness(
         multipartite_cover(G, v["alpha"], p), p)),
 }
+_EXTRACT_FLAGS = tuple(dict.fromkeys(f for options, _ in _EXTRACT_OPS.values() for f in options))
 
 
 def _extract_parameters(args, _) -> dict:
-    parameters = {"op": args.op}
-    for flag in _EXTRACT_OPS[args.op][0]:
-        value = getattr(args, flag)
-        if value is None:
+    """The op and the values of the options it reads; an option given to an
+    op that does not read it is refused, so that every value given counts."""
+    options = _EXTRACT_OPS[args.op][0]
+    given = _given(args, *_EXTRACT_FLAGS)
+    for flag in given:
+        if flag not in options:
+            raise ValueError(f"extract {args.op} does not take --{flag}")
+    parameters = {"op": args.op, **options, **given}
+    for flag in options:
+        if parameters[flag] is None:
             raise ValueError(f"extract {args.op} needs --{flag}")
-        parameters[flag] = value
     return parameters
 
 
@@ -398,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--epsilon", type=float, default=0.5)
+    p.add_argument("--epsilon", type=float)
     p.add_argument("--alpha", type=float)
     p.set_defaults(func=_report, run=_extract, parameters=_extract_parameters)
 

@@ -486,15 +486,23 @@ def multipartite_cover(G: Graph, alpha: float, params: AlgorithmParams = DEFAULT
     n = mask.bit_count()
     if n < 2:
         raise ValueError("need at least two vertices")
-    m = edges_in_mask(G, mask)
+    degrees = [(G.adj[v] & mask).bit_count() for v in bits(mask)]
+    m = sum(degrees) // 2
     if m < alpha * n * n:
         raise PreconditionViolated(
             f"graph has {m} edges, below the alpha*n^2 = {alpha * n * n:.2f} floor")
     # Peel the vertex with the most complement neighbours in work, which is
     # the one with the fewest neighbours in G, until the complement falls apart.
+    # Were it apart, its smallest component C would be complete in G to the
+    # rest of work, so a vertex of C would have at least |work| / 2 neighbours
+    # in work, and no fewer in mask.
+    # Above twice the largest degree in G[mask] the complement is thus
+    # connected, and the first n - 2*max(degrees) vertices are peeled unseen.
     H = G.complement()
     work = mask
     order = peel_order(G, mask, fewest=True)
+    for _ in range(n - 2 * max(degrees)):
+        work &= ~(1 << next(order))
     while len(comps := components_masked(H, work)) < 2:
         if work.bit_count() <= 1:
             raise NoCoverFound("complement peeling exhausted the vertex set")

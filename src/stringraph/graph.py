@@ -142,9 +142,15 @@ def components_masked(G: Graph, mask: int) -> list[int]:
 
 def most_adjacent(G: Graph, among: int, into: int) -> int:
     """The vertex of the nonempty mask among with the most neighbours in into,
-    ties to the lowest index."""
+    ties to the lowest index; ValueError when among is empty."""
+    if not among:
+        raise ValueError("most_adjacent needs a nonempty mask")
     adj = G.adj
-    return max(bits(among), key=lambda v: ((adj[v] & into).bit_count(), -v))
+    best = -1
+    for v in bits(among):
+        if (d := (adj[v] & into).bit_count()) > best:
+            best, hub = d, v
+    return hub
 
 
 def peel_order(G: Graph, mask: int, fewest: bool = False) -> Iterator[int]:
@@ -153,8 +159,10 @@ def peel_order(G: Graph, mask: int, fewest: bool = False) -> Iterator[int]:
 
     Repeating most_adjacent(G, rest, rest) and removing the answer gives the
     same order. Here each vertex sits in the bucket mask of its degree in the
-    rest, and yielding a vertex moves only its neighbours down one bucket, so
-    the whole order costs O(n + m) bucket updates.
+    rest. Yielding a vertex moves its neighbours down one bucket with one mask
+    operation per bucket, from the lowest bucket that can hold one of them up
+    to the highest that does: a step costs at most one mask operation per
+    degree up to the largest in G[mask], however many neighbours it moves.
     """
     adj = G.adj
     degree = {v: (adj[v] & mask).bit_count() for v in bits(mask)}
@@ -173,11 +181,16 @@ def peel_order(G: Graph, mask: int, fewest: bool = False) -> Iterator[int]:
         yield v
         buckets[d] ^= low
         rest ^= low
-        for u in bits(adj[v] & rest):
-            du = degree[u]
-            buckets[du] ^= 1 << u
-            buckets[du - 1] |= 1 << u
-            degree[u] = du - 1
+        # A neighbour has degree at least 1, and at least d when v had the
+        # fewest. Each one leaves nbrs as it moves, so none moves twice.
+        nbrs = adj[v] & rest
+        b = d if fewest else 1
+        while nbrs:
+            if moving := buckets[b] & nbrs:
+                buckets[b] ^= moving
+                buckets[b - 1] |= moving
+                nbrs ^= moving
+            b += 1
         if fewest and d:
             d -= 1
 

@@ -118,6 +118,13 @@ def convex_interleaving_graph(n: int) -> Graph:
     return Graph.from_edges(len(chords), edges)
 
 
+def most_adjacent_reference(G: Graph, among: int, into: int) -> int:
+    """The vertex of among with the most neighbours in into, ties to the
+    lowest index, as a max over a key. The reference for
+    `graph.most_adjacent`."""
+    return max(bits(among), key=lambda v: ((G.adj[v] & into).bit_count(), -v))
+
+
 def auto_separator_reference(G: Graph, mask: int) -> SeparatorPartition:
     """The `auto` separator as two full searches: `exact` up to 14 vertices,
     and above that both `bfs_layer` and `degree_peel`, keeping the smaller

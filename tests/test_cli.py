@@ -390,6 +390,24 @@ def test_densecore_epsilon_defaults_to_one_half(tmp_path):
     assert report["result"]["witness"]["certificate"]["epsilon"] == 0.5
 
 
+@pytest.mark.parametrize("op,flags,foreign", [
+    ("independent", ["--s", "2", "--alpha", "0.3", "--epsilon", "0.9", "--r", "7"], "r"),
+    ("independent", ["--s", "2", "--epsilon", "0.5"], "epsilon"),
+    ("qindep", ["--s", "3", "--q", "2", "--alpha", "0.3"], "alpha"),
+    ("kr1free", ["--r", "3", "--s", "2"], "s"),
+    ("densecore", ["--q", "1"], "q"),
+    ("multipartite", ["--alpha", "0.3", "--r", "3"], "r"),
+    ("halfclique", ["--alpha", "0.3"], "alpha"),
+], ids=["independent-many", "independent-epsilon", "qindep-alpha", "kr1free-s",
+        "densecore-q", "multipartite-r", "halfclique-alpha-before-missing-r"])
+def test_extract_refuses_options_its_op_does_not_read(tmp_path, capsys, op, flags,
+                                                      foreign):
+    path = _write_graph(tmp_path, Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))
+    code, report = _run(tmp_path, "extract", op, path, *flags)
+    assert (code, report) == (4, "")
+    assert capsys.readouterr().err == f"error: extract {op} does not take --{foreign}\n"
+
+
 def test_color_or_clique_reports_one_epsilon(tmp_path):
     path = _write_graph(tmp_path, er_graph(15, 0.4, 4))
     code, report = _run(tmp_path, "color-or-clique", path, "--epsilon", "0.4")

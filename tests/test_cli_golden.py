@@ -202,6 +202,8 @@ CASES = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "33cc5b5031807169cf9242109b6a73e7a978aba333d329b56f5055b6e930ce90"),
     "usage-missing-alpha": ("extract multipartite c5.txt", 4,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "ddf77afbade24f1cb25e75ab749f6197535243ae6d951bb3bbfb773969a04727"),
+    "usage-foreign-option": ("extract independent c5.txt --s 2 --alpha 0.3", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "a2dae2d3e277d588270c2dfcfde5dbd8aeb3016cb31c909372cb4a4491825871"),
     "usage-bound-s-below-three": ("qp bound --n 100 --s 2", 4,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "4e8a2b8cde40723ce8006452adc983a051f050a42f421838a9ee4443b37dec3e"),
     "usage-independent-s-zero": ("extract independent c5.txt --s 0", 4,

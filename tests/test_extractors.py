@@ -19,11 +19,12 @@ from stringraph.extract import (_split_by_separator, cover_floor,
 from stringraph.generators import GeneratorSpec, generate
 from stringraph.geometry import intersection_graph
 from stringraph.separator import STRATEGIES
+from stringraph import extract as extract_module
 from stringraph.graph import (bits, clique_in_mask, components_masked,
-                              induced_subgraph, is_independent, mask_of,
-                              most_adjacent)
+                              induced_subgraph, is_independent, mask_of)
 from stringraph.oracles import max_clique_exact
 from tests.conftest import FAMILIES, er_graph, er_masked, family_graph
+from tests.reference import convex_interleaving_graph, most_adjacent_reference
 
 
 def _cycle(n):
@@ -351,15 +352,39 @@ def test_color_or_clique_default_params_always_verified(rng):
 
 def _peeled_work_reference(G, mask):
     """The loop multipartite_cover's peel replaced: remove the vertex with the
-    most complement neighbours, by most_adjacent on the complement, until the
-    complement of the rest is disconnected; None when the rest runs out."""
+    most complement neighbours, by most_adjacent_reference on the complement,
+    until the complement of the rest is disconnected; None when the rest runs
+    out."""
     H = G.complement()
     work = mask
     while len(components_masked(H, work)) < 2:
         if work.bit_count() <= 1:
             return None
-        work &= ~(1 << most_adjacent(H, work, work))
+        work &= ~(1 << most_adjacent_reference(H, work, work))
     return work
+
+
+def _biclique(a, b):
+    return [(u, a + v) for u in range(a) for v in range(b)]
+
+
+def _tight_cover_instances(rng):
+    """Masks at or near twice their largest degree, where the peel that skips
+    the component search must stop exactly: K_{a,a} has |mask| = 2Δ and its
+    complement is already apart. K_{1,1} is K_2."""
+    graphs = []
+    for a in range(1, 7):
+        graphs.append(Graph.from_edges(2 * a, _biclique(a, a)))
+        graphs.append(Graph.from_edges(2 * a + 1, _biclique(a, a) + [(0, 2 * a)]))
+    graphs.append(Graph.from_edges(  # K_{2,2,2}
+        6, [(u, v) for u, v in combinations(range(6), 2) if v - u != 3]))
+    graphs.append(Graph.from_edges(10, [(i, i + 5) for i in range(5)]))
+    graphs.append(Graph.from_edges(6, []))
+    instances = [(G, G.full_mask) for G in graphs]
+    for n in range(4, 11):
+        G = convex_interleaving_graph(n)
+        instances += [(G, G.full_mask)] + [(G, rng.getrandbits(G.n)) for _ in range(3)]
+    return instances
 
 
 def test_multipartite_cover_peels_like_the_complement_loop(rng):
@@ -369,6 +394,8 @@ def test_multipartite_cover_peels_like_the_complement_loop(rng):
     for kind in FAMILIES:
         G = family_graph(kind, 200, 7)
         instances += [(G, G.full_mask), (G, rng.getrandbits(G.n))]
+    instances += [(G, mask) for G, mask in _tight_cover_instances(rng)
+                  if mask.bit_count() >= 2]
     for G, mask in instances:
         want = _peeled_work_reference(G, mask)
         if want is None:
@@ -377,6 +404,24 @@ def test_multipartite_cover_peels_like_the_complement_loop(rng):
         else:
             cover = multipartite_cover(G, 0.0, mask=mask)
             assert mask_of(v for part in cover.parts for v in part) == want
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_multipartite_cover_searches_components_below_twice_the_max_degree(
+        kind, monkeypatch):
+    # While |work| > 2Δ the complement is connected, so the component search
+    # starts at |work| = 2Δ and runs at most once per vertex from there.
+    G = family_graph(kind, 300, 3)
+    calls = []
+
+    def counted(graph, mask):
+        calls.append(mask)
+        return components_masked(graph, mask)
+
+    monkeypatch.setattr(extract_module, "components_masked", counted)
+    multipartite_cover(G, 0.0)
+    max_degree = max(G.degree(v) for v in range(G.n))
+    assert 1 <= len(calls) <= 2 * max_degree + 1 < G.n // 2
 
 
 def test_q_independent_set_holds_q_to_a_finite_float():

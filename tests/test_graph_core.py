@@ -12,6 +12,7 @@ from stringraph.graph import (average_degree, bits, clique_in_mask,
                               induced_subgraph, is_independent, mask_of,
                               most_adjacent, peel_order)
 from tests.conftest import FAMILIES, er_graph, er_masked, family_graph
+from tests.reference import convex_interleaving_graph, most_adjacent_reference
 
 
 def test_bits_and_mask_roundtrip():
@@ -110,6 +111,21 @@ def test_validate_coloring_rejects_bad_classes():
         validate_coloring(G, Coloring(((0, 2), (1, 2))))
 
 
+def test_most_adjacent_matches_the_max_over_a_key(rng):
+    instances = list(er_masked(rng))
+    # Every vertex of an edgeless or a complete graph ties with every other.
+    for n in (1, 2, 7, 40):
+        for G in (Graph.from_edges(n, []), Graph.from_edges(n, combinations(range(n), 2))):
+            instances += [(G, G.full_mask), (G, rng.getrandbits(n))]
+    for G, mask in instances:
+        if not mask:
+            continue
+        for into in (mask, G.full_mask, rng.getrandbits(G.n), 0):
+            assert most_adjacent(G, mask, into) == most_adjacent_reference(G, mask, into)
+    with pytest.raises(ValueError):
+        most_adjacent(Graph.from_edges(3, [(0, 1)]), 0, 0b111)
+
+
 def _peel_reference(G, mask, fewest):
     """The loop peel_order replaces: take most_adjacent(G, rest, rest), or its
     fewest-neighbours analogue, out of the rest until the rest is empty."""
@@ -119,7 +135,7 @@ def _peel_reference(G, mask, fewest):
         if fewest:
             v = min(bits(rest), key=lambda u: ((G.adj[u] & rest).bit_count(), u))
         else:
-            v = most_adjacent(G, rest, rest)
+            v = most_adjacent_reference(G, rest, rest)
         order.append(v)
         rest &= ~(1 << v)
     return order
@@ -132,6 +148,33 @@ def test_peel_order_matches_the_repeated_most_adjacent_loop(rng):
     for G, mask in instances:
         for fewest in (False, True):
             assert list(peel_order(G, mask, fewest)) == _peel_reference(G, mask, fewest)
+
+
+def _spread_neighbour_graphs():
+    """Graphs in which one vertex has neighbours of many different degrees,
+    so that yielding it moves vertices out of many buckets at once."""
+    k = 12
+    yield Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)]
+                           + [(i, i % k + 1) for i in range(1, k + 1)])  # wheel
+    # A star on 0..8 whose centre 0 is also joined to the clique 9..15.
+    yield Graph.from_edges(16, [(0, i) for i in range(1, 16)]
+                           + list(combinations(range(9, 16), 2)))
+    # A hub 0 whose i-th neighbour i has i leaves of its own.
+    edges = [(0, i) for i in range(1, 9)]
+    leaf = 9
+    for i in range(1, 9):
+        edges += [(i, leaf + j) for j in range(i)]
+        leaf += i
+    yield Graph.from_edges(leaf, edges)
+    for n in range(5, 12):
+        yield convex_interleaving_graph(n)
+
+
+def test_peel_order_moves_neighbours_of_many_degrees(rng):
+    for G in _spread_neighbour_graphs():
+        for mask in (G.full_mask, rng.getrandbits(G.n), rng.getrandbits(G.n)):
+            for fewest in (False, True):
+                assert list(peel_order(G, mask, fewest)) == _peel_reference(G, mask, fewest)
 
 
 def test_peel_order_breaks_ties_to_the_lowest_index():

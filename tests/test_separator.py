@@ -10,11 +10,11 @@ from stringraph import (Graph, SeparatorPartition, TooLarge, balance_cap,
                         separator_size_survey, validate_partition)
 from stringraph import separator as separator_module
 from stringraph.generators import GeneratorSpec
-from stringraph.graph import (bits, components_masked, mask_of, most_adjacent,
-                              peel_order)
+from stringraph.graph import bits, components_masked, mask_of, peel_order
 from stringraph.separator import _degree_peel, _pack_two_bins
 from tests.conftest import FAMILIES, er_graph, er_masked, family_graph
-from tests.reference import auto_separator_reference, convex_interleaving_graph
+from tests.reference import (auto_separator_reference, convex_interleaving_graph,
+                             most_adjacent_reference)
 
 
 def _min_separator_size(G: Graph) -> int:
@@ -147,7 +147,7 @@ def _degree_peel_reference(G, mask):
     s_mask = 0
     while (v1 := _pack_two_bins(components_masked(G, mask & ~s_mask), cap)) is None:
         rest = mask & ~s_mask
-        s_mask |= 1 << most_adjacent(G, rest, rest)
+        s_mask |= 1 << most_adjacent_reference(G, rest, rest)
     return SeparatorPartition(S=tuple(bits(s_mask)), V1=tuple(bits(v1)),
                               V2=tuple(bits(mask & ~s_mask & ~v1)))
 
