@@ -66,7 +66,8 @@ def finite_value(formula: Callable[[], float], name: str) -> float:
 
 
 class TooLarge(StringraphError):
-    """Instance exceeds an exact oracle's hard size cap."""
+    """Instance exceeds an exact oracle's hard size cap, or the clique search's
+    node budget."""
 
 
 class ParseError(StringraphError):

@@ -330,32 +330,12 @@ def _biclique_exact(G: Graph, mask: int) -> tuple[int, int]:
     return best
 
 
-def _biclique_grow(G: Graph, mask: int, u: int, v: int) -> tuple[int, int]:
-    adj = G.adj
-    amask = 1 << u
-    bmask = 1 << v
-    cand_a = adj[v] & mask & ~amask & ~bmask
-    cand_b = adj[u] & mask & ~amask & ~bmask
-    while cand_a or cand_b:
-        grow_a = amask.bit_count() <= bmask.bit_count()
-        if grow_a and not cand_a:
-            grow_a = False
-        if not grow_a and not cand_b:
-            grow_a = True
-        if grow_a:
-            x = most_adjacent(G, cand_a, cand_b)
-            amask |= 1 << x
-            cand_b &= adj[x]
-        else:
-            x = most_adjacent(G, cand_b, cand_a)
-            bmask |= 1 << x
-            cand_a &= adj[x]
-        cand_a &= ~(1 << x)
-        cand_b &= ~(1 << x)
-    return amask, bmask
-
-
 def _biclique_greedy(G: Graph, mask: int) -> tuple[int, int]:
+    """Sides (A, B) of the best biclique grown from about 120 strided seed
+    edges of G[mask], each side grown by the candidate with the most
+    neighbours among the other side's. A side never outgrows its size plus
+    its candidates, so a seed is dropped once that bound is at most the best
+    t so far; the answer is the one growing every seed fully gives."""
     adj = G.adj
     seeds = [(u, v) for u in bits(mask) for v in bits(adj[u] & mask >> u + 1 << u + 1)]
     if len(seeds) > 120:
@@ -364,10 +344,32 @@ def _biclique_greedy(G: Graph, mask: int) -> tuple[int, int]:
     best_t = 0
     best = (0, 0)
     for u, v in seeds:
-        amask, bmask = _biclique_grow(G, mask, u, v)
-        t = min(amask.bit_count(), bmask.bit_count())
-        if t > best_t:
-            best_t, best = t, (amask, bmask)
+        amask, bmask = 1 << u, 1 << v
+        na = nb = 1
+        cand_a = adj[v] & mask & ~amask
+        cand_b = adj[u] & mask & ~bmask
+        while ((cand_a or cand_b) and min(na + cand_a.bit_count(),
+                                          nb + cand_b.bit_count()) > best_t):
+            if cand_a and (na <= nb or not cand_b):
+                most = -1
+                for y in bits(cand_a):
+                    if (d := (adj[y] & cand_b).bit_count()) > most:
+                        most, x = d, y
+                amask |= 1 << x
+                na += 1
+                cand_a ^= 1 << x
+                cand_b &= adj[x]
+            else:
+                most = -1
+                for y in bits(cand_b):
+                    if (d := (adj[y] & cand_a).bit_count()) > most:
+                        most, x = d, y
+                bmask |= 1 << x
+                nb += 1
+                cand_b ^= 1 << x
+                cand_a &= adj[x]
+        if min(na, nb) > best_t:
+            best_t, best = min(na, nb), (amask, bmask)
     return best
 
 
@@ -377,7 +379,9 @@ def find_balanced_biclique(G: Graph, t_min: int, mask: Optional[int] = None
 
     mask None means every vertex of G. Exact search (None certifies
     nonexistence) for at most 20 vertices, greedy seed-edge completion
-    beyond; greedy None is not a nonexistence proof.
+    beyond; greedy None is not a nonexistence proof. The greedy search drops
+    a seed once it cannot beat the best so far, and returns the same sides
+    as growing every seed to the end.
     """
     mask = vertex_mask(G, mask)
     if t_min < 1:
@@ -486,8 +490,8 @@ def multipartite_cover(G: Graph, alpha: float, params: AlgorithmParams = DEFAULT
     n = mask.bit_count()
     if n < 2:
         raise ValueError("need at least two vertices")
-    degrees = [(G.adj[v] & mask).bit_count() for v in bits(mask)]
-    m = sum(degrees) // 2
+    degree = {v: (G.adj[v] & mask).bit_count() for v in bits(mask)}
+    m = sum(degree.values()) // 2
     if m < alpha * n * n:
         raise PreconditionViolated(
             f"graph has {m} edges, below the alpha*n^2 = {alpha * n * n:.2f} floor")
@@ -497,13 +501,12 @@ def multipartite_cover(G: Graph, alpha: float, params: AlgorithmParams = DEFAULT
     # rest of work, so a vertex of C would have at least |work| / 2 neighbours
     # in work, and no fewer in mask.
     # Above twice the largest degree in G[mask] the complement is thus
-    # connected, and the first n - 2*max(degrees) vertices are peeled unseen.
-    H = G.complement()
+    # connected, and the first n - 2*max(degree) vertices are peeled unseen.
     work = mask
-    order = peel_order(G, mask, fewest=True)
-    for _ in range(n - 2 * max(degrees)):
+    order = peel_order(G, mask, fewest=True, degree=degree)
+    for _ in range(n - 2 * max(degree.values())):
         work &= ~(1 << next(order))
-    while len(comps := components_masked(H, work)) < 2:
+    while len(comps := components_masked(G, work, complement=True)) < 2:
         if work.bit_count() <= 1:
             raise NoCoverFound("complement peeling exhausted the vertex set")
         work &= ~(1 << next(order))

@@ -33,6 +33,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import ne
 from typing import Optional, Union
 
@@ -232,8 +233,47 @@ def parse_drawing(text: str, inexact: bool = False) -> Drawing:
     return loaded
 
 
+def _encode(value, pad: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) at indent pad, with tuples
+    as lists, keys as str and each Fraction as an int when integral, "p/q"
+    otherwise. Exact types are tested, as isinstance of Fraction costs ten
+    times more per leaf; json.dumps writes any other type, subclasses too."""
+    kind = type(value)
+    if kind is Fraction:
+        value = value.numerator if value.denominator == 1 else str(value)
+        kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and value - value == 0:  # finite
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if {*map(type, value)} == {int}:
+            body = f",\n{inner}".join(map(int.__repr__, value))
+        else:
+            body = f",\n{inner}".join([_encode(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        if {*map(type, value)} != {str}:
+            value = {str(k): v for k, v in value.items()}
+        body = f",\n{inner}".join([f"{encode_basestring_ascii(k)}: {_encode(v, inner)}"
+                                    for k, v in sorted(value.items())])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _encode(obj, "") + "\n"
 
 
 def family_json(family: StringFamily) -> str:
@@ -338,29 +378,16 @@ def _parse_graph_lines(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 # Run reports.
 
-def _canonical(value):
-    """value with tuples as lists, keys as str and each Fraction as an int
-    when integral, "p/q" otherwise. Reports hold plain dicts, lists and
-    tuples, so exact types are tested: isinstance of Fraction goes through
-    its ABC metaclass and costs ten times more on every int leaf."""
-    kind = type(value)
-    if kind is dict:
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if kind is list or kind is tuple:
-        return [_canonical(v) for v in value]
-    if kind is Fraction:
-        return value.numerator if value.denominator == 1 else str(value)
-    return value
-
-
 def report_json(operation: str, input_digest: str, parameters: dict, result: dict,
                 verification: dict, timings: Optional[dict] = None) -> str:
-    """The canonical JSON text of a run report, timings only when given."""
+    """The canonical JSON text of a run report, timings only when given,
+    written in one pass: byte for byte what json.dumps(sort_keys=True,
+    indent=2) writes once tuples, keys and Fractions are converted."""
     obj = {"operation": operation, "input_digest": input_digest,
            "parameters": parameters, "result": result, "verification": verification}
     if timings is not None:
         obj["timings"] = timings
-    return _dumps(_canonical(obj))
+    return _dumps(obj)
 
 
 def sha256_digest(data: Union[str, bytes]) -> str:

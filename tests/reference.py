@@ -7,6 +7,7 @@ against it. No library code calls them.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 from stringraph.errors import ParseError, SchemaError
@@ -356,3 +357,127 @@ def drawing_from_obj_reference(obj) -> Drawing:
         return Drawing(verts, tuple(edges))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
+
+
+def bits_reference(mask: int):
+    """Set bit positions of mask in increasing order, one lowest bit at a
+    time. The reference for `graph.bits`."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _greedy_color_classes(G: Graph, cand: int) -> int:
+    """Number of greedy color classes of G[cand]; an upper bound on its clique number."""
+    classes: list[int] = []
+    for v in bits_reference(cand):
+        av = G.adj[v]
+        for i, cls in enumerate(classes):
+            if not (av & cls):
+                classes[i] = cls | (1 << v)
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
+
+
+def clique_in_mask_reference(G: Graph, mask: int, k: int):
+    """The first k-clique inside mask in index-order backtracking, pruned by
+    one ascending greedy colouring of the candidates per node, or None. No
+    node budget. The reference for `graph.clique_in_mask`."""
+    if k <= 0:
+        raise ValueError("clique size must be positive")
+    if k > mask.bit_count():
+        return None
+    if k == 1:
+        return ((mask & -mask).bit_length() - 1,)
+    adj = G.adj
+
+    def expand(current: list[int], cand: int):
+        need = k - len(current)
+        if need == 0:
+            return tuple(current)
+        if cand.bit_count() < need:
+            return None
+        if need >= 3 and _greedy_color_classes(G, cand) < need:
+            return None
+        rest = cand
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            if rest.bit_count() + 1 < need:
+                return None
+            current.append(v)
+            got = expand(current, rest & adj[v])
+            if got is not None:
+                return got
+            current.pop()
+        return None
+
+    return expand([], mask)
+
+
+def _biclique_grow_reference(G: Graph, mask: int, u: int, v: int) -> tuple[int, int]:
+    adj = G.adj
+    amask = 1 << u
+    bmask = 1 << v
+    cand_a = adj[v] & mask & ~amask & ~bmask
+    cand_b = adj[u] & mask & ~amask & ~bmask
+    while cand_a or cand_b:
+        grow_a = amask.bit_count() <= bmask.bit_count()
+        if grow_a and not cand_a:
+            grow_a = False
+        if not grow_a and not cand_b:
+            grow_a = True
+        if grow_a:
+            x = most_adjacent_reference(G, cand_a, cand_b)
+            amask |= 1 << x
+            cand_b &= adj[x]
+        else:
+            x = most_adjacent_reference(G, cand_b, cand_a)
+            bmask |= 1 << x
+            cand_a &= adj[x]
+        cand_a &= ~(1 << x)
+        cand_b &= ~(1 << x)
+    return amask, bmask
+
+
+def biclique_greedy_reference(G: Graph, mask: int) -> tuple[int, int]:
+    """Sides (A, B) of the best biclique that greedy completion grows from
+    at most about 120 evenly strided seed edges of G[mask], every seed grown
+    to the end. The reference for `extract._biclique_greedy`."""
+    adj = G.adj
+    seeds = [(u, v) for u in bits_reference(mask)
+             for v in bits_reference(adj[u] & mask >> u + 1 << u + 1)]
+    if len(seeds) > 120:
+        step = len(seeds) // 120
+        seeds = seeds[::step]
+    best_t = 0
+    best = (0, 0)
+    for u, v in seeds:
+        amask, bmask = _biclique_grow_reference(G, mask, u, v)
+        t = min(amask.bit_count(), bmask.bit_count())
+        if t > best_t:
+            best_t, best = t, (amask, bmask)
+    return best
+
+
+def _canonical(value):
+    """value with tuples as lists, keys as str and each Fraction as an int
+    when integral, "p/q" otherwise; other values pass through unchanged."""
+    kind = type(value)
+    if kind is dict:
+        return {str(k): _canonical(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [_canonical(v) for v in value]
+    if kind is Fraction:
+        return value.numerator if value.denominator == 1 else str(value)
+    return value
+
+
+def dumps_reference(obj) -> str:
+    """The canonical form of obj written by json.dumps with sorted keys and an
+    indent of 2, plus a final newline. The reference for `fileio._dumps`."""
+    return json.dumps(_canonical(obj), sort_keys=True, indent=2) + "\n"

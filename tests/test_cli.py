@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from stringraph import KINDS, ExtractionWitness, Graph, quasiplanar
 from stringraph.cli import _build_parser, main
 from stringraph.fileio import graph_text, parse_graph_text
+from stringraph.graph import CLIQUE_NODE_BUDGET
 from tests.conftest import er_graph
 
 
@@ -454,6 +456,20 @@ def test_oracle_size_cap_exit_code(tmp_path):
     path = _write_graph(tmp_path, er_graph(20, 0.2, 2))
     dest = tmp_path / "cap.json"
     assert main(["oracle", "sep", str(path), "-o", str(dest)]) == 5
+
+
+def test_clique_search_past_its_node_budget_exits_five(tmp_path, capsys):
+    # Proving G(400, 1/2) free of K_13 takes 9-11 s of clique search on a
+    # shared 2-vCPU VM; the budget refuses it after CLIQUE_NODE_BUDGET nodes,
+    # about 1 s there.
+    path = _write_graph(tmp_path, er_graph(400, 0.5, 1))
+    start = time.perf_counter()
+    code = main(["extract", "kr1free", path, "--r", "13", "-o", str(tmp_path / "r.json")])
+    elapsed = time.perf_counter() - start
+    assert code == 5 and elapsed < 20
+    assert capsys.readouterr().err == (
+        f"error: clique search for K_13 expanded more than {CLIQUE_NODE_BUDGET} nodes\n")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_parse_failures_exit_four(tmp_path):

@@ -414,9 +414,10 @@ def test_multipartite_cover_searches_components_below_twice_the_max_degree(
     G = family_graph(kind, 300, 3)
     calls = []
 
-    def counted(graph, mask):
+    def counted(graph, mask, complement=False):
+        assert graph is G and complement
         calls.append(mask)
-        return components_masked(graph, mask)
+        return components_masked(graph, mask, complement)
 
     monkeypatch.setattr(extract_module, "components_masked", counted)
     multipartite_cover(G, 0.0)
