@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import (DomainError, ExtractorViolation, InternalBoundViolation, NoCoverFound,
@@ -239,22 +240,28 @@ def _split_by_separator(G: Graph, mask: int, params: AlgorithmParams
     return s_mask, v1, v2
 
 
-def _divide(G: Graph, mask: int, params: AlgorithmParams,
-            step: Callable[[int], Optional[int]]) -> int:
-    """The separator recursion behind every extractor except dense_core.
+Step = Callable[[int], Union[int, None, tuple[int, "Step"]]]
+
+
+def _divide(G: Graph, mask: int, params: AlgorithmParams, step: Step) -> int:
+    """The separator recursion behind every extractor.
 
     A mask of at most one vertex is its own answer. Otherwise step(mask)
-    answers for G[mask], or returns None to split G[mask] by a balanced
-    separator, recurse on both sides and unite their answers; the lowest
-    vertex of mask stands in when both sides answer empty.
+    answers for G[mask] with a kept mask; or returns None to split G[mask]
+    by a balanced separator, recurse on both sides and unite their answers,
+    the lowest vertex of mask standing in when both sides answer empty; or
+    returns (sub_mask, next_step), and next_step then answers for sub_mask
+    in its place. What a call drops is mask & ~kept.
     """
-    if mask.bit_count() <= 1:
-        return mask
-    answer = step(mask)
-    if answer is not None:
-        return answer
-    _, v1, v2 = _split_by_separator(G, mask, params)
-    return _divide(G, v1, params, step) | _divide(G, v2, params, step) or mask & -mask
+    while mask.bit_count() > 1:
+        answer = step(mask)
+        if answer is None:
+            _, v1, v2 = _split_by_separator(G, mask, params)
+            return _divide(G, v1, params, step) | _divide(G, v2, params, step) or mask & -mask
+        if not isinstance(answer, tuple):
+            return answer
+        mask, step = answer
+    return mask
 
 
 def _verify_no_clique(G: Graph, mask: int, r: int) -> None:
@@ -268,9 +275,15 @@ def _verify_no_clique(G: Graph, mask: int, r: int) -> None:
 # ---------------------------------------------------------------------------
 # Neighborhood covers and K_{r-1}-free subgraphs.
 
-def _cover(G: Graph, params: AlgorithmParams) -> tuple[int, dict[int, int]]:
-    """The cover as a mask, and the apex of each of its components that has
-    at least two vertices, keyed by the component's lowest vertex."""
+def kr1_free_subgraph(G: Graph, r: int,
+                      params: AlgorithmParams = DEFAULT_PARAMS) -> ExtractionWitness:
+    """K_{r-1}-free induced subgraph of a K_r-free graph, via the apex
+    argument: a clique in a covered component would extend by its apex."""
+    if r < 3:
+        raise ValueError("forbidden clique size r must be at least 3")
+    _verify_no_clique(G, G.full_mask, r)
+    bound = cover_floor(G.n, params.c)
+    # The apex of each covered component of 2+ vertices, by its lowest vertex.
     apexes: dict[int, int] = {}
 
     def step(mask: int) -> Optional[int]:
@@ -283,18 +296,7 @@ def _cover(G: Graph, params: AlgorithmParams) -> tuple[int, dict[int, int]]:
                 apexes[(comp & -comp).bit_length() - 1] = hub
         return w
 
-    return _divide(G, G.full_mask, params, step), apexes
-
-
-def kr1_free_subgraph(G: Graph, r: int,
-                      params: AlgorithmParams = DEFAULT_PARAMS) -> ExtractionWitness:
-    """K_{r-1}-free induced subgraph of a K_r-free graph, via the apex
-    argument: a clique in a covered component would extend by its apex."""
-    if r < 3:
-        raise ValueError("forbidden clique size r must be at least 3")
-    _verify_no_clique(G, G.full_mask, r)
-    bound = cover_floor(G.n, params.c)
-    w, apexes = _cover(G, params)
+    w = _divide(G, G.full_mask, params, step)
     witness = ExtractionWitness(
         "kp_free", tuple(bits(w)),
         {"p": r - 1, "apexes": apexes, "source": "neighborhood_cover",
@@ -333,9 +335,10 @@ def _biclique_exact(G: Graph, mask: int) -> tuple[int, int]:
 def _biclique_greedy(G: Graph, mask: int) -> tuple[int, int]:
     """Sides (A, B) of the best biclique grown from about 120 strided seed
     edges of G[mask], each side grown by the candidate with the most
-    neighbours among the other side's. A side never outgrows its size plus
-    its candidates, so a seed is dropped once that bound is at most the best
-    t so far; the answer is the one growing every seed fully gives."""
+    neighbours among the other side's. A seed is dropped once it cannot
+    beat the best t so far: a side never outgrows its size plus its
+    candidates, nor the disjoint sides the union of both sides and both
+    candidate sets; the answer is the one growing every seed fully gives."""
     adj = G.adj
     seeds = [(u, v) for u in bits(mask) for v in bits(adj[u] & mask >> u + 1 << u + 1)]
     if len(seeds) > 120:
@@ -348,8 +351,8 @@ def _biclique_greedy(G: Graph, mask: int) -> tuple[int, int]:
         na = nb = 1
         cand_a = adj[v] & mask & ~amask
         cand_b = adj[u] & mask & ~bmask
-        while ((cand_a or cand_b) and min(na + cand_a.bit_count(),
-                                          nb + cand_b.bit_count()) > best_t):
+        while ((cand_a or cand_b) and min(na + cand_a.bit_count(), nb + cand_b.bit_count()) > best_t
+               and (amask | bmask | cand_a | cand_b).bit_count() > 2 * best_t + 1):
             if cand_a and (na <= nb or not cand_b):
                 most = -1
                 for y in bits(cand_a):
@@ -438,29 +441,26 @@ def dense_core(G: Graph, epsilon: float,
         raise ValueError("epsilon must lie in (0, 1)")
     C = Fraction(params.C_refine(epsilon))
     d_full = average_degree(G)
-    mask = G.full_mask
-    while True:
-        nm = mask.bit_count()
-        d_prime = Fraction(2 * edges_in_mask(G, mask), nm)
-        if nm == 1 or d_prime >= Fraction(nm) / C:
-            break
+
+    @cache  # read again as the next step's mask, and for the core at the end
+    def density(side: int) -> Fraction:
+        return Fraction(2 * edges_in_mask(G, side), side.bit_count())
+
+    def step(mask: int) -> Union[int, tuple[int, Step]]:
+        # Stop at |V'| <= C*d', or follow the denser side V_i | S; no side is
+        # empty, as _split_by_separator turns V_j = mask into S = mask.
+        if density(mask) >= Fraction(mask.bit_count()) / C:
+            return mask
         s_mask, v1, v2 = _split_by_separator(G, mask, params)
-        side1 = v1 | s_mask
-        side2 = v2 | s_mask
-
-        def avg(side: int) -> Fraction:
-            if not side:
-                return Fraction(-1)
-            return Fraction(2 * edges_in_mask(G, side), side.bit_count())
-
-        chosen = side1 if avg(side1) >= avg(side2) else side2
+        denser, other = sorted((v1 | s_mask, v2 | s_mask), key=density, reverse=True)
+        chosen = other if denser == mask else denser
         if chosen == mask:
-            chosen = side2 if chosen == side1 else side1
-        if not chosen or chosen == mask:
             raise RefinementFailed("separator produced no strictly smaller side")
-        mask = chosen
-    # The loop stops only at |V'| <= max(1, C*d'), which validate_witness
-    # re-checks; only the density can fail.
+        return chosen, step
+
+    mask = _divide(G, G.full_mask, params, step)
+    d_prime = density(mask)
+    # validate_witness re-checks the stop at |V'| <= max(1, C*d'); only the density can fail.
     eps = Fraction(epsilon)
     if d_prime < (1 - eps) * d_full:
         raise RefinementFailed(
@@ -554,9 +554,9 @@ def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
     found: Optional[VertexSet] = None
     fallbacks = 0
 
-    def _qindep_rec(mask: int, s: int) -> int:
-        # G[mask] is K_{2^s}-free with s > q.
-        def step(mask: int) -> Optional[int]:
+    def step_at(s: int) -> Step:
+        # The step for a G[mask] that is K_{2^s}-free with s > q.
+        def step(mask: int) -> Union[int, None, tuple[int, Step]]:
             nonlocal found, fallbacks
             nm = mask.bit_count()
             if nm <= 10:
@@ -597,11 +597,11 @@ def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
             if chosen is None:
                 raise InternalBoundViolation(
                     "every cover part contains the forbidden clique")
-            return chosen if target <= q else _qindep_rec(chosen, target)
+            return chosen if target <= q else (chosen, step_at(target))
 
-        return _divide(G, mask, params, step)
+        return step
 
-    return _qindep_rec(mask, s), found, fallbacks
+    return _divide(G, mask, params, step_at(s)), found, fallbacks
 
 
 def independent_set(G: Graph, s: int,

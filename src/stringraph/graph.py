@@ -233,7 +233,9 @@ def clique_in_mask(G: Graph, mask: int, k: int) -> Optional[tuple[int, ...]]:
     above the top of the need-th class fewer than need classes remain, so the
     branch loop ends there. With need = 2 the first edge is the answer. Only
     branches without a clique are cut, so the answer is plain backtracking's.
-    Past CLIQUE_NODE_BUDGET expanded nodes the search raises TooLarge.
+    Open nodes are kept on a stack of frames, not Python's call stack, so a
+    clique of any size is found without recursion. Past CLIQUE_NODE_BUDGET
+    expanded nodes the search raises TooLarge.
     """
     if k <= 0:
         raise ValueError("clique size must be positive")
@@ -243,41 +245,55 @@ def clique_in_mask(G: Graph, mask: int, k: int) -> Optional[tuple[int, ...]]:
         return ((mask & -mask).bit_length() - 1,)
     adj = G.adj
     nodes = 0
-
-    def expand(current: list[int], cand: int) -> Optional[tuple[int, ...]]:
-        # cand holds at least need >= 2 vertices, each adjacent to current.
-        nonlocal nodes
+    current: list[int] = []
+    # The open nodes, root first: each one's untried branch vertices and its
+    # candidates; current holds the vertex that each but the last branched on.
+    frames: list[tuple[Iterator[int], int]] = []
+    cand = mask
+    while True:
+        # Expand a node: cand holds at least need >= 2 vertices, each
+        # adjacent to current.
         nodes += 1
         if nodes > CLIQUE_NODE_BUDGET:
             raise TooLarge(f"clique search for K_{k} expanded more than "
                            f"{CLIQUE_NODE_BUDGET} nodes")
         need = k - len(current)
+        uncoloured = 0
         if need == 2:
             for v in bits(cand):
                 if nbrs := adj[v] & cand >> v + 1 << v + 1:
                     return (*current, v, (nbrs & -nbrs).bit_length() - 1)
+        else:
+            uncoloured = cand
+            for _ in range(need - 1):
+                free = uncoloured
+                while free:
+                    v = free.bit_length() - 1
+                    top = 1 << v
+                    uncoloured ^= top
+                    free ^= free & adj[v] | top
+        if uncoloured:
+            # Branch up to the top of the need-th class: the highest uncoloured.
+            frames.append((bits(cand & (1 << uncoloured.bit_length()) - 1), cand))
+        elif current:
+            current.pop()  # a node without branches: back to its parent
+        # Descend by the next branch that keeps need - 1 candidates, leaving
+        # every node whose branches are used up.
+        while frames:
+            branches, parent = frames[-1]
+            want = k - len(frames)
+            for v in branches:
+                if (cand := adj[v] & parent >> v + 1 << v + 1).bit_count() >= want:
+                    break
+            else:
+                frames.pop()
+                if frames:
+                    current.pop()
+                continue
+            current.append(v)
+            break
+        else:
             return None
-        uncoloured = cand
-        for _ in range(need - 1):
-            free = uncoloured
-            while free:
-                v = free.bit_length() - 1
-                top = 1 << v
-                uncoloured ^= top
-                free ^= free & adj[v] | top
-            if not uncoloured:
-                return None
-        # Branch up to the top of the need-th class: the highest uncoloured.
-        for v in bits(cand & (1 << uncoloured.bit_length()) - 1):
-            if (sub := adj[v] & cand >> v + 1 << v + 1).bit_count() >= need - 1:
-                current.append(v)
-                got = expand(current, sub)
-                if got is not None:
-                    return got
-                current.pop()
-        return None
-
-    return expand([], mask)
 
 
 def find_clique(G: Graph, k: int) -> Optional[tuple[int, ...]]:

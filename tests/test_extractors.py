@@ -1,6 +1,7 @@
 """Constructive extraction routines and their witness validators."""
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -18,9 +19,9 @@ from stringraph.extract import (_split_by_separator, cover_floor,
                                 q_independent_floor)
 from stringraph.generators import GeneratorSpec, generate
 from stringraph.geometry import intersection_graph
-from stringraph.separator import STRATEGIES
+from stringraph.separator import STRATEGIES, find_balanced_separator
 from stringraph import extract as extract_module
-from stringraph.graph import (bits, clique_in_mask, components_masked,
+from stringraph.graph import (bits, clique_in_mask, components_masked, edges_in_mask,
                               induced_subgraph, is_independent, mask_of)
 from stringraph.oracles import max_clique_exact
 from tests.conftest import FAMILIES, er_graph, er_masked, family_graph
@@ -232,6 +233,31 @@ def test_dense_core_on_edgeless_graphs_under_degree_peel():
         w = dense_core(G, 0.5, params)
         validate_witness(G, w)
         assert len(w.vertices) == 1
+
+
+def test_dense_core_follows_the_separator_when_the_denser_side_is_everything():
+    # bfs_layer leaves V1 empty here, so V2 | S is the whole vertex set and
+    # the denser side; the refinement follows S instead, which stops at once.
+    G = er_graph(12, 0.6, 1)
+    part = find_balanced_separator(G, "bfs_layer")
+    whole, s_mask = mask_of(part.V2 + part.S), mask_of(part.S)
+    assert not part.V1 and whole == G.full_mask
+    assert 2 * G.m / G.n > 2 * edges_in_mask(G, s_mask) / len(part.S)
+    w = dense_core(G, 0.5, AlgorithmParams(c1=0.1, separator_strategy="bfs_layer"))
+    assert w.vertices == part.S == (2, 3, 7, 8, 11)
+    assert w.certificate["d_prime"] == Fraction(18, 5)
+
+
+@pytest.mark.parametrize("extract", [
+    lambda G, p: kr1_free_subgraph(G, 3, p),
+    lambda G, p: half_clique_free_subgraph(G, 3, p),
+], ids=["kr1free", "halfclique"])
+def test_a_separator_of_every_vertex_leaves_the_lowest_vertex(extract):
+    # No step fires at c = 1000, and the only separator of K_2 is both
+    # vertices: both sides answer empty, and vertex 0 stands in.
+    G = _complete(2)
+    assert _split_by_separator(G, G.full_mask, AlgorithmParams()) == (0b11, 0, 0)
+    assert extract(G, AlgorithmParams(c=1e3)).vertices == (0,)
 
 
 def test_find_balanced_biclique_modes():

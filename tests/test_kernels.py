@@ -5,12 +5,14 @@ report encoder must give the same answers, and the same bytes."""
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
-from stringraph import TooLarge, color_or_clique, find_clique, kr1_free_subgraph
+from stringraph import (Graph, PreconditionViolated, TooLarge, color_or_clique, find_clique,
+                        kr1_free_subgraph)
 from stringraph import extract as extract_module
 from stringraph import fileio
 from stringraph import graph as graph_module
@@ -69,8 +71,47 @@ def test_every_clique_search_shares_the_node_budget(search, monkeypatch):
         search(G)
 
 
-def test_biclique_greedy_matches_the_reference_on_half_clique_masks(monkeypatch):
-    """Every mask the half-clique step hands the greedy search, at n = 150-300."""
+def _complete(n):
+    return Graph(tuple((1 << n) - 1 ^ 1 << v for v in range(n)))
+
+
+def test_clique_search_finds_a_clique_past_the_recursion_limit():
+    # One search level per clique vertex once recursed; 1000 levels are
+    # past Python's default limit of 1000 frames.
+    K = _complete(1000)
+    assert find_clique(K, 1000) == tuple(range(1000))
+    with pytest.raises(PreconditionViolated) as info:
+        kr1_free_subgraph(K, 1000)
+    assert info.value.witness.vertices == tuple(range(1000))
+    assert info.value.witness.certificate == {"size": 1000}
+
+
+# The smallest CLIQUE_NODE_BUDGET each search passes: the nodes it expands.
+NODE_COUNTS = [
+    (("random_segments", 300), 5, 8),
+    (("random_polylines", 300), 8, 47),
+    (("grid_paths", 300), 3, 268),
+    ((60, 0.5, 0), 9, 129),
+    ((120, 0.3, 2), 6, 19),
+    ((200, 0.5, 3), 12, 16701),
+]
+
+
+@pytest.mark.parametrize("graph, k, nodes", NODE_COUNTS,
+                         ids=[f"{g[0]}-{g[1]}-K{k}" for g, k, _ in NODE_COUNTS])
+def test_clique_search_expands_a_pinned_number_of_nodes(graph, k, nodes, monkeypatch):
+    G = family_graph(*graph, 3) if isinstance(graph[0], str) else er_graph(*graph)
+    monkeypatch.setattr(graph_module, "CLIQUE_NODE_BUDGET", nodes)
+    found = clique_in_mask(G, G.full_mask, k)
+    assert found == clique_in_mask_reference(G, G.full_mask, k)
+    monkeypatch.setattr(graph_module, "CLIQUE_NODE_BUDGET", nodes - 1)
+    with pytest.raises(TooLarge):
+        clique_in_mask(G, G.full_mask, k)
+
+
+def test_biclique_greedy_matches_the_reference_on_half_clique_masks(monkeypatch, rng):
+    """Every mask the half-clique step hands the greedy search, at n = 150-300,
+    and complete and dense random masks."""
     masks = []
 
     def recorded(G, mask):
@@ -85,8 +126,23 @@ def test_biclique_greedy_matches_the_reference_on_half_clique_masks(monkeypatch)
                 G = family_graph(kind, n, seed)
                 extract_module.half_clique_free_subgraph(G, _omega(G, G.full_mask) + 1)
     assert len(masks) >= 30
+    for n in (21, 40, 80):
+        masks.append((_complete(n), (1 << n) - 1))
+        for p in (0.9, 0.95, 0.99):
+            G = er_graph(n, p, n)
+            masks += [(G, G.full_mask), (G, rng.getrandbits(n) | 1 << n - 1)]
     for G, mask in masks:
         assert greedy(G, mask) == biclique_greedy_reference(G, mask)
+
+
+def test_half_clique_free_subgraph_answers_on_k1000_in_under_five_seconds():
+    # Every seed after the first grows over the whole vertex set, so the
+    # union bound drops it at once; growing each took about 20 s in all.
+    K = _complete(1000)
+    start = time.perf_counter()
+    witness = extract_module.half_clique_free_subgraph(K, 1001)
+    assert time.perf_counter() - start < 5
+    assert witness.vertices == tuple(range(0, 1000, 2))
 
 
 def _spread(members, width, rng):
