@@ -136,8 +136,9 @@ def test_biclique_greedy_matches_the_reference_on_half_clique_masks(monkeypatch,
 
 
 def test_half_clique_free_subgraph_answers_on_k1000_in_under_five_seconds():
-    # Every seed after the first grows over the whole vertex set, so the
-    # union bound drops it at once; growing each took about 20 s in all.
+    # Every seed after the first starts with all 1000 vertices in its sides
+    # and candidates, so the union bound drops it at once; growing every
+    # seed to the end took 14-20 s in all.
     K = _complete(1000)
     start = time.perf_counter()
     witness = extract_module.half_clique_free_subgraph(K, 1001)
