@@ -15,9 +15,10 @@ Exit codes: 0 success and verified, 2 verification failure, 3 a declared
 failure outcome (precondition violated, refinement or cover failure,
 degenerate drawing, bound domain), which a report command writes as a report
 with its witness, 4 usage, parse, schema and spec errors and output write
-failures, 5 refusals of an exact search: an exact oracle's size cap, or the
-clique search's node budget (graph.CLIQUE_NODE_BUDGET), which every
-extractor's K_r-free check, color-or-clique and qp check's search share.
+failures, 5 refusals of a search: an exact oracle's size cap, the clique
+search's node budget (graph.CLIQUE_NODE_BUDGET), which every extractor's
+K_r-free check, color-or-clique and qp check's search share, or the greedy
+biclique search's scan budget (extract.BICLIQUE_SCAN_BUDGET).
 """
 from __future__ import annotations
 

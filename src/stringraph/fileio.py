@@ -5,7 +5,10 @@ rationals are "p/q" strings, and decimal literals parse to the exact rational
 they denote. With inexact=True decimal literals are read as IEEE doubles
 instead (then converted to the exact rational of the double). A point is
 checked once, as it is read: two ints become a Point as they stand, and any
-other point goes through _coord_in, whose errors name the point. Emission is
+other point goes through _coord_in, whose errors name the point. A point of
+two strings is read once per file: each later occurrence of the same two
+strings reuses the first one's Point, so the vertex points that every curve
+of a drawing starts and ends at are converted once each. Emission is
 canonical (sorted keys, fixed indentation), so parse-emit round trips are
 byte-stable and reports are reproducible. report_json is the one place a run
 report becomes JSON: keys become strings sorted as strings, tuples arrays,
@@ -119,17 +122,33 @@ def _point_in(value, where: str) -> Point:
     return Point(_coord_in(value[0], where), _coord_in(value[1], where))
 
 
-def _points_in(values: list, where: str) -> tuple[Point, ...]:
+def _point_once(value, where: str, i: int, seen: dict) -> Point:
+    """_point_in of value, naming where[i]. A point of two JSON strings is
+    read at its first occurrence in the file, and seen hands that Point out
+    again for each later one. Only str pairs are keys: true, 1, 1.0 and a
+    decimal Fraction compare equal, and each of them is checked where it
+    stands."""
+    if (type(value) is list and len(value) == 2
+            and type(value[0]) is str and type(value[1]) is str):
+        key = (*value,)
+        point = seen.get(key)
+        if point is None:
+            point = seen[key] = _point_in(value, f"{where}[{i}]")
+        return point
+    return _point_in(value, f"{where}[{i}]")
+
+
+def _points_in(values: list, where: str, seen: dict) -> tuple[Point, ...]:
     """The points of values, each checked once; errors name where[i]."""
     return tuple([tuple.__new__(Point, p) if type(p) is list and len(p) == 2
                    and type(p[0]) is int and type(p[1]) is int
-                   else _point_in(p, f"{where}[{i}]") for i, p in enumerate(values)])
+                   else _point_once(p, where, i, seen) for i, p in enumerate(values)])
 
 
-def _curve_in(value, where: str, curve_id: str) -> Polyline:
+def _curve_in(value, where: str, curve_id: str, seen: dict) -> Polyline:
     if not isinstance(value, list) or len(value) < 2:
         raise SchemaError(f"{where}: need an array of at least 2 points")
-    pts = _points_in(value, where)
+    pts = _points_in(value, where, seen)
     if all(map(ne, pts, pts[1:])):
         return Polyline.of_exact(curve_id, pts)
     try:  # the checked constructor raises for the point that repeats
@@ -163,6 +182,7 @@ def family_from_obj(obj) -> StringFamily:
         raise SchemaError("family file needs a top-level 'strings' array",
                           field="strings")
     _check_caps(obj["strings"], "family", "strings")
+    seen: dict = {}
     strings = []
     for i, raw in enumerate(obj["strings"]):
         where = f"strings[{i}]"
@@ -171,7 +191,7 @@ def family_from_obj(obj) -> StringFamily:
         sid = raw.get("id")
         if not isinstance(sid, str) or not sid:
             raise SchemaError(f"{where}: missing string id", field="id")
-        strings.append(_curve_in(raw.get("points"), where, sid))
+        strings.append(_curve_in(raw.get("points"), where, sid, seen))
     return StringFamily(tuple(strings))
 
 
@@ -194,7 +214,8 @@ def drawing_from_obj(obj) -> Drawing:
     if not isinstance(obj.get("edges"), list):
         raise SchemaError("drawing file needs an 'edges' array", field="edges")
     _check_caps(obj["edges"], "drawing", "edges")
-    verts = _points_in(obj["vertices"], "vertices")
+    seen: dict = {}
+    verts = _points_in(obj["vertices"], "vertices", seen)
     edges = []
     for k, raw in enumerate(obj["edges"]):
         where = f"edges[{k}]"
@@ -203,7 +224,7 @@ def drawing_from_obj(obj) -> Drawing:
         u, v = raw.get("u"), raw.get("v")
         if not isinstance(u, int) or not isinstance(v, int) or isinstance(u, bool) or isinstance(v, bool):
             raise SchemaError(f"{where}: u and v must be integers")
-        edges.append(DrawnEdge(u, v, _curve_in(raw.get("points"), where, f"e{k}")))
+        edges.append(DrawnEdge(u, v, _curve_in(raw.get("points"), where, f"e{k}", seen)))
     try:
         return Drawing(verts, tuple(edges))
     except ValueError as exc:

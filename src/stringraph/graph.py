@@ -136,8 +136,12 @@ def edges_in_mask(G: Graph, mask: int) -> int:
 def components_masked(G: Graph, mask: int, complement: bool = False) -> list[int]:
     """Connected components of G[mask] (of its complement when complement is
     set) as masks, ordered by smallest member."""
+    return list(iter_components(G, mask, complement))
+
+
+def iter_components(G: Graph, mask: int, complement: bool = False) -> Iterator[int]:
+    """components_masked, found one at a time as they are asked for."""
     adj = G.adj
-    comps = []
     remaining = mask
     while remaining:
         start = remaining & -remaining
@@ -155,9 +159,8 @@ def components_masked(G: Graph, mask: int, complement: bool = False) -> list[int
                     break
             frontier = unseen ^ missing
             comp |= frontier
-        comps.append(comp)
+        yield comp
         remaining &= ~comp
-    return comps
 
 
 def most_adjacent(G: Graph, among: int, into: int) -> int:

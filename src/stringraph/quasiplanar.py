@@ -141,11 +141,11 @@ def _auto_radius_sq(drawing: Drawing, hverts: list, hcurves: list) -> Fraction:
 
 
 def _first_exit(hpts: list[Homogeneous], center: Homogeneous, rho_sq: Fraction,
-                edge_index: int) -> tuple[int, Fraction, Point]:
+                edge_index: int) -> tuple[int, Point]:
     """First point along a curve leaving the open disk around center.
 
     hpts are the curve's points in `geometry.homogeneous` form. Returns
-    (segment index, parameter, point) with the point's distance d satisfying
+    (segment index, point) with the point's distance d satisfying
     rho <= d < 1.5 * rho, found by dyadic bisection. Squared distance is
     convex along a segment, so a segment with both endpoints inside the disk
     lies wholly inside and can be skipped.
@@ -154,8 +154,10 @@ def _first_exit(hpts: list[Homogeneous], center: Homogeneous, rho_sq: Fraction,
     center and v = b - a as integer numerators over one denominator d, so
     rd * 4^e * dist^2 at t = m / 2^e is the integer s(m, e) below, and each
     test of the bisection compares it with rn * d^2 * 4^e, for
-    rho_sq = rn / rd. The point is built once, at the parameter t = hi / 2^e
-    found, from the same numerators: each coordinate is
+    rho_sq = rn / rd. A step that keeps hi at t = hi / 2^e knows s there
+    already, as s(2 hi, e + 1) = 4 s(hi, e), so s is evaluated once per
+    step. The point is built once, at the parameter t = hi / 2^e found, from
+    the same numerators: each coordinate is
     (xa wb (2^e - hi) + xb wa hi) / (wa wb 2^e), one Fraction and so one gcd,
     normalized to int when integral as `exact_coord` does.
     """
@@ -174,21 +176,23 @@ def _first_exit(hpts: list[Homogeneous], center: Homogeneous, rho_sq: Fraction,
         def s(m: int, e: int) -> int:
             return a2 * m * m + (a1 * m << e) + (a0 << 2 * e)
 
-        if s(1, 0) < rho:
+        s_hi = s(1, 0)
+        if s_hi < rho:
             continue
         lo, hi, e = 0, 1, 0
-        while 4 * s(hi, e) >= 9 * rho << 2 * e:
+        while 4 * s_hi >= 9 * rho << 2 * e:
             mid = lo + hi
             lo, hi, e = lo << 1, hi << 1, e + 1
-            if s(mid, e) >= rho << 2 * e:
-                hi = mid
+            s_mid = s(mid, e)
+            if s_mid >= rho << 2 * e:
+                hi, s_hi = mid, s_mid
             else:
-                lo = mid
+                lo, s_hi = mid, 4 * s_hi
             if e > 512:
                 raise DegenerateDrawing("truncation cut search did not converge")
         fa, fb, w = wb * ((1 << e) - hi), wa * hi, wa * wb << e
-        return k, Fraction(hi, 1 << e), Point(exact_coord(Fraction(xa * fa + xb * fb, w)),
-                                              exact_coord(Fraction(ya * fa + yb * fb, w)))
+        return k, Point(exact_coord(Fraction(xa * fa + xb * fb, w)),
+                        exact_coord(Fraction(ya * fa + yb * fb, w)))
     raise DegenerateDrawing(
         f"edge {edge_index} never leaves its endpoint disk, which the automatic "
         "radius rules out")
@@ -209,13 +213,15 @@ def truncate_edges(drawing: Drawing) -> StringFamily:
     if drawing.m == 0:
         return StringFamily(())
     hverts = [homogeneous(p) for p in drawing.vertices]
-    hcurves = [[homogeneous(p) for p in e.curve.points] for e in drawing.edges]
+    # Drawing checked that each curve starts and ends at its endpoints' points.
+    hcurves = [[hverts[e.u], *map(homogeneous, e.curve.points[1:-1]), hverts[e.v]]
+               for e in drawing.edges]
     rho_sq = _auto_radius_sq(drawing, hverts, hcurves)
     strings = []
     for k, (e, hpts) in enumerate(zip(drawing.edges, hcurves)):
         pts = e.curve.points
-        ku, _, pu = _first_exit(hpts, hverts[e.u], rho_sq, k)
-        kr, _, pv = _first_exit(hpts[::-1], hverts[e.v], rho_sq, k)
+        ku, pu = _first_exit(hpts, hverts[e.u], rho_sq, k)
+        kr, pv = _first_exit(hpts[::-1], hverts[e.v], rho_sq, k)
         mid = [pu] + list(pts[ku + 1:len(pts) - 1 - kr]) + [pv]
         # A cut at parameter 1 repeats the next bend.
         out = [p for p, prev in zip(mid, [None, *mid]) if p != prev]

@@ -14,8 +14,8 @@ from itertools import combinations, islice
 from typing import Optional, Sequence
 
 from .errors import TooLarge
-from .graph import (Graph, bits, components_masked, mask_of, peel_order,
-                     vertex_mask)
+from .graph import (Graph, bits, components_masked, iter_components, mask_of,
+                     peel_order, vertex_mask)
 
 _EXACT_LIMIT = 14
 STRATEGIES = ("auto", "exact", "bfs_layer", "degree_peel")
@@ -84,6 +84,22 @@ def _pack_two_bins(chunks: Sequence[int], cap: int) -> Optional[int]:
     return v1
 
 
+def _fits(G: Graph, rest: int, cap: int) -> bool:
+    """Whether no component of G[rest] holds more than cap vertices. With
+    rest of at most n vertices and cap = ceil(2n/3) that is whether the
+    components pack: the largest alone when it holds n/3 or more, else
+    pieces until the side holds n/3. Components are found one at a time,
+    up to the first above cap, or until the vertices left cannot hold one."""
+    left = rest.bit_count()
+    comps = iter_components(G, rest)
+    while left > cap:
+        size = next(comps).bit_count()
+        if size > cap:
+            return False
+        left -= size
+    return True
+
+
 def _partition(mask: int, s_mask: int, v1: int) -> SeparatorPartition:
     """S, V1 and the rest of mask as V2."""
     return SeparatorPartition(S=tuple(bits(s_mask)), V1=tuple(bits(v1)),
@@ -98,9 +114,9 @@ def _exact(G: Graph, mask: int) -> SeparatorPartition:
     for k in range(n):
         for subset in combinations(tuple(bits(mask)), k):
             s_mask = mask_of(subset)
-            v1 = _pack_two_bins(components_masked(G, mask & ~s_mask), cap)
-            if v1 is not None:
-                return _partition(mask, s_mask, v1)
+            rest = mask & ~s_mask
+            if _fits(G, rest, cap):
+                return _partition(mask, s_mask, _pack_two_bins(components_masked(G, rest), cap))
     return _partition(mask, mask, 0)
 
 
@@ -130,26 +146,22 @@ def _bfs_layer(G: Graph, mask: int) -> SeparatorPartition:
     cap = balance_cap(mask.bit_count())
     comps = components_masked(G, mask)
     comp = max(comps, key=int.bit_count, default=0)
-    if comp.bit_count() <= cap:
-        # Pieces of at most ceil(2n/3) vertices always pack: the largest alone
-        # when it holds n/3 or more, else pieces until the side holds n/3.
+    if comp.bit_count() <= cap:  # every piece fits, so they pack (see _fits)
         return _partition(mask, 0, _pack_two_bins(comps, cap))
+    # The other components hold fewer than n - cap <= cap vertices in all, so
+    # a layer's pieces pack iff the parts of comp below and above it fit.
+    # Some layer does: the first with at most cap vertices above it has fewer
+    # than |comp| - cap <= cap below it. So S = comp, the start, never stands.
     others = [c for c in comps if c != comp]
-    s_mask, v1 = mask, 0
+    s_mask, chunks = comp, others
     below = 0
     for layer in _bfs_layers(G, _pseudo_peripheral(G, comp), comp):
         above = comp & ~below & ~layer
-        if layer.bit_count() < s_mask.bit_count():
-            side = _pack_two_bins([c for c in (below, above) if c] + others, cap)
-            if side is not None:
-                s_mask, v1 = layer, side
+        if (layer.bit_count() < s_mask.bit_count() and below.bit_count() <= cap
+                and above.bit_count() <= cap):
+            s_mask, chunks = layer, [c for c in (below, above) if c] + others
         below |= layer
-    if s_mask == mask and others:
-        # No layer splits comp: all of comp goes into S.
-        side = _pack_two_bins(others, cap)
-        if side is not None:
-            s_mask, v1 = comp, side
-    return _partition(mask, s_mask, v1)
+    return _partition(mask, s_mask, _pack_two_bins(chunks, cap))
 
 
 def _degree_peel(G: Graph, mask: int, best: Optional[SeparatorPartition] = None
@@ -157,37 +169,41 @@ def _degree_peel(G: Graph, mask: int, best: Optional[SeparatorPartition] = None
     """S is the shortest prefix of peel_order(G, mask), the vertex with the
     most neighbours in the rest first, whose rest packs into balanced sides.
 
-    Packing is monotone in the prefix: peeling one more vertex only splits and
-    shrinks the pieces of the rest, and each new piece can stay in the side of
-    the piece it came from. So the shortest prefix is found by bisection, with
-    O(log n) component computations; the prefix of every vertex always packs.
+    The rest packs iff its largest component holds at most ceil(2n/3)
+    vertices (see _fits), so each prefix is tested for that fit, which stops
+    at the first component above the cap, or once the vertices left cannot
+    hold one; the answer alone is packed. Fitting is monotone in the prefix:
+    peeling one more vertex only splits and shrinks the pieces of the rest.
+    So the shortest prefix is found by bisection, with O(log n) fit tests;
+    the prefix of every vertex always fits. Each prefix mask extends the
+    longest prefix found not to fit, so the bisection adds each vertex of
+    the order to a mask O(1) times.
 
     Given best, only prefixes shorter than best.S are tried, and only that
     many vertices are taken from the order. The longest of them is tested
-    first; when it does not pack, no shorter one does, and best is returned.
+    first; when it does not fit, no shorter one does, and best is returned.
     """
     cap = balance_cap(mask.bit_count())
     if best is None:
         order = list(peel_order(G, mask))
-        s_mask, v1 = mask, 0
+        s_mask = mask
     elif not best.S:
         return best
     else:
         order = list(islice(peel_order(G, mask), len(best.S) - 1))
         s_mask = mask_of(order)
-        v1 = _pack_two_bins(components_masked(G, mask & ~s_mask), cap)
-        if v1 is None:
+        if not _fits(G, mask & ~s_mask, cap):
             return best
     lo, hi = 0, len(order)
+    lo_mask = 0  # the prefix order[:lo], which does not fit when lo > 0
     while lo < hi:
         mid = (lo + hi) // 2
-        prefix = mask_of(order[:mid])
-        side = _pack_two_bins(components_masked(G, mask & ~prefix), cap)
-        if side is None:
-            lo = mid + 1
+        prefix = lo_mask | mask_of(order[lo:mid])
+        if _fits(G, mask & ~prefix, cap):
+            hi, s_mask = mid, prefix
         else:
-            hi, s_mask, v1 = mid, prefix, side
-    return _partition(mask, s_mask, v1)
+            lo, lo_mask = mid + 1, prefix | 1 << order[mid]
+    return _partition(mask, s_mask, _pack_two_bins(components_masked(G, mask & ~s_mask), cap))
 
 
 def find_balanced_separator(G: Graph, strategy: str = "auto",

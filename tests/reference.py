@@ -301,7 +301,8 @@ def _check_segments_reference(curves: list, kind: str) -> None:
 def family_from_obj_reference(obj) -> StringFamily:
     """Read a decoded family file point by point, every coordinate through
     `coord_in_reference` and every curve through the checked `Polyline`
-    constructor: the reference for `fileio.family_from_obj`. Same family, or
+    constructor: the reference for `fileio.family_from_obj`. Each place is
+    read anew, however often its point recurs in the file. Same family, or
     the same error type, message and field."""
     if not isinstance(obj, dict) or not isinstance(obj.get("strings"), list):
         raise SchemaError("family file needs a top-level 'strings' array",

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from stringraph import KINDS, ExtractionWitness, Graph, quasiplanar
+from stringraph import extract as extract_module
 from stringraph.cli import _build_parser, main
 from stringraph.fileio import graph_text, parse_graph_text
 from stringraph.graph import CLIQUE_NODE_BUDGET
@@ -469,6 +470,16 @@ def test_clique_search_past_its_node_budget_exits_five(tmp_path, capsys):
     assert code == 5 and elapsed < 20
     assert capsys.readouterr().err == (
         f"error: clique search for K_13 expanded more than {CLIQUE_NODE_BUDGET} nodes\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_biclique_search_past_its_scan_budget_exits_five(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(extract_module, "BICLIQUE_SCAN_BUDGET", 1000)
+    path = _write_graph(tmp_path, er_graph(120, 0.9, 7))
+    code = main(["extract", "halfclique", path, "--r", "121", "-o", str(tmp_path / "r.json")])
+    assert code == 5
+    assert capsys.readouterr().err == (
+        "error: greedy balanced-biclique search scanned more than 1000 candidates\n")
     assert not (tmp_path / "r.json").exists()
 
 

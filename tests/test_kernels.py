@@ -146,6 +146,47 @@ def test_half_clique_free_subgraph_answers_on_k1000_in_under_five_seconds():
     assert witness.vertices == tuple(range(0, 1000, 2))
 
 
+def test_half_clique_free_subgraph_refuses_a_dense_random_graph_within_its_budget():
+    # Unlike K_1000, the seeds of a G(1000, 0.99) keep sides and candidates
+    # above the union bound for most of their growth: 27 million candidate
+    # scans and about 7 s without a budget.
+    G = er_graph(1000, 0.99, 1)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="balanced-biclique search scanned more than "
+                                       f"{extract_module.BICLIQUE_SCAN_BUDGET} candidates"):
+        extract_module.half_clique_free_subgraph(G, 1001)
+    assert time.perf_counter() - start < 5
+
+
+# The smallest BICLIQUE_SCAN_BUDGET each greedy search passes: the
+# candidates it scans.
+SCAN_COUNTS = [
+    (("random_segments", 300, 3), 2404),
+    ((80, 0.95, 80), 247625),
+    ((120, 0.9, 7), 272517),
+]
+
+
+@pytest.mark.parametrize("graph, scans", SCAN_COUNTS, ids=[str(g) for g, _ in SCAN_COUNTS])
+def test_biclique_search_scans_a_pinned_number_of_candidates(graph, scans, monkeypatch):
+    G = family_graph(*graph) if isinstance(graph[0], str) else er_graph(*graph)
+    monkeypatch.setattr(extract_module, "BICLIQUE_SCAN_BUDGET", scans)
+    assert (extract_module._biclique_greedy(G, G.full_mask)
+            == biclique_greedy_reference(G, G.full_mask))
+    monkeypatch.setattr(extract_module, "BICLIQUE_SCAN_BUDGET", scans - 1)
+    with pytest.raises(TooLarge):
+        extract_module._biclique_greedy(G, G.full_mask)
+
+
+def test_k1000_biclique_search_stays_within_the_budget(monkeypatch):
+    # K_1000 scans the most of any Tier-1 input; the budget is four times it.
+    assert 4 * 498_501 <= extract_module.BICLIQUE_SCAN_BUDGET
+    monkeypatch.setattr(extract_module, "BICLIQUE_SCAN_BUDGET", 498_501)
+    K = _complete(1000)
+    assert extract_module._biclique_greedy(K, K.full_mask) == (
+        sum(1 << v for v in range(0, 1000, 2)), sum(1 << v for v in range(1, 1000, 2)))
+
+
 def _spread(members, width, rng):
     """A mask of the given member count whose highest bit is width - 1."""
     return 1 << width - 1 | sum(1 << b for b in rng.sample(range(width - 1), members - 1))

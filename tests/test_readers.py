@@ -3,6 +3,7 @@ and the reader agrees with the point-by-point reference on every input, to
 the error type, message and field."""
 
 import copy
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from stringraph import (Drawing, DrawnEdge, GeneratorSpec, Point, Polyline,
                         StringFamily, StringraphError, generate)
 from stringraph import fileio
+from stringraph.cli import main
 from stringraph.fileio import MAX_DIGITS
 from stringraph.generators import KINDS
 
@@ -129,6 +131,97 @@ def test_mutated_files_read_like_the_reference(rng):
     kinds = {o[0] if isinstance(o, tuple) else str for o in outcomes}
     assert len(kinds) == 3  # objects, SchemaError and DuplicateId all occur
     assert 100 < sum(isinstance(o, str) for o in outcomes) < 1100
+
+
+def _drawing_obj(vertices, curves):
+    """A decoded drawing: curve k joins vertex k to vertex k + 1 through its
+    own bends."""
+    return {"vertices": vertices,
+            "edges": [{"u": k, "v": k + 1, "points": [vertices[k], *bends, vertices[k + 1]]}
+                      for k, bends in enumerate(curves)]}
+
+
+def _repeated_point_files():
+    """Files whose "p/q" points repeat, with what each read gives: equal
+    values in different forms, points of a string and an int, a bool after
+    the int it equals, and a bad coordinate at its first and later places."""
+    half = ["1/2", "1/2"]
+    verts = [half, ["3/2", "1/3"], ["0.5", "3/2"], [1, "1/2"], ["1/2", 1], [1, 2]]
+    bends = [[["3/4", "1/3"]], [["3/4", "1/3"], ["5/4", "1/3"]], [["2/4", "3/4"]],
+             [["2/3", "1/3"], ["2/4", "2/4"]], [half]]
+    family = [{"id": "a", "points": [half, ["3/4", "1/3"], half]},
+              {"id": "b", "points": [["2/4", "1/2"], ["3/4", "1/3"], [0.5, "1/3"], half]}]
+    files = [(_drawing_obj(verts, bends), None),
+             ({"strings": family}, None),
+             ({"strings": family + [{"id": "c", "points": [[1, 2], [True, 2], half]}]},
+              "strings[2][1]: coordinate cannot be a boolean"),
+             ({"strings": [{"id": "a", "points": [[1, 2], ["1/3", "1/3"]]},
+                           {"id": "b", "points": [["1/3", "1/3"], [True, 2]]}]},
+              "strings[1][1]: coordinate cannot be a boolean"),
+             ({"strings": [{"id": "a", "points": [[1, "1/3"], [0, 0]]},
+                           {"id": "b", "points": [[0, 1], [True, "1/3"]]}]},
+              "strings[1][1]: coordinate cannot be a boolean")]
+    for bad in ("1/0", "x"):
+        # The bad point first appears as a vertex, a bend or a string's end.
+        error = f"bad coordinate {bad!r}"
+        files += [
+            (_drawing_obj([half, [bad, "1/2"], half[::-1]], [[], [[bad, "1/2"]]]),
+             f"vertices[1]: {error}"),
+            (_drawing_obj([half, ["1/3", "1/3"], [1, 1]], [[["1/2", bad]], [["1/2", bad]]]),
+             f"edges[0][1]: {error}"),
+            ({"strings": [{"id": "a", "points": [half, ["1/3", bad]]},
+                          {"id": "b", "points": [["1/3", bad], half]}]},
+             f"strings[0][1]: {error}")]
+    return files
+
+
+@pytest.mark.parametrize("inexact", [False, True])
+def test_repeated_ratio_points_read_like_the_reference(inexact):
+    """The reader converts a point of two strings once per file and hands
+    that Point out at each later place; the reference reads every place
+    anew. Same objects, or the same error at the same place."""
+    for obj, error in _repeated_point_files():
+        got, want = _read(fileio._loads(json.dumps(obj), inexact))
+        assert got == want, obj
+        if error is None:
+            assert isinstance(got, str)
+        else:
+            assert got[1] == error
+
+
+def test_a_bool_after_the_int_it_equals_is_refused(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"strings": [{"id": "a", "points": [[1, 2], ["1/2", 1]]},
+                                            {"id": "b", "points": [[True, 2], [0, 0]]}]}))
+    assert main(["build-graph", str(path), "-o", str(tmp_path / "g.txt")]) == 4
+
+
+def test_repeated_points_share_their_point():
+    drawing = fileio.drawing_from_obj(
+        _drawing_obj([["1/2", "1/3"], ["1/3", "1/2"], ["1/5", "1/7"]],
+                     [[["1/9", "1/9"]], [["1/9", "1/9"]]]))
+    first, second = (e.curve.points for e in drawing.edges)
+    assert first[1] is second[1] and first[-1] is second[0]
+    assert all(e.curve.points[0].x is drawing.vertices[e.u].x for e in drawing.edges)
+
+
+@pytest.mark.parametrize("n", [3, 8, 10])
+def test_a_convex_drawing_file_reads_each_vertex_once(n, monkeypatch):
+    """A straight-line convex K_n file holds n + n(n - 1) points, every one a
+    vertex's; its coordinates are converted 2n times."""
+    calls = 0
+    real = fileio.exact_coord
+
+    def counting(value):
+        nonlocal calls
+        calls += 1
+        return real(value)
+
+    monkeypatch.setattr(fileio, "exact_coord", counting)
+    drawing = generate(GeneratorSpec("convex_chords", n, seed=n))
+    text = fileio.drawing_json(drawing)
+    assert fileio.parse_drawing(text) == drawing
+    assert calls == 2 * n
 
 
 @pytest.mark.parametrize("literal", STRINGS)

@@ -10,7 +10,7 @@ from stringraph import (Graph, SeparatorPartition, TooLarge, balance_cap,
                         separator_size_survey, validate_partition)
 from stringraph import separator as separator_module
 from stringraph.generators import GeneratorSpec
-from stringraph.graph import bits, components_masked, mask_of, peel_order
+from stringraph.graph import bits, components_masked, iter_components, mask_of, peel_order
 from stringraph.separator import _degree_peel, _pack_two_bins
 from tests.conftest import FAMILIES, er_graph, er_masked, family_graph
 from tests.reference import (auto_separator_reference, convex_interleaving_graph,
@@ -162,14 +162,20 @@ def test_degree_peel_bisection_matches_the_linear_loop(rng):
 
 
 def _count_components(monkeypatch) -> list[int]:
-    """Record the mask of every components_masked call the separator makes."""
+    """Record the mask of every component computation the separator makes:
+    each components_masked call, and each fit test's iter_components."""
     calls = []
 
     def counted(graph, mask):
         calls.append(mask)
         return components_masked(graph, mask)
 
+    def counted_iter(graph, mask):
+        calls.append(mask)
+        return iter_components(graph, mask)
+
     monkeypatch.setattr(separator_module, "components_masked", counted)
+    monkeypatch.setattr(separator_module, "iter_components", counted_iter)
     return calls
 
 
