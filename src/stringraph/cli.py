@@ -27,7 +27,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence
@@ -197,7 +197,8 @@ def _report(args) -> int:
     params = _load_params(args) if hasattr(args, "params") else None
     parameters = args.parameters(args, params)
     if params is not None:
-        parameters["params"] = asdict(params)
+        # Every field is a scalar, so no deep copy is needed.
+        parameters["params"] = {name: getattr(params, name) for name in _PARAM_FIELDS}
     try:
         result, verifier = args.run(data, parameters, params)
     except _DECLARED as exc:

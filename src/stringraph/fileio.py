@@ -5,10 +5,14 @@ rationals are "p/q" strings, and decimal literals parse to the exact rational
 they denote. With inexact=True decimal literals are read as IEEE doubles
 instead (then converted to the exact rational of the double). A point is
 checked once, as it is read: two ints become a Point as they stand, and any
-other point goes through _coord_in, whose errors name the point. A point of
-two strings is read once per file: each later occurrence of the same two
-strings reuses the first one's Point, so the vertex points that every curve
-of a drawing starts and ends at are converted once each. Emission is
+other point goes through _coord_in, whose errors name the point. A family
+whose every string is a dict with a non-empty str id and at least two
+[int, int] points, none equal to the one before it in its string, is checked
+and built in a few passes that run in C; any other family goes to the
+checked reader, which names the first fault. A point of two strings is
+read once per file: each later occurrence of the same two strings reuses the
+first one's Point, so the vertex points that every curve of a drawing
+starts and ends at are converted once each. Emission is
 canonical (sorted keys, fixed indentation), so parse-emit round trips are
 byte-stable and reports are reproducible. report_json is the one place a run
 report becomes JSON: keys become strings sorted as strings, tuples arrays,
@@ -26,8 +30,10 @@ so "+1", "007", "1_0" and non-ASCII digits count. "#" starts a comment that
 runs to the end of its line, blank lines are skipped, and any line break that
 str.splitlines knows ends a line. The files graph_text writes (plain decimals,
 one space, "\\n" after each line, nothing else) are read in a few passes that
-run in C; any other text is read line by line, and that reader raises every
-error, with the line where it is found.
+run in C: deleting the ASCII digits from the edge lines must leave " \\n" once
+per edge, and a JSON decode reads the numbers, refusing an empty token, a
+leading zero or a literal too long for an int. Any other text is read line by
+line, and that reader raises every error, with the line where it is found.
 """
 from __future__ import annotations
 
@@ -36,8 +42,9 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import ne
+from operator import eq, ne
 from typing import Optional, Union
 
 from .errors import ParseError, SchemaError
@@ -177,11 +184,39 @@ def family_to_obj(family: StringFamily) -> dict:
                         for s in family.strings]}
 
 
+def _int_strings(raws: list) -> Optional[tuple[Polyline, ...]]:
+    """The curves of raws, read in a few passes that run in C, when every
+    entry is a dict with a non-empty str "id" and a "points" list of at
+    least two [int, int] points, no two consecutive points of one string
+    equal; None otherwise. Types are tested exactly, so true is refused."""
+    if not raws or {*map(type, raws)} != {dict}:
+        return None
+    ids = list(map(dict.get, raws, repeat("id")))
+    curves = list(map(dict.get, raws, repeat("points")))
+    if ({*map(type, ids)} != {str} or not all(ids) or {*map(type, curves)} != {list}
+            or min(map(len, curves)) < 2):
+        return None
+    flat = list(chain.from_iterable(curves))
+    if ({*map(type, flat)} != {list} or {*map(len, flat)} != {2}
+            or {*map(type, chain.from_iterable(flat))} != {int}):
+        return None
+    # flat[k] == flat[k + 1] is allowed only where a string starts at k + 1.
+    stops = list(accumulate(map(len, curves)))
+    if not {*stops}.issuperset(compress(count(1), map(eq, flat, islice(flat, 1, None)))):
+        return None
+    points = tuple(map(tuple.__new__, repeat(Point), flat))
+    return tuple(map(Polyline.of_exact, ids, map(points.__getitem__,
+                                                   map(slice, [0, *stops], stops))))
+
+
 def family_from_obj(obj) -> StringFamily:
     if not isinstance(obj, dict) or not isinstance(obj.get("strings"), list):
         raise SchemaError("family file needs a top-level 'strings' array",
                           field="strings")
     _check_caps(obj["strings"], "family", "strings")
+    strings = _int_strings(obj["strings"])
+    if strings is not None:
+        return StringFamily(strings)
     seen: dict = {}
     strings = []
     for i, raw in enumerate(obj["strings"]):
@@ -314,14 +349,12 @@ def graph_text(G: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# graph_text's own layout: "n m" and "u v" lines of plain decimals, one space,
-# each line ending in "\n". A token has no leading zero, so the JSON decode
-# below reads it, and at most nine digits, so no int conversion limit applies.
+# graph_text's own layout: an "n m" header line of plain decimals, then lines
+# of two ASCII digit runs split by one space, each line ending in "\n". A
+# header token has no leading zero and at most nine digits.
 _TOKEN = "(?:0|[1-9][0-9]{0,8})"
 _HEADER = re.compile(f"({_TOKEN}) ({_TOKEN})\n")
-# At most 64 lines per match: within one match the regex engine keeps a
-# backtracking record per repeat, some 50 bytes per byte of text.
-_EDGE_LINES = re.compile(f"(?:{_TOKEN} {_TOKEN}\n){{1,64}}")
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
 def parse_graph_text(text: str) -> Graph:
@@ -335,10 +368,16 @@ def parse_graph_text(text: str) -> Graph:
     if n > MAX_VERTICES:
         return _parse_graph_lines(text)
     body = text[header.end():]
-    # Deleting every run of edge lines leaves nothing only if each line is one.
-    if body.count("\n") != m or _EDGE_LINES.sub("", body):
+    # Deleting the digits leaves " \n" per line only if each line is two
+    # digit runs split by one space. A run that is empty, has a leading zero
+    # or is too long for an int is refused by the JSON decode.
+    layout = body.translate(_NO_DIGITS)
+    if len(layout) != 2 * m or layout != " \n" * m:
         return _parse_graph_lines(text)
-    ends = json.loads("[" + body.replace(" ", ",").replace("\n", ",")[:-1] + "]")
+    try:
+        ends = json.loads("[" + body.replace(" ", ",").replace("\n", ",")[:-1] + "]")
+    except ValueError:
+        return _parse_graph_lines(text)
     if ends and max(ends) >= n:
         return _parse_graph_lines(text)
     adj = [0] * n

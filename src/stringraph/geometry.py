@@ -331,10 +331,12 @@ def intersection_graph(family: StringFamily) -> Graph:
     as many expired boxes as it scans lists drops them from those lists, so
     rebuilding a list costs at most one expired box dropped. A scanned box
     that has not expired, of a string not yet known to meet this one, and
-    that overlaps the new box in y, gets the exact segment test:
-    `segments_intersect` when every coordinate is an int, the gcd-free
-    `rational_segments_intersect` otherwise. An empty family gives the empty
-    graph.
+    that overlaps the new box in y, gets the exact segment test. When every
+    coordinate is an int, each box carries its segment's ints and their
+    differences, and the sweep runs `segments_intersect`'s arithmetic inline
+    on them, its touch tests included, with no call and no Point; otherwise
+    it calls the gcd-free `rational_segments_intersect`. An empty family
+    gives the empty graph.
 
     The sort, the expiry and y-overlap tests and the strip filing compare
     float keys, made once per coordinate by `_float_key`. Correctly rounded
@@ -348,18 +350,21 @@ def intersection_graph(family: StringFamily) -> Graph:
     rational = set(map(type, chain(xs, ys))) != {int}
     # One homogeneous triple per point, shared by the two segments at a bend.
     hs = list(map(homogeneous, points)) if rational else None
-    fx, fy = _float_keys(xs), _float_keys(ys)
+    kx, ky = _float_keys(xs), _float_keys(ys)
     boxes = []
     start = 0
     for i, s in enumerate(strings):
         stop = start + len(s.points) - 1
         for t in range(start, stop):
             a, b = points[t], points[t + 1]
-            x0, x1 = (fx[t], fx[t + 1]) if fx[t] <= fx[t + 1] else (fx[t + 1], fx[t])
-            y0, y1 = (fy[t], fy[t + 1]) if fy[t] <= fy[t + 1] else (fy[t + 1], fy[t])
-            seg = (RationalSegment(a, b, hs[t], hs[t + 1], line_through(hs[t], hs[t + 1]))
-                   if rational else None)
-            boxes.append((x0, x1, y0, y1, i, a, b, seg))
+            x0, x1 = (kx[t], kx[t + 1]) if kx[t] <= kx[t + 1] else (kx[t + 1], kx[t])
+            y0, y1 = (ky[t], ky[t + 1]) if ky[t] <= ky[t + 1] else (ky[t + 1], ky[t])
+            if rational:
+                seg = RationalSegment(a, b, hs[t], hs[t + 1], line_through(hs[t], hs[t + 1]))
+            else:
+                (ax, ay), (bx, by) = a, b
+                seg = ax, ay, bx, by, bx - ax, by - ay
+            boxes.append((x0, x1, y0, y1, i, seg))
         start = stop + 1
     boxes.sort(key=itemgetter(0))
     count = len(boxes)
@@ -370,19 +375,46 @@ def intersection_graph(family: StringFamily) -> Graph:
     passing: list[list[tuple]] = [[] for _ in range(strips)]
     adj = [0] * len(strings)
     for box in boxes:
-        x0, _, y0, y1, i, a, b, seg = box
+        x0, _, y0, y1, i, seg = box
+        if not rational:
+            ax, ay, bx, by, fx, fy = seg
         lo = bisect_right(cuts, y0)
         hi = bisect_right(cuts, y1) + 1
         met = adj[i] | 1 << i
         dead = 0
-        for _, ox1, oy0, oy1, j, c, d, other in chain(passing[lo], *starting[lo:hi]):
+        for _, ox1, oy0, oy1, j, other in chain(passing[lo], *starting[lo:hi]):
             if ox1 < x0:
                 dead += 1
-            elif (not met >> j & 1 and oy0 <= y1 and y0 <= oy1
-                  and (segments_intersect(a, b, c, d) if seg is None
-                       else rational_segments_intersect(seg, other))):
-                met |= 1 << j
-                adj[j] |= 1 << i
+                continue
+            if met >> j & 1 or oy0 > y1 or y0 > oy1:
+                continue
+            if rational:
+                if not rational_segments_intersect(seg, other):
+                    continue
+            else:
+                # segments_intersect(a, b, c, d) on the ints themselves. A
+                # point collinear with a segment lies on it iff the vectors
+                # to the segment's ends point apart: a dot product <= 0.
+                cx, cy, dx, dy, ex, ey = other
+                acx, acy = ax - cx, ay - cy
+                bcx, bcy = bx - cx, by - cy
+                d1 = ex * acy - ey * acx
+                d2 = ex * bcy - ey * bcx
+                if d1 > 0 and d2 > 0 or d1 < 0 and d2 < 0:
+                    continue
+                adx, ady = ax - dx, ay - dy
+                d3 = fy * acx - fx * acy
+                d4 = fy * adx - fx * ady
+                if d3 > 0 and d4 > 0 or d3 < 0 and d4 < 0:
+                    continue
+                if not (d1 and d2 and d3 and d4
+                        or not d1 and acx * adx + acy * ady <= 0
+                        or not d2 and bcx * (bx - dx) + bcy * (by - dy) <= 0
+                        or not d3 and acx * bcx + acy * bcy <= 0
+                        or not d4 and adx * (bx - dx) + ady * (by - dy) <= 0):
+                    continue
+            met |= 1 << j
+            adj[j] |= 1 << i
         adj[i] = met & ~(1 << i)
         if dead > hi - lo:
             passing[lo] = [o for o in passing[lo] if o[1] >= x0]

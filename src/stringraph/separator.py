@@ -53,28 +53,24 @@ def validate_partition(G: Graph, part: SeparatorPartition) -> None:
             raise ValueError(f"edge joins V1 and V2 at vertex {v}")
 
 
-def _pack_two_bins(chunks: Sequence[int], cap: int) -> Optional[int]:
+def _pack_two_bins(chunks: Sequence[int], cap: int) -> int:
     """V1 as a union of chunks, disjoint vertex masks, such that V1 and the
-    other chunks each hold at most cap vertices; None when no union does.
+    other chunks each hold at most cap vertices.
 
+    Every caller passes chunks that each hold at most cap = ceil(2n/3)
+    vertices and at most n in all, and such chunks always pack (see _fits).
     Subset sums via one bitmask; V1's size is the feasible sum closest to half
     the total, ties to the smaller sum.
     """
     sizes = [c.bit_count() for c in chunks]
-    if any(sz > cap for sz in sizes):
-        return None
     total = sum(sizes)
     reach = 1
     prefix = []
     for c in sizes:
         prefix.append(reach)
         reach |= reach << c
-    best: Optional[int] = None
-    for s1 in range(max(0, total - cap), min(cap, total) + 1):
-        if reach >> s1 & 1 and (best is None or abs(2 * s1 - total) < abs(2 * best - total)):
-            best = s1
-    if best is None:
-        return None
+    best = min((s1 for s1 in range(max(0, total - cap), min(cap, total) + 1) if reach >> s1 & 1),
+               key=lambda s1: abs(2 * s1 - total))
     v1 = 0
     target = best
     for i in range(len(sizes) - 1, -1, -1):

@@ -358,6 +358,32 @@ def test_graph_text_matches_reference_reader(rng):
                 _assert_reads_like_reference("\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n")
 
 
+# Texts one edit away from graph_text's layout, each named for its edit. The
+# digits-deleted layout check passes on the first six, so the JSON decode or
+# the range and bit-count checks must hand them to the line reader.
+LAYOUT_EDITS = {
+    "leading zero": "4 2\n0 01\n2 3\n",
+    "empty token": "4 2\n0 \n2 3\n",
+    "10 digits": "4 2\n0 1234567890\n2 3\n",
+    "5000 digits": "4 2\n0 " + "1" * 5000 + "\n2 3\n",
+    "self-loop": "4 2\n0 1\n3 3\n",
+    "duplicate edge": "4 2\n0 1\n1 0\n",
+    "edge >= n": "4 2\n0 1\n2 4\n",
+    "plus sign": "4 2\n0 +1\n2 3\n",
+    "double space": "4 2\n0  1\n2 3\n",
+    "tab": "4 2\n0\t1\n2 3\n",
+    "trailing space": "4 2\n0 1 \n2 3\n",
+    "CRLF": "4 2\r\n0 1\r\n2 3\r\n",
+    "no final newline": "4 2\n0 1\n2 3",
+    "non-ASCII digit": "4 2\n0 \u0661\n2 3\n",
+}
+
+
+@pytest.mark.parametrize("edit", sorted(LAYOUT_EDITS))
+def test_graph_text_layout_edits_read_like_reference(edit):
+    _assert_reads_like_reference(LAYOUT_EDITS[edit])
+
+
 # Tokens that int() reads and JSON does not ("00", "01", "+1", "1_0", the
 # Arabic-Indic three), that neither reads, and out-of-range ones.
 FUZZ_TOKENS = ("0", "1", "2", "3", "9", "00", "01", "+1", "1_0", "\u0663",

@@ -1,5 +1,6 @@
 """Exact predicates, segment intersection points and intersection graphs."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -262,6 +263,20 @@ def test_sweep_on_degenerate_contacts():
     G = intersection_graph(fam)
     assert G == intersection_graph_reference(fam)
     assert G.edges() == [(0, 2), (3, 4), (5, 6), (7, 8), (10, 11), (12, 14)]
+
+
+def test_sweep_matches_brute_force_on_every_lattice_segment():
+    """One string per segment between two points of a 4x4 lattice: every
+    crossing, touch, T-contact and collinear overlap the sweep's inline
+    integer test can meet, against polylines_intersect on every pair."""
+    lattice = [Point(x, y) for x in range(4) for y in range(4)]
+    pairs = list(itertools.combinations(lattice, 2))
+    assert len(pairs) == 120
+    # Boxes with equal left x keep the family's order, which decides which
+    # segment of a touching pair the sweep meets first: try both orders.
+    for order in (pairs, [pair[::-1] for pair in reversed(pairs)]):
+        fam = StringFamily(tuple(Polyline(f"s{k}", pair) for k, pair in enumerate(order)))
+        assert intersection_graph(fam) == intersection_graph_reference(fam)
 
 
 def test_sweep_with_fraction_coordinates():

@@ -296,3 +296,61 @@ def test_generated_points_pass_the_checked_constructors(kind):
     for s in curves:
         assert Polyline(s.id, s.points) == s
         assert all(type(q) is Point for q in s.points)
+
+
+# Edits of a small all-int family file, by name: the first two stay on the
+# bulk path (a point repeated across two strings is allowed), every other one
+# leaves it for the checked reader.
+BULK_EDITS = ("none", "repeat_across", "true", "float", "three", "nested",
+              "repeat_inside", "no_id", "empty_id", "not_dict", "one_point")
+
+
+def _edited_family_text(edit):
+    strings = [{"id": "a", "points": [[0, 0], [4, 4], [0, 4]]},
+               {"id": "b", "points": [[1, 4], [4, 0]]},
+               {"id": "c", "points": [[5, 5], [6, 5]]}]
+    a, b, c = (s["points"] for s in strings)
+    if edit == "repeat_across":
+        c[0] = [4, 0]
+    elif edit == "true":
+        b[0][0] = True
+    elif edit == "float":
+        b[0][0] = 1.0
+    elif edit == "three":
+        b[0].append(1)
+    elif edit == "nested":
+        b[0] = [[1, 4], 1]
+    elif edit == "repeat_inside":
+        a.insert(1, [0, 0])
+    elif edit == "no_id":
+        del strings[1]["id"]
+    elif edit == "empty_id":
+        strings[1]["id"] = ""
+    elif edit == "not_dict":
+        strings[1] = b
+    elif edit == "one_point":
+        del b[1:]
+    return json.dumps({"kind": "family", "strings": strings})
+
+
+@pytest.mark.parametrize("inexact", [False, True])
+@pytest.mark.parametrize("edit", BULK_EDITS)
+def test_bulk_int_path_reads_like_the_reference(edit, inexact, tmp_path, capsys):
+    """The bulk all-int path and the checked reader it falls back to give the
+    family, or the error text, that the reference gives, and the CLI exits 4
+    with that text."""
+    text = _edited_family_text(edit)
+    obj = fileio._loads(text, inexact)
+    bulk = fileio._int_strings(obj["strings"]) is not None
+    assert bulk == (edit in ("none", "repeat_across"))
+    got = _outcome(fileio.family_from_obj, obj)
+    assert got == _outcome(family_from_obj_reference, obj)
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    args = ["build-graph", str(path), "-o", str(tmp_path / "g.txt")] + ["--inexact"] * inexact
+    code = main(args)
+    if isinstance(got, str):
+        assert code == 0
+    else:
+        assert code == 4
+        assert capsys.readouterr().err == f"error: {got[1]}\n"

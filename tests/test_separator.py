@@ -11,7 +11,7 @@ from stringraph import (Graph, SeparatorPartition, TooLarge, balance_cap,
 from stringraph import separator as separator_module
 from stringraph.generators import GeneratorSpec
 from stringraph.graph import bits, components_masked, iter_components, mask_of, peel_order
-from stringraph.separator import _degree_peel, _pack_two_bins
+from stringraph.separator import _degree_peel, _fits, _pack_two_bins
 from tests.conftest import FAMILIES, er_graph, er_masked, family_graph
 from tests.reference import (auto_separator_reference, convex_interleaving_graph,
                              most_adjacent_reference)
@@ -145,9 +145,10 @@ def _degree_peel_reference(G, mask):
     neighbours in the rest into S until the rest packs into balanced sides."""
     cap = balance_cap(mask.bit_count())
     s_mask = 0
-    while (v1 := _pack_two_bins(components_masked(G, mask & ~s_mask), cap)) is None:
+    while not _fits(G, mask & ~s_mask, cap):
         rest = mask & ~s_mask
         s_mask |= 1 << most_adjacent_reference(G, rest, rest)
+    v1 = _pack_two_bins(components_masked(G, mask & ~s_mask), cap)
     return SeparatorPartition(S=tuple(bits(s_mask)), V1=tuple(bits(v1)),
                               V2=tuple(bits(mask & ~s_mask & ~v1)))
 
