@@ -5,8 +5,9 @@ through one path, `_report`: read and digest the input, load the tuning
 parameters, fix the report's parameters, run the command's function, re-check
 its result with an independent verifier, and hand the parameters, the result
 and the verification outcome to fileio.report_json, which writes the canonical
-JSON report. Wall-clock timings only appear with --timings, so that identical
-inputs give byte-identical reports. --verify off skips only this module's
+JSON report on one line, as json.dumps(sort_keys=True) writes it. Wall-clock
+timings only appear with --timings, so that identical inputs give
+byte-identical reports. --verify off skips only this module's
 re-check, so only the commands that have one take it: separator, extract,
 color-or-clique, qp check and qp sparse. Extract, color-or-clique and qp
 sparse witnesses were already validated in the library before they returned.

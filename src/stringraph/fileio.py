@@ -12,16 +12,19 @@ and built in a few passes that run in C; any other family goes to the
 checked reader, which names the first fault. A point of two strings is
 read once per file: each later occurrence of the same two strings reuses the
 first one's Point, so the vertex points that every curve of a drawing
-starts and ends at are converted once each. Emission is
-canonical (sorted keys, fixed indentation), so parse-emit round trips are
-byte-stable and reports are reproducible. report_json is the one place a run
-report becomes JSON: keys become strings sorted as strings, tuples arrays,
-and rationals integers when integral and "p/q" strings otherwise. Inputs
-that would be too costly to hold or could not be written back are refused
-with SchemaError: graph files, families and drawings whose graph would have
-more than MAX_VERTICES vertices (strings of a family, edges of a drawing),
+starts and ends at are converted once each. Every JSON document written
+(family, drawing, run report) is json.dumps(obj, sort_keys=True,
+default=_exact) plus a newline: one line, json's default separators, ASCII
+only, keys sorted by json (int keys by value), tuples as arrays, and each
+Fraction an integer when integral and a "p/q" string otherwise. So
+parse-emit round trips are byte-stable and reports are reproducible; pipe a
+document through `python -m json.tool` for an indented view. Inputs that
+would be too costly to hold or could not be written back are refused with
+SchemaError: graph files, families and drawings whose graph would have more
+than MAX_VERTICES vertices (strings of a family, edges of a drawing),
 families and drawings whose curves hold more than MAX_SEGMENTS segments,
-and number literals above MAX_DIGITS digits.
+graphs of more than MAX_EDGES edges to write as text, and number literals
+above MAX_DIGITS digits.
 
 A graph file is text: a header line "n m", then exactly m edge lines "u v"
 with 0 <= u, v < n and u != v, no edge listed twice in either order. Tokens
@@ -43,7 +46,6 @@ import json
 import re
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, islice, repeat
-from json.encoder import encode_basestring_ascii
 from operator import eq, ne
 from typing import Optional, Union
 
@@ -59,6 +61,9 @@ MAX_VERTICES = 1 << 15
 # Segments a family or drawing may hold: intersection_graph files every
 # segment's box, in one strip or more, so its memory grows with this count.
 MAX_SEGMENTS = 1_000_000
+# Edges graph_text writes: at the cap its edge list, lines and text peak at
+# about 180 MB (a complete graph on 1448 vertices, written in 0.7 s).
+MAX_EDGES = 1 << 20
 # Python's default limit for int <-> str conversion, which json.dumps obeys.
 MAX_DIGITS = 4300
 
@@ -115,12 +120,6 @@ def _coord_in(value, where: str) -> Coord:
     except ValueError as exc:
         detail = f"bad coordinate {value!r}" if isinstance(value, str) else exc
         raise SchemaError(f"{where}: {detail}") from exc
-
-
-def _coord_out(c: Coord) -> Union[int, str]:
-    if isinstance(c, int):
-        return c
-    return f"{c.numerator}/{c.denominator}"
 
 
 def _point_in(value, where: str) -> Point:
@@ -180,8 +179,7 @@ def _check_caps(curves: list, kind: str, noun: str) -> None:
 
 def family_to_obj(family: StringFamily) -> dict:
     return {"kind": "family",
-            "strings": [{"id": s.id, "points": [list(map(_coord_out, p)) for p in s.points]}
-                        for s in family.strings]}
+            "strings": [{"id": s.id, "points": s.points} for s in family.strings]}
 
 
 def _int_strings(raws: list) -> Optional[tuple[Polyline, ...]]:
@@ -234,11 +232,8 @@ def family_from_obj(obj) -> StringFamily:
 # Drawings.
 
 def drawing_to_obj(drawing: Drawing) -> dict:
-    return {"kind": "drawing",
-            "vertices": [list(map(_coord_out, p)) for p in drawing.vertices],
-            "edges": [{"u": e.u, "v": e.v,
-                       "points": [list(map(_coord_out, p)) for p in e.curve.points]}
-                      for e in drawing.edges]}
+    return {"kind": "drawing", "vertices": drawing.vertices,
+            "edges": [{"u": e.u, "v": e.v, "points": e.curve.points} for e in drawing.edges]}
 
 
 def drawing_from_obj(obj) -> Drawing:
@@ -289,47 +284,15 @@ def parse_drawing(text: str, inexact: bool = False) -> Drawing:
     return loaded
 
 
-def _encode(value, pad: str) -> str:
-    """json.dumps(value, sort_keys=True, indent=2) at indent pad, with tuples
-    as lists, keys as str and each Fraction as an int when integral, "p/q"
-    otherwise. Exact types are tested, as isinstance of Fraction costs ten
-    times more per leaf; json.dumps writes any other type, subclasses too."""
-    kind = type(value)
-    if kind is Fraction:
-        value = value.numerator if value.denominator == 1 else str(value)
-        kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float and value - value == 0:  # finite
-        return float.__repr__(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    inner = pad + "  "
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        if {*map(type, value)} == {int}:
-            body = f",\n{inner}".join(map(int.__repr__, value))
-        else:
-            body = f",\n{inner}".join([_encode(v, inner) for v in value])
-        return f"[\n{inner}{body}\n{pad}]"
-    if kind is dict:
-        if not value:
-            return "{}"
-        if {*map(type, value)} != {str}:
-            value = {str(k): v for k, v in value.items()}
-        body = f",\n{inner}".join([f"{encode_basestring_ascii(k)}: {_encode(v, inner)}"
-                                    for k, v in sorted(value.items())])
-        return f"{{\n{inner}{body}\n{pad}}}"
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+def _exact(value) -> Union[int, str]:
+    """json.dumps's hook for a Fraction: an int when integral, "p/q" otherwise."""
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _dumps(obj) -> str:
-    return _encode(obj, "") + "\n"
+    return json.dumps(obj, sort_keys=True, default=_exact) + "\n"
 
 
 def family_json(family: StringFamily) -> str:
@@ -344,7 +307,10 @@ def drawing_json(drawing: Drawing) -> str:
 # Graph text files (grammar in the module docstring).
 
 def graph_text(G: Graph) -> str:
-    lines = [f"{G.n} {G.m}"]
+    m = G.m
+    if m > MAX_EDGES:
+        raise SchemaError(f"graph has {m} edges, above the {MAX_EDGES} cap")
+    lines = [f"{G.n} {m}"]
     lines.extend(f"{u} {v}" for u, v in G.edges())
     return "\n".join(lines) + "\n"
 
@@ -440,9 +406,8 @@ def _parse_graph_lines(text: str) -> Graph:
 
 def report_json(operation: str, input_digest: str, parameters: dict, result: dict,
                 verification: dict, timings: Optional[dict] = None) -> str:
-    """The canonical JSON text of a run report, timings only when given,
-    written in one pass: byte for byte what json.dumps(sort_keys=True,
-    indent=2) writes once tuples, keys and Fractions are converted."""
+    """The canonical JSON text of a run report, timings only when given, as
+    _dumps writes every document (see the module docstring)."""
     obj = {"operation": operation, "input_digest": input_digest,
            "parameters": parameters, "result": result, "verification": verification}
     if timings is not None:

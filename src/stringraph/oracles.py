@@ -12,7 +12,9 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import TooLarge
+from .geometry import polylines_intersect
 from .graph import Graph, bits
+from .quasiplanar import truncate_edges
 from .separator import SeparatorPartition, balance_cap
 
 _MIS_CAP = 40
@@ -294,9 +296,6 @@ def min_balanced_separator_exact(G: Graph) -> SeparatorPartition:
 # matrix, then enumerate r-subsets in lexicographic order.
 
 def pairwise_crossing_exact(drawing, r: int) -> Optional[tuple[int, ...]]:
-    from .geometry import polylines_intersect
-    from .quasiplanar import truncate_edges
-
     if r < 2:
         raise ValueError("pairwise crossing needs r >= 2")
     family = truncate_edges(drawing)

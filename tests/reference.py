@@ -466,19 +466,18 @@ def biclique_greedy_reference(G: Graph, mask: int) -> tuple[int, int]:
 
 
 def _canonical(value):
-    """value with tuples as lists, keys as str and each Fraction as an int
-    when integral, "p/q" otherwise; other values pass through unchanged."""
-    kind = type(value)
-    if kind is dict:
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if kind is list or kind is tuple:
+    """value with tuples (a Point too) as lists and each Fraction as an int
+    when integral, "p/q" otherwise; keys and other values pass through."""
+    if isinstance(value, dict):
+        return {k: _canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
-    if kind is Fraction:
+    if type(value) is Fraction:
         return value.numerator if value.denominator == 1 else str(value)
     return value
 
 
 def dumps_reference(obj) -> str:
-    """The canonical form of obj written by json.dumps with sorted keys and an
-    indent of 2, plus a final newline. The reference for `fileio._dumps`."""
-    return json.dumps(_canonical(obj), sort_keys=True, indent=2) + "\n"
+    """The canonical form of obj written by json.dumps with sorted keys, plus
+    a final newline. The reference for `fileio._dumps`."""
+    return json.dumps(_canonical(obj), sort_keys=True) + "\n"

@@ -65,9 +65,9 @@ QUIET = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 # name: (argv, exit code, sha256 of stdout, sha256 of stderr or None).
 CASES = {
     "gen-segments": ("gen --kind random_segments --count 6 --seed 4", 0,
-        "17582c4bd9632322d9448b4a97e19bfb1ce2bb158b857329dec59c555a0455b8", QUIET),
+        "7b0c27e4799383bf1a64988e205cbf36fff490f4f037b6ba68bc3b0ee7e05c03", QUIET),
     "gen-chords": ("gen --kind convex_chords --count 5 --seed 2", 0,
-        "1c93fc2ab18672f80823a420805d940b337244950547a9f7e7b93ccd20993f95", QUIET),
+        "f5f519c22ae1d99152a58d2cba851d1d0ed82ad7701b9b4b75004bb07149f444", QUIET),
     "build-graph-family": ("build-graph segs.json", 0,
         "0bacca2a35294c917da2a16ab08109fd10011f085dafa59bce804b75de106b71", QUIET),
     "build-graph-drawing": ("build-graph chords.json", 0,
@@ -81,109 +81,109 @@ CASES = {
     "build-graph-touch-inexact": ("build-graph touch.json --inexact", 0,
         "4516f6eaaa675488778d6ca333df14bc68c27fb7d7b8015073220d4571aa9c51", QUIET),
     "separator-auto": ("separator segs.txt", 0,
-        "5b800aa94eb32cb8300207c99128498e94021e5bef2a83214ce2272b9bcfc62f", QUIET),
+        "d519f41dfc02f62e00e98f73b1acf6b032f9dbcc84c328a7cebddc192683bf65", QUIET),
     "separator-bfs-layer": ("separator big.txt --strategy bfs_layer", 0,
-        "bef4d0220f5da456cfcd44658721658982c7c48ddd6f83c3593d5a9d49edd5d4", QUIET),
+        "f0ff70c38444d2440723e13ffbafb6eb06bc5e8891c6c327d871aa3d46416098", QUIET),
     "separator-degree-peel": ("separator grid.txt --strategy degree_peel", 0,
-        "53f7a2d812bc8c41bbfda3c5778dfbd84f5468e3be513ff0e41b39d789161281", QUIET),
+        "b4cbb7287a771e6ab25ff88d98b6836debdf20cb2b9c41831a0eb53505985c42", QUIET),
     "separator-verify-off": ("separator polys.txt --verify off", 0,
-        "3085cb0e30ad3ad07006f06010c890d13795c5f6c84037685e78199173c032f9", QUIET),
+        "4772b3ac2f620091c49140171a9fd26acde914bd26f47462027036ac807ee5d6", QUIET),
     "extract-independent": ("extract independent c5.txt --s 2", 0,
-        "7f1570da0a21601c927812490ae13f0948a411e365042ae37b2fbc4d32cca433", QUIET),
+        "621e8cd98285fa47256583f35247cb98d856ee8280f2cd42b54bee12ebe9cf5a", QUIET),
     "extract-independent-big": ("extract independent big.txt --s 3", 0,
-        "84f1a3bd3f4c8827c1c0dcaa8c8caa03cf2b503e8a382d4a38c0c834c5d6a28e", QUIET),
+        "9f76055cafc9897d0461adb0cc649ebccfd4604a7e7d97e367436ef9c6c1d8e9", QUIET),
     "extract-independent-strategy": ("extract independent segs.txt --s 3 --strategy degree_peel", 0,
-        "f8f3130834d1c2d216b861d417fc81b2204005064c41a3a1b9d5f11344f2335e", QUIET),
+        "a46116b6518fd9024e26b16283e1f8f7eabc98543a1e3193ba81c751bedf9546", QUIET),
     "extract-qindep": ("extract qindep segs.txt --s 3 --q 2", 0,
-        "a4b26e6ebf300b736f828fbf5d45f5bc7d48b23cbb05bdb4bdf4f5b832df8af1", QUIET),
+        "3fc5ba4cec5f2931e70b9d4891b25adf7384362b33a509ac888633707a1272b7", QUIET),
     "extract-qindep-verify-off": ("extract qindep segs.txt --s 3 --q 2 --verify off", 0,
-        "bf20b17030aa8726222ca81a51c268697cc24f55a2299815b2f2a0908c8a412c", QUIET),
+        "02a169602ac8b43478e93fce0dea9e9c734c99f64cca30295b746fcc43a59f46", QUIET),
     "extract-kr1free": ("extract kr1free c5.txt --r 3", 0,
-        "e57853654c0be1a4fc850644c71ed761e64d8ed90ed881d0ee4ee542c96d3ec1", QUIET),
+        "ad1394cbc55dd58a95864a80c7300659c6dfd7510b8dc1d3416a00c0c5a38ae9", QUIET),
     "extract-kr1free-grid": ("extract kr1free grid.txt --r 5", 0,
-        "34c37859e713c54a91c7ea069b51b51dae6b8a171de98c19857e94f6353af589", QUIET),
+        "bfbe20a6e37f23a7cae8cdcd068fccb36f77e1e38ecb69bcb3540ff67b8291c7", QUIET),
     "extract-halfclique": ("extract halfclique c5.txt --r 3", 0,
-        "896cde25905145c1606848e929c69c772e1189db14ef6a3b7aa8d08623e16944", QUIET),
+        "2a93fa6329454f992b4eb75d1202fce350cacb983c14759c173b149ae4ccac42", QUIET),
     "extract-halfclique-grid": ("extract halfclique grid.txt --r 5", 0,
-        "c3838f003b1ad50b7c05c8d7f6362f7faa864ac3128ab3c2854fbb81c403d867", QUIET),
+        "fd66679719ad0a96876c4a465dc7cfee7108ba1f8d8da1d2b13b15c623070c8e", QUIET),
     "declared-halfclique-polys": ("extract halfclique polys.txt --r 4", 3,
-        "7250f5e5b6a9718ff43dcfcc7da24cf498c6b2e8c5570d5ee4541e719c4685c9", QUIET),
+        "09d8cc89e7a358ba953b64b8cfceb245e49e3ebf6013e30db7744417085310c6", QUIET),
     "declared-verify-off": ("extract kr1free k4.txt --r 3 --verify off", 3,
-        "ad19f5ef9e561ce1ccb48de0af48a7a83b91ca2a05198f0bacc2a2b332560615", QUIET),
+        "4951e91874d87c2a7d94341b11d90dc0472757dab6d9499e33d8250e5076359d", QUIET),
     "extract-densecore": ("extract densecore big.txt --epsilon 0.5", 0,
-        "0a39f4b2e20d9d6b5109867a7038113ddf21db2b9cf77c3dc389b83068722bd4", QUIET),
+        "86835cc9730f9d4c73e62d631cf3111347f07ffe7f998c5cd4134d3427e1b566", QUIET),
     "extract-densecore-default-epsilon": ("extract densecore segs.txt", 0,
-        "714578929c4554d15e36aee20f3d352c25f24a27ee2a38d775dae961646136ca", QUIET),
+        "0235c05cc21128703889090fd2c9f4496223c286babf32bf2d1dfa407248a286", QUIET),
     "extract-densecore-params-file": ("extract densecore big.txt --epsilon 0.5 --params params.json", 0,
-        "840e50812655b2c4e0134b346dcfefde3b1c48309453ab4bfe0680182b702b19", QUIET),
+        "01588dc115947fea7785c41aa424943737927b0cc3dd8da2094ece8aa0a83e6c", QUIET),
     "extract-densecore-edgeless-one-vertex": ("extract densecore edgeless.txt --epsilon 0.5 --strategy degree_peel", 0,
-        "b067130528b6b106b21481f7e0e319d5e2a73c64c7de05ae2a505af0cb16d529", QUIET),
+        "f78c40c06002369fc064fd8c240538bfeda32e6681a7d6fcd247fe437d9e37c6", QUIET),
     "extract-multipartite": ("extract multipartite octa.txt --alpha 0.3", 0,
-        "435c77e0f08c77d0199365e9919cea03502394a155caf437d84e6e79b45a82ac", QUIET),
+        "c02e9053c19b1ac90a4f2a46b0598d4e9c2ebe7f26e2a13096131dc97ff7c7f7", QUIET),
     "extract-multipartite-big": ("extract multipartite big.txt --alpha 0.05", 0,
-        "64b9f12a0750fe5f44d2d42d99a2d1f06eb1be59ef4b9cfc0513a988cedb3143", QUIET),
+        "6d1e63b990cba351148f4cbb1d1c57f0574a8a9fc143bcc5fdc5f392060f9619", QUIET),
     "color-or-clique": ("color-or-clique big.txt --epsilon 0.5", 0,
-        "3587f118dfaa913bd406bf791cef842a72ba3d8c433650a6603ce9560ab1d410", QUIET),
+        "52199e92ba0fae851e4435842e99fd3f8c7b7ce54eb72355b53b3b759a9a9d80", QUIET),
     "verify-fail-color-or-clique-delta": ("color-or-clique segs.txt --epsilon 0.5 --delta 0.3", 2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "3711a568633c451d842c2e79119a927c00c75d1ad51f085eaa32e8e337b98d25"),
     "color-or-clique-params-file": ("color-or-clique polys.txt --epsilon 0.4 --params params.json", 0,
-        "7ca17baaea3e88db67b7e38a4b71777ac9c36afe8a8171dffc2e6b7fa6aa8c10", QUIET),
+        "abbc1ddeaa282c739853903ed0d1b46632fc8bb4088d905dc0c9fd27ac6aecf7", QUIET),
     "qp-check-r3": ("qp check chords.json --r 3", 0,
-        "d99ceb83879e1e6a1c77bee52c93135337f8542a668aeaec8bee19ef21c154a5", QUIET),
+        "081d614a2d7f62a304a8e86f5ad80df8e32ec824eb90be61670ed59db511cbed", QUIET),
     "qp-check-r4": ("qp check chords.json --r 4", 0,
-        "698b6fa864d6728fe57280914e7ce6599598a3b3dd0da3c01bb582093b15b759", QUIET),
+        "3629a96bffc6270998a78783c9e22b282b323a55830b7ff7a06d4d987a76ee46", QUIET),
     "qp-check-verify-off": ("qp check chords.json --r 3 --verify off", 0,
-        "b4eef9b02e75b6de1ecfca97fda9f53f04de1b3b683e12fd4c2d46ca0318a587", QUIET),
+        "c824149ad776abf6b8ba6b9f6d98b452d65376a96f0c4eb45529e14eb1b0290c", QUIET),
     "qp-check-edgeless-drawing": ("qp check noedges.json --r 2", 0,
-        "b2d650fc9fca33dded21af36228fa690614b075474f840ef68078ab94c107241", QUIET),
+        "86d5d18acb21b4e343a961925b40ac919e47ecee7109628c0a71a60f74876d9c", QUIET),
     "qp-check-near-vertex": ("qp check near.json --r 2", 0,
-        "2856818aa080acc3b3ed2010737536d4ca447bf40e1a1687646acb43fbb4314b", QUIET),
+        "862419c4e12f9fa42e717d2793ee75c2434f44f2eb31c5e4e0c7f725f1cab368", QUIET),
     "qp-sparse-edgeless-drawing": ("qp sparse noedges.json --s 3", 0,
-        "c2899a626192ecc227155e226e5382667a892fe0004a84c66945634c24c81d99", QUIET),
+        "fe2d65d0cddf098dcc27088233ca47b7d5648b0a38a4e05152b45b91e0799b9f", QUIET),
     "qp-sparse": ("qp sparse chords.json --s 3", 0,
-        "9a2005374a304918ce54eca25430ba5c7a56b41708de6beb2271e457044310b2", QUIET),
+        "a72c472755441f8ea43fe0527baf984da8eed4f12e07044b7f097dd9053341ce", QUIET),
     "qp-sparse-params-file": ("qp sparse chords.json --s 3 --params params.json", 0,
-        "d5c8d9db8b9cd18bec005a87c54c737fa0ced768556ea2dc76a7e53f175f225d", QUIET),
+        "98ab8f20d3b73de7a06a4f2817da9f83f653844c9328b2cd7ad4fc731340a983", QUIET),
     "qp-bound": ("qp bound --n 256 --s 3 --edges 1820", 0,
-        "04f86b99c7f6c3e6435533813820b97619d17b81e9cf5a202caf12a14ecb4477", QUIET),
+        "8ccc33f6a446e5079cde7ee30896b365e2de3d6eb6e83bbcbe911cd7f49a9d99", QUIET),
     "qp-bound-epsilon": ("qp bound --n 300 --s 4 --C 0.5 --epsilon 0.25", 0,
-        "90e0207b852ec11000e1f14a1bfe5c6693c828a6484010fb1dffe16a8db61904", QUIET),
+        "23618167c0433b400a66c40dc55200d315e328423592197d2508b3660f35268a", QUIET),
     "qp-bound-verify-off": ("qp bound --n 256 --s 3 --verify off", 4,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "oracle-mis": ("oracle mis c5.txt", 0,
-        "d6c2f7c298d2e9f163612b4583ba5e425619bba1799a4791a4ccdf9659fb017b", QUIET),
+        "84abb2cc8d3d1e67281e0994e0f362e2f07969cf0272844318a345719bf4aa0d", QUIET),
     "oracle-mis-segments": ("oracle mis segs.txt", 0,
-        "eac9b9656980c709a2140d559bc7149fc17fa4a7b24750a98497bf068363608c", QUIET),
+        "0d7bff3520b8aa31a5dc1a42f2e65373b8aedb4604adc7c2dc2b04cb54fc69fc", QUIET),
     "oracle-clique": ("oracle clique big.txt", 0,
-        "dd99def07e3fc1e82547940acd651b19a63f190003eeaeb8b02d041bdc3ee28d", QUIET),
+        "339ce16555bcb9ddfe588aa72ade78e7e67dea3458568abc3d5863910bc1e1e8", QUIET),
     "oracle-kpfree": ("oracle kpfree segs.txt --p 3", 0,
-        "95779ea9caee0054878fdf8fae2f64edc3a4a2178524c1c8bc2477bd8197badb", QUIET),
+        "4e6518b0e61b75e8a1c390c534df8f29baa23e25d458cde34a820cc767b52193", QUIET),
     "oracle-sep": ("oracle sep c5.txt", 0,
-        "d1a0c4f4e470136965ce246fbda83fd100d3b9619b7ba236b7bdd49e066a720c", QUIET),
+        "3ae2696cce2b020d6b0e2c0655ead8e9740debd88a621c55cb390f68eae7f1ea", QUIET),
     "oracle-biclique": ("oracle biclique octa.txt", 0,
-        "4d1e03e69951104b2cad592b07a59688cfd0b0efa79bd6e1bb0ffa2959657786", QUIET),
+        "fa3bc68e1a6353bcaa37880e59a7639fb4cdd25595d0063c0d51264b22668e4e", QUIET),
     "oracle-crossings-r3": ("oracle crossings chords.json --r 3", 0,
-        "88bd13510ccaf1b7f400f8f77b15d445e3059bf5883ccf78b7cedb57585c5b40", QUIET),
+        "a1a9c2163fa07969453aa1a250318addf9846a6db75d69b0441dbd4d3bf85254", QUIET),
     "oracle-crossings-r4": ("oracle crossings chords.json --r 4", 0,
-        "d4e7dfc5195aa76d8eacd219edca614cfd47cda6bbb5fd27b9d878c3bfa66841", QUIET),
+        "892d450c1f9674b29057f866ad7418b9721dcbbf4c168469ce167b8d816cd70d", QUIET),
     "oracle-crossings-near-vertex": ("oracle crossings near.json --r 2", 0,
-        "791977a7fe4316eacb00048a90eedc5ab94a92b27634e99e3383f0af4368eac3", QUIET),
+        "5d34e33a5c487a4885352f549d8882a199df31e120743911f8f6c7cc425c2e89", QUIET),
     "oracle-verify-off": ("oracle mis c5.txt --verify off", 4,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "declared-kr1free-k4": ("extract kr1free k4.txt --r 3", 3,
-        "ad19f5ef9e561ce1ccb48de0af48a7a83b91ca2a05198f0bacc2a2b332560615", QUIET),
+        "4951e91874d87c2a7d94341b11d90dc0472757dab6d9499e33d8250e5076359d", QUIET),
     "declared-independent-k4": ("extract independent k4.txt --s 2", 3,
-        "418e7ce5702ae30c0340372ef8b111543251a53937f6974424988b33b8e198f3", QUIET),
+        "c7e3e89019eff4825166722727407ad1ff0827992d3b85d539113cf4d6f69335", QUIET),
     "declared-multipartite-sparse": ("extract multipartite c5.txt --alpha 0.9", 3,
-        "ee57d9e01bc5589c4e454e19fc02681d6685202492d27bb8ee440f9645338214", QUIET),
+        "3d9dbd734e6e77eedce7fe2056086736e0baf688ac297cbd88683b24b6eab5f5", QUIET),
     "declared-qp-bound-domain": ("qp bound --n 4 --s 3", 3,
-        "d99531c3f85a2e6032b6503eb4ca00ba3ad4ea14def99ec4e453a492903a04d6", QUIET),
+        "31bc0f05671f4f6c05980bdc34429119a1c14cf15e0a63e0490cb66a2b5c2ca2", QUIET),
     "declared-qp-check-degenerate": ("qp check degenerate.json --r 3", 3,
-        "d37ff5791dbb70f54b0478235011657cdf1900791abbb39a863e155096af3ec6", QUIET),
+        "30847ef8ab0996e1fe7736cd45b10528f4d1afc1f5e5cd3039d0717d21e1bc6c", QUIET),
     "declared-qp-sparse-degenerate": ("qp sparse degenerate.json --s 3", 3,
-        "0971651d0e5df2f0b1112f27b0498184f47ebf5b4fafffd1b22a76707f854659", QUIET),
+        "b9d36ca722c310da41d86dd0461fac5d46bcd7d1a603624527cb98ce747b853c", QUIET),
     "declared-oracle-crossings-degenerate": ("oracle crossings degenerate.json --r 3", 3,
-        "c7633f4906a4b295be09921b420f251b569837fc2f30e9a6a1c84d016fe870f4", QUIET),
+        "91512b654476c8dcc672ccb72a64d3bf2b4dc74c4943769a884f753977793708", QUIET),
     "declared-build-graph-degenerate": ("build-graph degenerate.json", 3,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "0352f00a783bef5f136fc1e5fe8df00ecfa55ebe4b522b6d4fa679c9dda2e43c"),
     "usage-no-command": ("", 4,
@@ -222,37 +222,37 @@ CASES = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "3bca6d0a5a42f236b329ed84f9ec7ca2597abef8a49def881d261ccd2fff16e3"),
     # The empty graph, "0 0".
     "separator-empty-graph": ("separator empty.txt", 0,
-        "ca498a1188dbc5e5d3337fe110e5e592e642c214fa598b11bbd497b6f6b433c9", QUIET),
+        "ffffc559569d3449547b35188cf100935b47b589d5d63f4f63953af71e168367", QUIET),
     "separator-empty-graph-exact": ("separator empty.txt --strategy exact", 0,
-        "0be3b9bc7bc8ffc20c22b1bc697ff6e01b3eae5b5640e89273ed7e0e047fd080", QUIET),
+        "8644745a8cc27fbb842fd344df26a90e0c6a31e6f2dd4f17d0db0ba9f7218162", QUIET),
     "separator-empty-graph-bfs-layer": ("separator empty.txt --strategy bfs_layer", 0,
-        "30b0bafd0f696cc189b1cc009aae30030ac4e787053c86b8bf37b075e0821b71", QUIET),
+        "0d9ad83fabc431fd3fa1312cde5b832dce4509f21e535800c011cd16c3f847cd", QUIET),
     "separator-empty-graph-degree-peel": ("separator empty.txt --strategy degree_peel", 0,
-        "a0496d5284255605d4e84414c8ffa19074a9ead487dcbe467e1be9dc03e32308", QUIET),
+        "ff1b63609d5170961316f78143c9a184ba4d98bbcb814bc00513ceb9ee7cfb26", QUIET),
     "extract-independent-empty-graph": ("extract independent empty.txt --s 2", 0,
-        "4ae04e484d996c6fdcd2b12392a93ff99308c689c4fdecf96f008fd783a2a7be", QUIET),
+        "ac536e72f43df00666bab600395f8cdc0fc08de5484e9b731d105f8be54b1a9d", QUIET),
     "extract-qindep-empty-graph": ("extract qindep empty.txt --s 3 --q 2", 0,
-        "1630bc060fe0a33eca647303e19e388d412cec0c75f356b1650d32dc867941ad", QUIET),
+        "3070054bcad937baf74da11967758218d1b8b05a3f92504bd0fa372bd6694448", QUIET),
     "extract-kr1free-empty-graph": ("extract kr1free empty.txt --r 3", 0,
-        "b2370bb2833df19a95a248d31347c210654db6d5432a7530df816f5e4ec3917e", QUIET),
+        "12f4472593728e8e5791c1e70191eb636d6bcb50e822ac386069f8d7075be032", QUIET),
     "extract-halfclique-empty-graph": ("extract halfclique empty.txt --r 3", 0,
-        "abe66052e40a0120c8289af7d8c024706908de7c447684a77e8322855eec10c0", QUIET),
+        "1e1a46c70219b04c8bb1263bb8f63fbc307cd2143f962cdbb114e06b9b137654", QUIET),
     "extract-densecore-empty-graph": ("extract densecore empty.txt --epsilon 0.5", 4,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "205a18c08f27cf9bfe72af8666df4e2f0bf1ade828a91d58fb186fa95f394110"),
     "extract-multipartite-empty-graph": ("extract multipartite empty.txt --alpha 0.3", 4,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6c280adea0bace590a3022f44b02c0eccaccbbdf93854b9e3ecd21a329d80ed9"),
     "color-or-clique-empty-graph": ("color-or-clique empty.txt --epsilon 0.5", 0,
-        "87cffe2d1a0233cb9ddf15d03518930547d4ea7d631c70af81b040a262df2fe4", QUIET),
+        "f958a7f0b9c5a46d1808f6f1b8374af7ab0f19ec0a984840cc6331f615f4028e", QUIET),
     "oracle-mis-empty-graph": ("oracle mis empty.txt", 0,
-        "65a0773e46b360b82a284cfb4eb55f15f3d837d0d53f207cb77c0d5d95d1c5c3", QUIET),
+        "748cdecad2ff490537d54288e5e0ea6d03115975b2205f71430787b03d46ac66", QUIET),
     "oracle-clique-empty-graph": ("oracle clique empty.txt", 0,
-        "4301d9d387b12cf993e570224245820e96e1910760f0cd6440e7293afc6b2df3", QUIET),
+        "cf3dc3cfedeb633e33b81ec7a45c18d464a191e6cea7b8a72d64f5b6954b9758", QUIET),
     "oracle-kpfree-empty-graph": ("oracle kpfree empty.txt --p 3", 0,
-        "242c2f260ee0a671b0384cb9d150cf09e2122c273253451bb88754dcd789b4ba", QUIET),
+        "6f9024ab24615d1593d4f838034e9acec9b31a88bcc356b7a43a25d985e592cb", QUIET),
     "oracle-sep-empty-graph": ("oracle sep empty.txt", 0,
-        "ac687cc5b6dbc3210d23219f36f2840a1e9ec3275a18c84874a091ad9659edb0", QUIET),
+        "a309f93f71a45802c10a80970949f3cf511a3d75b27e56175f248de352a3b184", QUIET),
     "oracle-biclique-empty-graph": ("oracle biclique empty.txt", 0,
-        "4d4823bbf99dd2c34d5ab0fa8cabe257538368512dcd47597671a4aeee41f5b1", QUIET),
+        "09f7e10046ea49d106c920ebd802b68c0c2cdcadd5bf80d9cc0c6818dc05a86f", QUIET),
     "parse-bad-graph": ("separator bad.txt", 4,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "406114734ad5bdca15be30bce4139edd827496a513878b3faa83ee5c2c4c9cdc"),
     "parse-missing-graph": ("separator nope.txt", 4,

@@ -1,6 +1,7 @@
 """Seeded instance generators and exact-number serialization."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from stringraph import (BadSpec, Drawing, GeneratorSpec, Graph, ParseError,
                         intersection_graph)
 from stringraph import fileio
 from stringraph.cli import main
-from stringraph.fileio import (MAX_SEGMENTS, MAX_VERTICES, drawing_json,
+from stringraph.fileio import (MAX_EDGES, MAX_SEGMENTS, MAX_VERTICES, drawing_json,
                                family_json, graph_text,
                                parse_drawing, parse_graph_text, parse_input,
                                report_json, sha256_digest)
@@ -447,54 +448,21 @@ REPORT_PARTS = dict(
     result={"outcome": "ok", "ratio": Fraction(1, 3), "whole": Fraction(6, 3),
             "parts": [{"edge": (4, 5)}], "none": None, "flag": True, "alpha": 0.25},
     verification={"status": "pass", "witness_revalidated": True})
-REPORT_TEXT = """\
-{
-  "input_digest": "abc",
-  "operation": "demo",
-  "parameters": {
-    "a": 1,
-    "apexes": {
-      "10": [
-        2,
-        3
-      ],
-      "2": [
-        0,
-        1
-      ]
-    },
-    "b": 2
-  },
-  "result": {
-    "alpha": 0.25,
-    "flag": true,
-    "none": null,
-    "outcome": "ok",
-    "parts": [
-      {
-        "edge": [
-          4,
-          5
-        ]
-      }
-    ],
-    "ratio": "1/3",
-    "whole": 2
-  },
-  "verification": {
-    "status": "pass",
-    "witness_revalidated": true
-  }
-}
-"""
+REPORT_TEXT = (
+    '{"input_digest": "abc", "operation": "demo", '
+    '"parameters": {"a": 1, "apexes": {"2": [0, 1], "10": [2, 3]}, "b": 2}, '
+    '"result": {"alpha": 0.25, "flag": true, "none": null, "outcome": "ok", '
+    '"parts": [{"edge": [4, 5]}], "ratio": "1/3", "whole": 2}, '
+    '"verification": {"status": "pass", "witness_revalidated": true}}\n')
 
 
 def test_report_json_is_canonical():
-    """Keys are strings sorted as strings, tuples are arrays, an integral
-    rational is an integer and any other one "p/q"; timings only when given."""
+    """One line with json's default separators; keys sorted by json, int keys
+    by value; tuples are arrays, an integral rational is an integer and any
+    other one "p/q"; timings only when given."""
     assert report_json(**REPORT_PARTS) == REPORT_TEXT
-    timed = REPORT_TEXT.replace('  "verification"',
-                                '  "timings": {\n    "wall_seconds": 0.5\n  },\n  "verification"')
+    timed = REPORT_TEXT.replace('"verification"',
+                                '"timings": {"wall_seconds": 0.5}, "verification"')
     assert report_json(**REPORT_PARTS, timings={"wall_seconds": 0.5}) == timed
 
 
@@ -521,6 +489,18 @@ def test_oversized_graph_header_refused_before_allocating():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 0.1
+
+
+def test_graph_text_refuses_a_graph_above_the_edge_cap_fast():
+    # A complete graph, built from its masks: the smallest one above the cap.
+    n = math.isqrt(2 * MAX_EDGES) + 1
+    full = (1 << n) - 1
+    G = Graph(tuple(full & ~(1 << v) for v in range(n)))
+    assert G.m > MAX_EDGES >= (n - 1) * (n - 2) // 2
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="above the"):
+        graph_text(G)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_oversized_coordinate_literals_refused_fast():
