@@ -12,7 +12,8 @@ integer expressions in those numerators. A squared distance is an unreduced
 integer pair (numerator, denominator), which callers compare by cross
 multiplication. A `Fraction` operation reduces by a gcd every time; on the
 40-150 bit denominators of convex drawings and their cut points that gcd is
-most of the cost, and the kernel pays it once per point instead.
+most of the cost, and the kernel pays it once per point instead. The
+intersection graph's sweep runs both kernels' segment tests inline.
 """
 from __future__ import annotations
 
@@ -224,20 +225,6 @@ class RationalSegment(NamedTuple):
     line: Homogeneous
 
 
-def rational_segments_intersect(s: RationalSegment, t: RationalSegment) -> bool:
-    """segments_intersect(s.a, s.b, t.a, t.b) by the gcd-free kernel."""
-    p1, p2, h1, h2, lp = s
-    q1, q2, g1, g2, lq = t
-    d1 = side(lq, h1)
-    d2 = side(lq, h2)
-    d3 = side(lp, g1)
-    d4 = side(lp, g2)
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        return True
-    return (d1 == 0 and _between(h1, g1, g2) or d2 == 0 and _between(h2, g1, g2)
-            or d3 == 0 and _between(g1, h1, h2) or d4 == 0 and _between(g2, h1, h2))
-
-
 def _between(k: Homogeneous, h: Homogeneous, g: Homogeneous) -> bool:
     """Whether k, collinear with h and g, lies on the closed segment h-g:
     (h - k) . (g - k) <= 0, scaled by W_h W_g W_k^2 > 0."""
@@ -331,38 +318,51 @@ def intersection_graph(family: StringFamily) -> Graph:
     as many expired boxes as it scans lists drops them from those lists, so
     rebuilding a list costs at most one expired box dropped. A scanned box
     that has not expired, of a string not yet known to meet this one, and
-    that overlaps the new box in y, gets the exact segment test. When every
-    coordinate is an int, each box carries its segment's ints and their
-    differences, and the sweep runs `segments_intersect`'s arithmetic inline
-    on them, its touch tests included, with no call and no Point; otherwise
-    it calls the gcd-free `rational_segments_intersect`. An empty family
+    that overlaps the new box in y, gets the exact segment test, inline with
+    no call and no Point. When every coordinate is an int, each box carries
+    its segment's ints and their differences, and the sweep runs
+    `segments_intersect`'s arithmetic on them, touch tests included.
+    Otherwise each box carries its ends' homogeneous triples, flattened, its
+    line's coefficients and the two triples again, and the sweep runs the
+    gcd-free kernel with the same early exits: each sign is a line's dot
+    product with a triple, and a touch test is `_between`. An empty family
     gives the empty graph.
 
     The sort, the expiry and y-overlap tests and the strip filing compare
-    float keys, made once per coordinate by `_float_key`. Correctly rounded
-    conversion never decreases, so fl(a) < fl(b) implies a < b: a pair
-    whose boxes overlap exactly is never filtered out, and a tie only adds
-    an exact test. The graph is the one testing every pair gives.
+    float keys, one per coordinate: X / W from the triples of a rational
+    family, `_float_key` of each int otherwise, or wherever a quotient
+    overflows. Integer true division is correctly rounded, as float() of
+    a Fraction is, and correctly rounded conversion never decreases, so
+    fl(a) < fl(b) implies a < b: a pair whose boxes overlap exactly is
+    never filtered out, and a tie only adds an exact test. The graph is the
+    one testing every pair gives.
     """
     strings = family.strings
     points = [p for s in strings for p in s.points]
     xs, ys = zip(*points) if points else ((), ())
-    rational = set(map(type, chain(xs, ys))) != {int}
-    # One homogeneous triple per point, shared by the two segments at a bend.
-    hs = list(map(homogeneous, points)) if rational else None
-    kx, ky = _float_keys(xs), _float_keys(ys)
+    # False for an all-int family and for the empty family.
+    rational = not set(map(type, chain(xs, ys))) <= {int}
+    if rational:
+        # One homogeneous triple per point, shared by the two segments at a bend.
+        hs = list(map(homogeneous, points))
+        try:
+            kx, ky = [x / w for x, _, w in hs], [y / w for _, y, w in hs]
+        except OverflowError:
+            kx, ky = _float_keys(xs), _float_keys(ys)
+    else:
+        kx, ky = _float_keys(xs), _float_keys(ys)
     boxes = []
     start = 0
     for i, s in enumerate(strings):
         stop = start + len(s.points) - 1
         for t in range(start, stop):
-            a, b = points[t], points[t + 1]
             x0, x1 = (kx[t], kx[t + 1]) if kx[t] <= kx[t + 1] else (kx[t + 1], kx[t])
             y0, y1 = (ky[t], ky[t + 1]) if ky[t] <= ky[t + 1] else (ky[t + 1], ky[t])
             if rational:
-                seg = RationalSegment(a, b, hs[t], hs[t + 1], line_through(hs[t], hs[t + 1]))
+                h, g = hs[t], hs[t + 1]
+                seg = *h, *g, *line_through(h, g), h, g
             else:
-                (ax, ay), (bx, by) = a, b
+                (ax, ay), (bx, by) = points[t], points[t + 1]
                 seg = ax, ay, bx, by, bx - ax, by - ay
             boxes.append((x0, x1, y0, y1, i, seg))
         start = stop + 1
@@ -376,7 +376,9 @@ def intersection_graph(family: StringFamily) -> Graph:
     adj = [0] * len(strings)
     for box in boxes:
         x0, _, y0, y1, i, seg = box
-        if not rational:
+        if rational:
+            ax, ay, aw, bx, by, bw, la, lb, lc, ha, hb = seg
+        else:
             ax, ay, bx, by, fx, fy = seg
         lo = bisect_right(cuts, y0)
         hi = bisect_right(cuts, y1) + 1
@@ -389,7 +391,19 @@ def intersection_graph(family: StringFamily) -> Graph:
             if met >> j & 1 or oy0 > y1 or y0 > oy1:
                 continue
             if rational:
-                if not rational_segments_intersect(seg, other):
+                # The same test by the kernel: each sign is side(line, triple).
+                cx, cy, cw, dx, dy, dw, ma, mb, mc, hc, hd = other
+                d1 = ma * ax + mb * ay + mc * aw
+                d2 = ma * bx + mb * by + mc * bw
+                if d1 > 0 and d2 > 0 or d1 < 0 and d2 < 0:
+                    continue
+                d3 = la * cx + lb * cy + lc * cw
+                d4 = la * dx + lb * dy + lc * dw
+                if d3 > 0 and d4 > 0 or d3 < 0 and d4 < 0:
+                    continue
+                if not (d1 and d2 and d3 and d4
+                        or not d1 and _between(ha, hc, hd) or not d2 and _between(hb, hc, hd)
+                        or not d3 and _between(hc, ha, hb) or not d4 and _between(hd, ha, hb)):
                     continue
             else:
                 # segments_intersect(a, b, c, d) on the ints themselves. A

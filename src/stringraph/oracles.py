@@ -8,13 +8,12 @@ silently taking forever.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .errors import TooLarge
-from .geometry import polylines_intersect
+from .errors import DegenerateDrawing, TooLarge
 from .graph import Graph, bits
-from .quasiplanar import truncate_edges
 from .separator import SeparatorPartition, balance_cap
 
 _MIS_CAP = 40
@@ -292,25 +291,71 @@ def min_balanced_separator_exact(G: Graph) -> SeparatorPartition:
 
 
 # ---------------------------------------------------------------------------
-# Pairwise crossing edge sets in a drawing: truncate, build the full crossing
-# matrix, then enumerate r-subsets in lexicographic order.
+# Pairwise crossing edge sets in a drawing: refuse a vertex on a curve that
+# does not end there, decide every edge pair on the uncut curves with
+# Fractions, then enumerate r-subsets in lexicographic order.
+
+def _cross(ux, uy, vx, vy):
+    return ux * vy - uy * vx
+
+
+def _on_segment(p, a, b) -> bool:
+    """Whether the point p lies on the closed segment a-b."""
+    return (_cross(b[0] - a[0], b[1] - a[1], p[0] - a[0], p[1] - a[1]) == 0
+            and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def _meet_outside(a, b, c, d, shared: set) -> bool:
+    """Whether the closed segments a-b and c-d share a point not in shared,
+    a set of at most one point.
+
+    Solves a + t (b - a) = c + s (d - c) for t and s in [0, 1]. Segments on
+    one line share the stretch between the larger of their lower ends and
+    the smaller of their upper ends, with points ordered as (x, y) pairs.
+    """
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    vx, vy = d[0] - c[0], d[1] - c[1]
+    wx, wy = c[0] - a[0], c[1] - a[1]
+    den = _cross(ux, uy, vx, vy)
+    if den == 0:
+        if _cross(wx, wy, ux, uy):
+            return False  # parallel, on two lines
+        lo, hi = max(min(a, b), min(c, d)), min(max(a, b), max(c, d))
+        return lo < hi or lo == hi and lo not in shared
+    t = Fraction(_cross(wx, wy, vx, vy)) / den
+    s = Fraction(_cross(wx, wy, ux, uy)) / den
+    return 0 <= t <= 1 and 0 <= s <= 1 and (a[0] + t * ux, a[1] + t * uy) not in shared
+
 
 def pairwise_crossing_exact(drawing, r: int) -> Optional[tuple[int, ...]]:
+    """Lexicographically first r edges that pairwise cross, or None.
+
+    Two edges cross iff their curves share a point that is not an endpoint
+    they share. A vertex on a curve that does not end there raises
+    DegenerateDrawing, the first one found over vertices, then edges, then
+    segments.
+    """
     if r < 2:
         raise ValueError("pairwise crossing needs r >= 2")
-    family = truncate_edges(drawing)
-    strings = family.strings
-    m = len(strings)
+    verts, edges = drawing.vertices, drawing.edges
+    curves = [tuple(zip(e.curve.points, e.curve.points[1:])) for e in edges]
+    for w, pw in enumerate(verts):
+        for e, segs in zip(edges, curves):
+            if w != e.u and w != e.v and any(_on_segment(pw, a, b) for a, b in segs):
+                raise DegenerateDrawing(f"vertex {w} lies on the curve of edge ({e.u}, {e.v})")
+    m = len(edges)
     if r > m:
         return None
     if math.comb(m, r) > _CROSSING_SUBSET_CAP:
         raise TooLarge(f"{math.comb(m, r)} edge subsets exceed the enumeration cap")
     cross = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if polylines_intersect(strings[i], strings[j]):
-                cross[i] |= 1 << j
-                cross[j] |= 1 << i
+    for i, j in combinations(range(m), 2):
+        e, f = edges[i], edges[j]
+        shared = {verts[w] for w in {e.u, e.v} & {f.u, f.v}}
+        if any(_meet_outside(a, b, c, d, shared) for a, b in curves[i] for c, d in curves[j]):
+            cross[i] |= 1 << j
+            cross[j] |= 1 << i
     for subset in combinations(range(m), r):
         if all(cross[a] >> b & 1 for a, b in combinations(subset, 2)):
             return subset

@@ -15,8 +15,7 @@ from stringraph import geometry
 from stringraph.geometry import (RationalSegment, _float_key, exact_coord,
                                  homogeneous, homogeneous_dist_sq,
                                  line_through, rational_contact_points,
-                                 rational_point_segment_dist_sq,
-                                 rational_segments_intersect, side)
+                                 rational_point_segment_dist_sq, side)
 from tests.reference import (dist_sq, interpolate, intersection_graph_reference,
                              orientation_sign, point_segment_dist_sq,
                              segment_intersection_points)
@@ -125,7 +124,8 @@ def test_rational_segment_tests_match_fraction_reference(rng):
         s, t = _segment(p1, p2), _segment(q1, q2)
         want = segment_intersection_points(p1, p2, q1, q2)
         assert rational_contact_points(s, t) == want
-        assert rational_segments_intersect(s, t) == segments_intersect(p1, p2, q1, q2)
+        pair = StringFamily((Polyline.of_exact("p", (p1, p2)), Polyline.of_exact("q", (q1, q2))))
+        assert intersection_graph(pair).m == segments_intersect(p1, p2, q1, q2)
         kinds.add(len(want))
     assert kinds == {0, 1, 2}
 

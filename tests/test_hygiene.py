@@ -91,3 +91,44 @@ def test_every_tuning_constant_is_read():
     assert "c1" in fields and "separator_strategy" in fields
     unread = [name for name in fields if name not in read]
     assert not unread, f"AlgorithmParams fields nothing reads: {unread}"
+
+
+# What `oracles` may take from the rest of the package: the error types, the
+# graph type and its bit iterator, the separator's result type and balance
+# cap. No geometry predicate, truncation, extractor or separator strategy,
+# so that an oracle's agreement with production is evidence.
+ORACLE_IMPORTS = {"errors", "Graph", "bits", "SeparatorPartition", "balance_cap"}
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Package names a source imports outside ORACLE_IMPORTS, where any
+    name from `errors` is allowed. Imports inside functions count."""
+    foreign = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            foreign += [a.name for a in node.names if a.name.split(".")[0] == "stringraph"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if ((node.level or module.split(".")[0] == "stringraph")
+                    and module.split(".")[-1] != "errors"):
+                foreign += [f"{module}.{a.name}" for a in node.names
+                            if a.name not in ORACLE_IMPORTS]
+    return foreign
+
+
+def test_oracles_import_no_production_algorithm():
+    assert _foreign_imports((SRC / "oracles.py").read_text()) == []
+
+
+@pytest.mark.parametrize("line", [
+    "from .geometry import polylines_intersect",
+    "from .quasiplanar import truncate_edges",
+    "from .extract import independent_set",
+    "from .separator import find_balanced_separator",
+    "from . import geometry",
+    "import stringraph.quasiplanar",
+    "from stringraph.geometry import segments_intersect",
+    "def f():\n    from .separator import _bfs_layer",
+])
+def test_oracle_import_check_catches_production_code(line):
+    assert _foreign_imports(line) != []

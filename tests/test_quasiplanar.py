@@ -16,6 +16,7 @@ from stringraph.cli import main
 from stringraph.generators import GeneratorSpec, generate
 from stringraph.geometry import homogeneous
 from stringraph.graph import clique_in_mask, mask_of
+from stringraph.oracles import pairwise_crossing_exact
 from stringraph.quasiplanar import _auto_radius_sq, _first_exit
 from tests.reference import (convex_interleaving_graph, crossing_graph_reference,
                              dist_sq, interpolate, point_segment_dist_sq,
@@ -299,6 +300,60 @@ def test_crossing_graph_matches_uncut_reference():
         assert got == crossing_graph_reference(D)
         checked += 1
     assert checked == 183
+
+
+def _passes_back_drawing():
+    """Both curves leave their shared vertex 0, come back through it and go
+    on to their other ends, so they meet only at vertex 0's point and do
+    not cross."""
+    return _draw([(0, 0), (10, 0), (0, 10)], [(0, 1), (0, 2)],
+                 [[Point(0, 0), Point(5, 5), Point(0, 0), Point(10, 0)],
+                  [Point(0, 0), Point(-5, 5), Point(0, 0), Point(0, 10)]])
+
+
+def _first_clique(G, r):
+    """The lexicographically first r vertices that are pairwise adjacent, or None."""
+    return next((c for c in combinations(range(G.n), r)
+                 if all(G.has_edge(a, b) for a, b in combinations(c, 2))), None)
+
+
+def test_crossings_oracle_matches_uncut_reference():
+    rng = random.Random(20211203)
+    drawings = [generate(GeneratorSpec("convex_chords", n, seed=1)) for n in range(5, 10)]
+    drawings += [_bent_grid_drawing(rng) for _ in range(320)]
+    drawings.append(_passes_back_drawing())
+    refused = found = 0
+    for D in drawings:
+        try:
+            crossing_graph(D)
+        except DegenerateDrawing as exc:
+            for r in (2, 3, 4):
+                with pytest.raises(DegenerateDrawing) as got:
+                    pairwise_crossing_exact(D, r)
+                assert str(got.value) == str(exc)
+            refused += 1
+            continue
+        reference = crossing_graph_reference(D)
+        for r in (2, 3, 4):
+            want = _first_clique(reference, r)
+            assert pairwise_crossing_exact(D, r) == want
+            found += want is not None
+    # The 147 bent-grid drawings that the radius refuses, as above.
+    assert (refused, found) == (147, 170)
+
+
+def _disagreeing_bent_grid_drawings():
+    rng = random.Random(20211203)
+    drawings = [_bent_grid_drawing(rng) for _ in range(1166)]
+    return drawings[733], drawings[1165]
+
+
+@pytest.mark.xfail(strict=True, reason="truncation keeps a contact at a shared vertex "
+                                       "that both curves pass back through; ROADMAP item 16")
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_crossing_graph_where_curves_pass_back_through_a_shared_vertex(which):
+    D = (_passes_back_drawing(), *_disagreeing_bent_grid_drawings())[which]
+    assert crossing_graph(D) == crossing_graph_reference(D)
 
 
 def test_truncation_derives_each_homogeneous_triple_once(monkeypatch):
