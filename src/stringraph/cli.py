@@ -43,13 +43,13 @@ from .extract import (AlgorithmParams, ExtractionWitness,
                       independent_set, kr1_free_subgraph, multipartite_cover,
                       q_independent_set, validate_witness)
 from .generators import FAMILY_KINDS, KINDS, GeneratorSpec, generate
-from .geometry import intersection_graph, polylines_intersect
+from .geometry import intersection_graph
 from .oracles import (max_balanced_biclique_exact, max_clique_exact,
                       max_independent_set_exact, max_kp_free_subset_exact,
                       min_balanced_separator_exact, pairwise_crossing_exact)
 from .quasiplanar import (Drawing, check_r, check_s, crossing_graph, dense_threshold,
-                          edge_bound, edge_bound_holds, is_r_quasiplanar, sparse_subgraph,
-                          truncate_edges)
+                          edge_bound, edge_bound_holds, edges_cross, is_r_quasiplanar,
+                          sparse_subgraph)
 from .separator import (STRATEGIES, find_balanced_separator, fit_loglog_slope,
                         separator_size_survey, validate_partition)
 
@@ -286,17 +286,16 @@ def _color_or_clique(G, v, params):
 
 def _qp_check(drawing, v, params):
     check_r(v["r"])
-    # Truncate once; the verifier re-checks the witness on the same curves.
-    curves = truncate_edges(drawing)
-    ok, witness = is_r_quasiplanar(curves, v["r"])
+    ok, witness = is_r_quasiplanar(crossing_graph(drawing), v["r"])
     result = {"outcome": "ok", "quasiplanar": ok}
     if witness is None:
         return result, None
     result["witness"] = list(witness)
 
     def verifier():
+        # Each witness pair again, on the uncut curves and without the sweep.
         for a, b in combinations(witness, 2):
-            if not polylines_intersect(curves.strings[a], curves.strings[b]):
+            if not edges_cross(drawing, a, b):
                 raise ExtractorViolation(f"witness edges {a} and {b} do not cross")
 
     return result, verifier

@@ -337,7 +337,13 @@ def intersection_graph(family: StringFamily) -> Graph:
     never filtered out, and a tie only adds an exact test. The graph is the
     one testing every pair gives.
     """
-    strings = family.strings
+    return Graph(tuple(_sweep(family.strings, [0] * len(family.strings))))
+
+
+def _sweep(strings: tuple[Polyline, ...], adj: list[int]) -> list[int]:
+    """intersection_graph's sweep, on adjacency masks adj seeded by the
+    caller: a pair already adjacent in adj is never tested, and stays
+    adjacent. Fills adj in place and returns it."""
     points = [p for s in strings for p in s.points]
     xs, ys = zip(*points) if points else ((), ())
     # False for an all-int family and for the empty family.
@@ -373,7 +379,6 @@ def intersection_graph(family: StringFamily) -> Graph:
     cuts = [bottoms[k * count // strips] for k in range(1, strips)]
     starting: list[list[tuple]] = [[] for _ in range(strips)]
     passing: list[list[tuple]] = [[] for _ in range(strips)]
-    adj = [0] * len(strings)
     for box in boxes:
         x0, _, y0, y1, i, seg = box
         if rational:
@@ -436,4 +441,4 @@ def intersection_graph(family: StringFamily) -> Graph:
         starting[lo].append(box)
         for strip in passing[lo + 1:hi]:
             strip.append(box)
-    return Graph(tuple(adj))
+    return adj

@@ -1,12 +1,19 @@
-"""Edge truncation of graph drawings and quasiplanarity certificates.
+"""Crossing graphs of graph drawings and quasiplanarity certificates.
 
 A drawing maps vertices to distinct points and edges to curves joining their
-endpoint points. Truncating every curve just outside small disks around its
-two endpoints removes the contacts at shared endpoints while keeping every
-genuine crossing, so the intersection graph of the truncated curves records
-exactly which edge pairs cross: two edges are adjacent iff their curves meet
-at a point that is not a shared endpoint. All cut computations run on exact
-rationals, and the radius is derived from the drawing's own clearances.
+endpoint points. Two edges cross iff their curves share a point that is not
+an endpoint they share. `crossing_graph` decides this on the uncut curves:
+one sweep of `geometry`'s intersection graph tests every pair of edges that
+share no vertex, and the pairs that share one are re-checked exactly, with
+their shared point left out. A drawing with a vertex on a curve that does
+not end there is refused.
+
+`truncate_edges` cuts every curve just outside small disks around its two
+endpoints, at a radius derived from the drawing's own clearances. It is a
+cut-curve utility that no command uses: the intersection graph of the cut
+curves is the crossing graph except where two curves pass back through
+their shared vertex, whose contact there the cut keeps. All computations run
+on exact rationals.
 """
 from __future__ import annotations
 
@@ -18,11 +25,11 @@ from typing import Optional
 
 from .errors import DegenerateDrawing, DomainError, PreconditionViolated, finite_value
 from .extract import DEFAULT_PARAMS, AlgorithmParams, ExtractionWitness, q_independent_set
-from .geometry import (Homogeneous, Point, Polyline, RationalSegment, StringFamily,
-                       exact_coord, exact_points, homogeneous, homogeneous_dist_sq,
-                       intersection_graph, line_through, rational_contact_points,
+from .geometry import (Homogeneous, Point, Polyline, RationalSegment, StringFamily, _between,
+                       _sweep, exact_coord, exact_points, homogeneous, homogeneous_dist_sq,
+                       line_through, rational_contact_points,
                        rational_point_segment_dist_sq, side)
-from .graph import Graph, find_clique
+from .graph import Graph, bits, find_clique
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,55 @@ class Drawing:
         return len(self.edges)
 
 
+def _curve_triples(edges, hverts: list) -> list[list[Homogeneous]]:
+    """Each edge's curve as homogeneous triples, one per point: a curve's
+    ends take their vertices' triples, hverts[u] and hverts[v]."""
+    # Drawing checked that each curve starts and ends at its endpoints' points.
+    return [[hverts[e.u], *map(homogeneous, e.curve.points[1:-1]), hverts[e.v]]
+            for e in edges]
+
+
+def _rational_curves(edges, hcurves: list) -> list[list[RationalSegment]]:
+    """Each edge's curve as RationalSegments, on the triples hcurves[k][i]
+    of point i of edge k."""
+    return [[RationalSegment(a, b, ha, hb, line_through(ha, hb))
+             for a, b, ha, hb in zip(pts, pts[1:], hpts, hpts[1:])]
+            for pts, hpts in zip((e.curve.points for e in edges), hcurves)]
+
+
+def _refuse_vertex_on_curve(drawing: Drawing, hverts: list, curves: list) -> None:
+    """Raise DegenerateDrawing for a vertex on a curve that does not end
+    there, the first one found over vertices, then edges, then segments."""
+    for w, hw in enumerate(hverts):
+        for e, segs in zip(drawing.edges, curves):
+            if w == e.u or w == e.v:
+                continue
+            for seg in segs:
+                if not side(seg.line, hw) and _between(hw, seg.ha, seg.hb):
+                    raise DegenerateDrawing(
+                        f"vertex {w} lies on the curve of edge ({e.u}, {e.v})")
+
+
+def _meet_only_at(hw: Homogeneous, s: RationalSegment, t: RationalSegment) -> bool:
+    """Whether s and t both end at the point hw and do not lie on one line,
+    so that they meet there and nowhere else."""
+    return ((hw == s.ha or hw == s.hb) and (hw == t.ha or hw == t.hb)
+            and (side(s.line, t.ha) != 0 or side(s.line, t.hb) != 0))
+
+
+def _meet_away(ci: list[RationalSegment], cj: list[RationalSegment],
+               pw: Optional[Point], hw: Optional[Homogeneous]) -> bool:
+    """Whether the curves ci and cj share a point other than pw, the point
+    with triple hw; with pw and hw None, whether they meet at all. Tests
+    every segment pair but those _meet_only_at skips."""
+    for s in ci:
+        for t in cj:
+            if not _meet_only_at(hw, s, t) and any(
+                    x != pw for x in rational_contact_points(s, t)):
+                return True
+    return False
+
+
 def _auto_radius_sq(drawing: Drawing, hverts: list, hcurves: list) -> Fraction:
     """Exact square of the automatic truncation radius.
 
@@ -88,9 +144,11 @@ def _auto_radius_sq(drawing: Drawing, hverts: list, hcurves: list) -> Fraction:
     an endpoint of one of them, dist(w, x) is at least w's distance to that
     curve, which is a clearance of the first kind. Nor can a contact lie on
     another vertex's point: that vertex would lie on a curve that does not
-    end there, which the first loop refuses before any contact is measured.
-    Two segments that both end at the shared vertex's point and do not lie
-    on one line meet only at that point, so such a pair is not measured.
+    end there, which _refuse_vertex_on_curve refuses before any clearance
+    is measured. Two segments that both end at the shared vertex's point and
+    do not lie on one line meet only at that point, so such a pair is not
+    measured (_meet_only_at). crossing_graph refuses and skips by the same
+    two helpers.
 
     Distances and contacts go through the gcd-free kernel of `geometry`, on
     the triples truncate_edges derives once (hcurves[k][i] for point i of
@@ -100,9 +158,8 @@ def _auto_radius_sq(drawing: Drawing, hverts: list, hcurves: list) -> Fraction:
     edge, so the endpoint term exists.
     """
     verts = drawing.vertices
-    curves = [[RationalSegment(a, b, ha, hb, line_through(ha, hb))
-               for a, b, ha, hb in zip(pts, pts[1:], hpts, hpts[1:])]
-              for pts, hpts in zip((e.curve.points for e in drawing.edges), hcurves)]
+    curves = _rational_curves(drawing.edges, hcurves)
+    _refuse_vertex_on_curve(drawing, hverts, curves)
     bn, bd = 1, 0  # 1/0 stands for infinity: every n * 0 < 1 * d
     for e in drawing.edges:
         n, d = homogeneous_dist_sq(hverts[e.u], hverts[e.v])
@@ -115,9 +172,6 @@ def _auto_radius_sq(drawing: Drawing, hverts: list, hcurves: list) -> Fraction:
                 continue
             for seg in segs:
                 n, d = rational_point_segment_dist_sq(hw, seg)
-                if n == 0:
-                    raise DegenerateDrawing(
-                        f"vertex {w} lies on the curve of edge ({e.u}, {e.v})")
                 if n * bd < bn * d:
                     bn, bd = n, d
     incident: list[list[list[RationalSegment]]] = [[] for _ in verts]
@@ -127,10 +181,8 @@ def _auto_radius_sq(drawing: Drawing, hverts: list, hcurves: list) -> Fraction:
     for pw, hw, at_w in zip(verts, hverts, incident):
         for ci, cj in itertools.combinations(at_w, 2):
             for s in ci:
-                s_ends = hw == s.ha or hw == s.hb
                 for t in cj:
-                    if (s_ends and (hw == t.ha or hw == t.hb)
-                            and (side(s.line, t.ha) or side(s.line, t.hb))):
+                    if _meet_only_at(hw, s, t):
                         continue
                     for x in rational_contact_points(s, t):
                         if x != pw:
@@ -213,9 +265,7 @@ def truncate_edges(drawing: Drawing) -> StringFamily:
     if drawing.m == 0:
         return StringFamily(())
     hverts = [homogeneous(p) for p in drawing.vertices]
-    # Drawing checked that each curve starts and ends at its endpoints' points.
-    hcurves = [[hverts[e.u], *map(homogeneous, e.curve.points[1:-1]), hverts[e.v]]
-               for e in drawing.edges]
+    hcurves = _curve_triples(drawing.edges, hverts)
     rho_sq = _auto_radius_sq(drawing, hverts, hcurves)
     strings = []
     for k, (e, hpts) in enumerate(zip(drawing.edges, hcurves)):
@@ -242,19 +292,61 @@ def check_s(s: int) -> None:
 
 
 def crossing_graph(drawing: Drawing) -> Graph:
-    """Graph on the drawing's edges, adjacent iff they cross: the edges'
-    cut curves meet."""
-    return intersection_graph(truncate_edges(drawing))
+    """Graph on the drawing's edges, adjacent iff they cross: their curves
+    share a point that is not an endpoint they share.
+
+    A vertex on a curve that does not end there raises DegenerateDrawing,
+    the first one found over vertices, then edges, then segments. Then one
+    sweep of `intersection_graph` runs on the uncut curves with its
+    adjacency seeded by the pairs of edges that share a vertex, so it tests
+    only the pairs that share none, where any common point is a crossing.
+    The seeded pairs are taken out again and re-checked exactly, segment
+    pair by segment pair, with the shared point left out; a segment pair
+    that both end there and do not lie on one line is skipped, since it
+    meets only there.
+    """
+    edges, verts = drawing.edges, drawing.vertices
+    hverts = [homogeneous(p) for p in verts]
+    curves = _rational_curves(edges, _curve_triples(edges, hverts))
+    _refuse_vertex_on_curve(drawing, hverts, curves)
+    at = [0] * drawing.n   # the edges at each vertex, as a mask
+    for k, e in enumerate(edges):
+        at[e.u] |= 1 << k
+        at[e.v] |= 1 << k
+    shared = [(at[e.u] | at[e.v]) & ~(1 << k) for k, e in enumerate(edges)]
+    adj = _sweep(tuple(e.curve for e in edges), list(shared))
+    adj = [a & ~s for a, s in zip(adj, shared)]
+    for pw, hw, mask in zip(verts, hverts, at):
+        for i, j in itertools.combinations(bits(mask), 2):
+            if _meet_away(curves[i], curves[j], pw, hw):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph(tuple(adj))
 
 
-def is_r_quasiplanar(curves: StringFamily, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Whether no r of a drawing's cut curves pairwise meet; if some do, also
+def edges_cross(drawing: Drawing, i: int, j: int) -> bool:
+    """Whether edges i and j of a drawing cross, by testing every segment
+    pair of their uncut curves exactly: crossing_graph's test without the
+    sweep, which verifiers use to re-check a witness. Assumes the drawing
+    is not degenerate, as crossing_graph has checked."""
+    e, f = drawing.edges[i], drawing.edges[j]
+    hverts = [homogeneous(p) for p in drawing.vertices]
+    ci, cj = _rational_curves((e, f), _curve_triples((e, f), hverts))
+    shared = {e.u, e.v} & {f.u, f.v}
+    if not shared:
+        return _meet_away(ci, cj, None, None)
+    (w,) = shared
+    return _meet_away(ci, cj, drawing.vertices[w], hverts[w])
+
+
+def is_r_quasiplanar(crossings: Graph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Whether no r edges of a drawing pairwise cross; if some do, also
     return r edge indices.
 
-    `curves` is `truncate_edges(drawing)`, so curve i is edge i.
+    `crossings` is `crossing_graph(drawing)`, so vertex i is edge i.
     """
     check_r(r)
-    witness = find_clique(intersection_graph(curves), r)
+    witness = find_clique(crossings, r)
     return witness is None, witness
 
 

@@ -20,7 +20,7 @@ from stringraph import (Graph, choose_delta, color_or_clique, crossing_graph,
                         max_kp_free_subset_exact, multipartite_cover,
                         pairwise_crossing_exact, q_independent_set,
                         separator_size_survey, sparse_subgraph,
-                        truncate_edges, validate_coloring,
+                        validate_coloring,
                         validate_partition, validate_witness)
 from stringraph.cli import main
 from stringraph.extract import independent_floor, validate_multipartite_cover
@@ -229,9 +229,8 @@ def test_criterion_7_quasiplanar_pipeline_on_convex_drawings():
         D = generate(GeneratorSpec(kind="convex_chords", count=n, seed=1))
         cg = crossing_graph(D)
         assert cg == convex_interleaving_graph(n)
-        curves = truncate_edges(D)
         for r in (2, 3, 4):
-            ok, witness = is_r_quasiplanar(curves, r)
+            ok, witness = is_r_quasiplanar(cg, r)
             oracle = pairwise_crossing_exact(D, r)
             assert ok == (oracle is None)
             if witness is not None:

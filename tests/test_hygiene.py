@@ -3,11 +3,13 @@ every module-level function and class is reached from the package or
 exported."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "stringraph"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "stringraph"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -132,3 +134,24 @@ def test_oracles_import_no_production_algorithm():
 ])
 def test_oracle_import_check_catches_production_code(line):
     assert _foreign_imports(line) != []
+
+
+def _traced() -> tuple[tuple[str, str], ...]:
+    """The (module, function) pairs the benchmark's traced run wraps: the
+    TRACED tuple of perfbench/spans.py, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(), filename="spans.py")
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py has no TRACED")
+
+
+def test_every_traced_function_exists():
+    """Fail, naming it, on a traced function that the package no longer
+    defines, which the traced run would meet only as a getattr traceback."""
+    traced = _traced()
+    assert ("quasiplanar", "crossing_graph") in traced
+    missing = [f"{module}.{fn}" for module, fn in traced
+               if not callable(getattr(importlib.import_module(f"stringraph.{module}"), fn, None))]
+    assert not missing, f"traced functions stringraph does not define: {missing}"

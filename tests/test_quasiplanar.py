@@ -13,6 +13,7 @@ from stringraph import (DegenerateDrawing, DomainError, DrawnEdge, Drawing,
                         edge_bound, edge_bound_holds, find_clique, is_r_quasiplanar,
                         q_independent_set, quasiplanar, sparse_subgraph, truncate_edges)
 from stringraph.cli import main
+from stringraph.fileio import drawing_json
 from stringraph.generators import GeneratorSpec, generate
 from stringraph.geometry import homogeneous
 from stringraph.graph import clique_in_mask, mask_of
@@ -48,14 +49,14 @@ def test_two_disjoint_edges_do_not_cross():
     D = _draw([(0, 0), (10, 0), (0, 5), (10, 5)], [(0, 1), (2, 3)])
     G = crossing_graph(D)
     assert (G.n, G.m) == (2, 0)
-    assert is_r_quasiplanar(truncate_edges(D), 2) == (True, None)
+    assert is_r_quasiplanar(crossing_graph(D), 2) == (True, None)
 
 
 def test_single_crossing_detected():
     D = _draw([(0, 0), (4, 4), (0, 4), (4, 0)], [(0, 1), (2, 3)])
     G = crossing_graph(D)
     assert G.edges() == [(0, 1)]
-    ok, witness = is_r_quasiplanar(truncate_edges(D), 2)
+    ok, witness = is_r_quasiplanar(crossing_graph(D), 2)
     assert not ok and witness == (0, 1)
 
 
@@ -103,14 +104,14 @@ def test_convex_five_crossing_structure():
 
 def test_convex_six_quasiplanarity_levels():
     D = generate(GeneratorSpec(kind="convex_chords", count=6, seed=1))
-    curves = truncate_edges(D)
-    ok2, _ = is_r_quasiplanar(curves, 2)
-    ok3, w3 = is_r_quasiplanar(curves, 3)
-    ok4, w4 = is_r_quasiplanar(curves, 4)
+    cg = crossing_graph(D)
+    ok2, _ = is_r_quasiplanar(cg, 2)
+    ok3, w3 = is_r_quasiplanar(cg, 3)
+    ok4, w4 = is_r_quasiplanar(cg, 4)
     assert not ok2 and not ok3 and ok4
     assert w3 == (2, 7, 11) and w4 is None
     with pytest.raises(ValueError):
-        is_r_quasiplanar(curves, 1)
+        is_r_quasiplanar(cg, 1)
 
 
 def test_sparse_subgraph_keeps_planar_drawing_whole():
@@ -348,12 +349,67 @@ def _disagreeing_bent_grid_drawings():
     return drawings[733], drawings[1165]
 
 
-@pytest.mark.xfail(strict=True, reason="truncation keeps a contact at a shared vertex "
-                                       "that both curves pass back through; ROADMAP item 16")
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_crossing_graph_where_curves_pass_back_through_a_shared_vertex(which):
     D = (_passes_back_drawing(), *_disagreeing_bent_grid_drawings())[which]
     assert crossing_graph(D) == crossing_graph_reference(D)
+
+
+# Drawings whose only crossing question is a pair of edges that share a
+# vertex, so the exact re-check alone decides it, with the crossing pairs.
+SHARED_VERTEX_DRAWINGS = {
+    # Edge 1 leaves vertex 0 along edge 0's ray and comes back through
+    # vertex 0: its first two segments overlap edge 0 on one line from
+    # (0, 0) to (2, 0), so the edges cross, and they meet nowhere else.
+    "collinear-overlap": (([(0, 0), (4, 0), (0, 4)], [(0, 1), (0, 2)],
+                           [None, [Point(0, 0), Point(2, 0), Point(0, 0), Point(0, 4)]]),
+                          [(0, 1)]),
+    # Edge 1's first segment meets edge 0 only at vertex 0; its second
+    # crosses edge 0 at (2, 0).
+    "later-segment": (([(0, 0), (4, 0), (0, 4)], [(0, 1), (0, 2)],
+                       [None, [Point(0, 0), Point(2, -2), Point(2, 2), Point(0, 4)]]),
+                      [(0, 1)]),
+    # A straight triangle: each pair of chords meets only at its shared vertex.
+    "straight-chords": (([(0, 0), (4, 0), (0, 4)], [(0, 1), (0, 2), (1, 2)], None), []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_VERTEX_DRAWINGS))
+def test_shared_vertex_pairs_are_rechecked_exactly(name):
+    (coords, pairs, curves), crossing = SHARED_VERTEX_DRAWINGS[name]
+    D = _draw(coords, pairs, curves)
+    G = crossing_graph(D)
+    assert G == crossing_graph_reference(D)
+    assert G.edges() == crossing
+
+
+def test_qp_check_and_crossings_oracle_agree(tmp_path):
+    """Both commands refuse the same drawings, with the same message, and
+    otherwise both find r pairwise crossing edges or both find none."""
+    rng = random.Random(20211203)
+    drawings = [_passes_back_drawing(), *_disagreeing_bent_grid_drawings()]
+    drawings += [_bent_grid_drawing(rng) for _ in range(320)]
+    path, out = tmp_path / "d.json", tmp_path / "report.json"
+
+    def run(*argv):
+        code = main([*argv, str(path), "-o", str(out)])
+        return code, json.loads(out.read_text())["result"]
+
+    outcomes = {}
+    for D in drawings:
+        path.write_text(drawing_json(D))
+        for r in ("2", "3"):
+            qp_code, qp = run("qp", "check", "--r", r)
+            oracle_code, oracle = run("oracle", "crossings", "--r", r)
+            assert qp_code == oracle_code
+            if qp_code == 0:
+                assert qp["quasiplanar"] is not oracle["found"]
+            else:
+                assert qp == oracle and qp["outcome"] == "DegenerateDrawing"
+            key = (qp_code, qp.get("quasiplanar"))
+            outcomes[key] = outcomes.get(key, 0) + 1
+    # The 147 bent-grid drawings that the test above sees refused, at each r.
+    assert outcomes == {(3, None): 294, (0, True): 204, (0, False): 148}
 
 
 def test_truncation_derives_each_homogeneous_triple_once(monkeypatch):
@@ -395,7 +451,7 @@ def test_radius_of_many_vertices_and_one_edge_is_fast(tmp_path):
 def test_drawings_without_edges_are_quasiplanar(coords):
     D = _draw(coords, [])
     for r in (2, 3, 4):
-        assert is_r_quasiplanar(truncate_edges(D), r) == (True, None)
+        assert is_r_quasiplanar(crossing_graph(D), r) == (True, None)
 
 
 def _first_exit_by_fractions(pts, center, rho_sq, edge_index):
