@@ -49,14 +49,14 @@ def test_two_disjoint_edges_do_not_cross():
     D = _draw([(0, 0), (10, 0), (0, 5), (10, 5)], [(0, 1), (2, 3)])
     G = crossing_graph(D)
     assert (G.n, G.m) == (2, 0)
-    assert is_r_quasiplanar(crossing_graph(D), 2) == (True, None)
+    assert is_r_quasiplanar(G, 2) == (True, None)
 
 
 def test_single_crossing_detected():
     D = _draw([(0, 0), (4, 4), (0, 4), (4, 0)], [(0, 1), (2, 3)])
     G = crossing_graph(D)
     assert G.edges() == [(0, 1)]
-    ok, witness = is_r_quasiplanar(crossing_graph(D), 2)
+    ok, witness = is_r_quasiplanar(G, 2)
     assert not ok and witness == (0, 1)
 
 
@@ -434,8 +434,9 @@ def test_truncation_derives_each_homogeneous_triple_once(monkeypatch):
 
 
 def test_radius_of_many_vertices_and_one_edge_is_fast(tmp_path):
-    # Only an edge's own endpoints bound the radius, so 3000 vertices cost
-    # 3000 point-curve distances, not 4.5 million vertex pairs.
+    # qp check tests each vertex against each curve that does not end
+    # there, so 3000 vertices cost 3000 point-segment tests, not 4.5
+    # million vertex pairs.
     coords = [(x, y) for x in range(60) for y in range(50)]
     obj = {"vertices": [list(p) for p in coords],
            "edges": [{"u": 0, "v": 1, "points": [[0, 0], [0, 1]]}]}
