@@ -5,7 +5,7 @@ rational predicates, finds balanced separators, runs the constructive
 extraction procedures (neighborhood covers, clique-free subgraphs, dense
 cores, multipartite covers, independent and q-independent sets, the
 color-or-clique dichotomy), and analyzes drawings for quasiplanarity through
-exact edge truncation. Every nontrivial output is a witness that is
+the exact crossing graph of their uncut curves. Every nontrivial output is a witness that is
 re-checked against its defining property, and small instances can be
 cross-validated against exhaustive oracles.
 """

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from dataclasses import fields, replace
@@ -87,10 +86,7 @@ def _load_params(args) -> AlgorithmParams:
     values = {}
     path = args.params
     if path:
-        try:
-            obj = json.loads(_read(path))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid params JSON: {exc.msg}", line=exc.lineno) from exc
+        obj = fileio._loads(_read(path), inexact=True)
         if not isinstance(obj, dict):
             raise SchemaError("params file must be a JSON object")
         for key, val in obj.items():

@@ -22,7 +22,8 @@ class DegenerateGraph(StringraphError):
 
 
 class ExtractorViolation(StringraphError):
-    """A coloring extractor returned an empty or non-independent set."""
+    """A result fails its check: a witness validator's, a colouring
+    extractor's class check, or the qp check verifier's."""
 
 
 class PreconditionViolated(StringraphError):
@@ -46,7 +47,8 @@ class InternalBoundViolation(StringraphError):
 
 
 class DegenerateDrawing(StringraphError):
-    """Automatic truncation radius is not well defined for this drawing."""
+    """A vertex of the drawing lies on a curve that does not end there (and
+    truncate_edges raises it when a cut cannot be placed)."""
 
 
 class DomainError(StringraphError):
@@ -66,8 +68,9 @@ def finite_value(formula: Callable[[], float], name: str) -> float:
 
 
 class TooLarge(StringraphError):
-    """Instance exceeds an exact oracle's hard size cap, or the clique search's
-    node budget."""
+    """Instance exceeds an exact oracle's hard size cap, the 14-vertex cap of
+    the exact separator strategy, the clique search's node budget, or the
+    greedy biclique search's scan budget."""
 
 
 class ParseError(StringraphError):

@@ -5,6 +5,8 @@ checked against the input graph exactly once before returning: by the final
 validate_witness call, or for a cover and for color-or-clique by the check
 that stands in for it (validate_multipartite_cover, greedy_color's check of
 every class, _check_clique). No step re-checks what a later check covers.
+A clique-free precondition is checked once, at entry: every subgraph of a
+K_r-free G is K_r-free, so every mask a recursion or colour round meets is.
 The tunable constants only influence guaranteed sizes, never correctness.
 All recursions work on vertex bitmasks of the original graph, so witnesses
 stay in original indices.
@@ -264,8 +266,8 @@ def _divide(G: Graph, mask: int, params: AlgorithmParams, step: Step) -> int:
     return mask
 
 
-def _verify_no_clique(G: Graph, mask: int, r: int) -> None:
-    clique = clique_in_mask(G, mask, r)
+def _verify_no_clique(G: Graph, r: int) -> None:
+    clique = clique_in_mask(G, G.full_mask, r)
     if clique is not None:
         raise PreconditionViolated(
             f"input graph contains K_{r}",
@@ -281,7 +283,7 @@ def kr1_free_subgraph(G: Graph, r: int,
     argument: a clique in a covered component would extend by its apex."""
     if r < 3:
         raise ValueError("forbidden clique size r must be at least 3")
-    _verify_no_clique(G, G.full_mask, r)
+    _verify_no_clique(G, r)
     bound = cover_floor(G.n, params.c)
     # The apex of each covered component of 2+ vertices, by its lowest vertex.
     apexes: dict[int, int] = {}
@@ -422,7 +424,7 @@ def half_clique_free_subgraph(G: Graph, r: int,
                               ) -> ExtractionWitness:
     if r < 3:
         raise ValueError("forbidden clique size r must be at least 3")
-    _verify_no_clique(G, G.full_mask, r)
+    _verify_no_clique(G, r)
     bound = half_clique_floor(G.n, params.c)
     p_half = (r + 1) // 2
 
@@ -560,10 +562,9 @@ def _power_size(mask: int, e: int) -> int:
 
 def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
             ) -> tuple[int, Optional[VertexSet], int]:
-    """K_{2^q}-free subset of G[mask], which must be K_{2^s}-free, as a mask;
-    also the latest of the largest cliques met on the way and the count of
-    cover fallbacks."""
-    _verify_no_clique(G, mask, _power_size(mask, s))
+    """K_{2^q}-free subset of G[mask] as a mask; also the latest of the
+    largest cliques met on the way and the count of cover fallbacks. The
+    caller has found no K_{2^s} in G, so none in G[mask], at its entry."""
     if clique_in_mask(G, mask, _power_size(mask, q)) is None:
         # Already free of the target clique: the whole vertex set qualifies.
         return mask, None, 0
@@ -620,17 +621,23 @@ def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
     return _divide(G, mask, params, step_at(s)), found, fallbacks
 
 
+def _independent(G: Graph, s: int, q: int, params: AlgorithmParams, kind: str,
+                 certificate: dict) -> ExtractionWitness:
+    """The body of independent_set and q_independent_set."""
+    _verify_no_clique(G, _power_size(G.full_mask, s))
+    res, found, fallbacks = _qindep(G, G.full_mask, s, q, params)
+    certificate.update(fallbacks=fallbacks, found_clique=found)
+    witness = ExtractionWitness(kind, tuple(bits(res)), certificate)
+    validate_witness(G, witness)
+    return witness
+
+
 def independent_set(G: Graph, s: int,
                     params: AlgorithmParams = DEFAULT_PARAMS) -> ExtractionWitness:
     if s < 1:
         raise ValueError("s must be at least 1")
-    floor = independent_floor(G.n, s, params.c)
-    res, found, fallbacks = _qindep(G, G.full_mask, s, 1, params)
-    witness = ExtractionWitness(
-        "independent", tuple(bits(res)),
-        {"s": s, "floor": floor, "fallbacks": fallbacks, "found_clique": found})
-    validate_witness(G, witness)
-    return witness
+    return _independent(G, s, 1, params, "independent",
+                        {"s": s, "floor": independent_floor(G.n, s, params.c)})
 
 
 def q_independent_set(G: Graph, s: int, q: int,
@@ -640,14 +647,9 @@ def q_independent_set(G: Graph, s: int, q: int,
     # The certificate records p = 2^q, so q is held to a finite float's range,
     # as the floors are, before 2^q is built.
     finite_value(lambda: math.ldexp(1.0, q), "forbidden clique size 2^q")
-    floor = q_independent_floor(G.n, s, q, params.c)
-    res, found, fallbacks = _qindep(G, G.full_mask, s, q, params)
-    witness = ExtractionWitness(
-        "q_independent", tuple(bits(res)),
-        {"s": s, "q": q, "p": 2 ** q, "floor": floor,
-         "fallbacks": fallbacks, "found_clique": found})
-    validate_witness(G, witness)
-    return witness
+    return _independent(G, s, q, params, "q_independent",
+                        {"s": s, "q": q, "p": 2 ** q,
+                         "floor": q_independent_floor(G.n, s, q, params.c)})
 
 
 # ---------------------------------------------------------------------------
@@ -699,15 +701,15 @@ def color_or_clique(G: Graph, epsilon: float,
     s = max(1, math.ceil(delta * math.log2(n))) if n >= 2 else 1
 
     def extractor(remaining: int) -> int:
-        try:
-            res, found, _ = _qindep(G, remaining, s, 1, params)
-        except PreconditionViolated as exc:
-            raise _CliqueFound(exc.witness.vertices)
+        res, found, _ = _qindep(G, remaining, s, 1, params)
         if found and len(found) >= clique_threshold:
             raise _CliqueFound(found)
         return res
 
     try:
+        clique = clique_in_mask(G, G.full_mask, _power_size(G.full_mask, s))
+        if clique is not None:
+            raise _CliqueFound(clique)
         coloring = greedy_color(G, extractor)
     except _CliqueFound as exc:
         _check_clique(G, exc.vertices)

@@ -105,6 +105,8 @@ def _loads(text: str, inexact: bool = False):
                           parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise ParseError("invalid JSON: nesting too deep") from None
     except ValueError as exc:  # an integer literal past MAX_DIGITS digits
         raise SchemaError(f"number literal exceeds {MAX_DIGITS} digits") from exc
 

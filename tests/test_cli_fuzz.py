@@ -1,6 +1,8 @@
 """Seeded CLI fuzz: every report command that reads a graph file, over a grid
 of parameters, on small adversarial graphs. No run may crash (exit 1, a
-traceback), run past RUN_SECONDS, or exit non-zero without saying why."""
+traceback), run past RUN_SECONDS, or exit non-zero without saying why. Then
+a fixed list of hostile JSON documents, read as families, drawings and params
+files: each is refused with exit 3 or 4 and an error line."""
 
 import json
 import random
@@ -112,3 +114,78 @@ def test_report_commands_exit_declared_on_adversarial_graphs(tmp_path, capsys):
     # known ones may appear.
     assert set(codes.get(2, [])) <= KNOWN_EXIT_2, codes[2]
     assert {0, 3, 4, 5} <= set(codes)
+
+
+# JSON nested far past the decoder's recursion limit, and well formed.
+DEEP = "[" * 100_000 + "]" * 100_000
+# Hostile JSON values, each put where a coordinate and a tuning constant go.
+HOSTILE_VALUES = {
+    "deep": DEEP,
+    "nan": "NaN",
+    "5000-digit": "7" * 5000,
+    "1e400": "1e400",
+    "zero-denominator": '"1/0"',
+}
+# Documents of the wrong shape, each given as an input and as a params file.
+WRONG_SHAPES = {
+    "deep-top-level": DEEP,
+    "array": "[]",
+    "string": '"family"',
+    "null": "null",
+    "strings-object": '{"kind": "family", "strings": {}}',
+    "string-array": '{"kind": "family", "strings": [[[0, 0], [1, 1]]]}',
+    "id-number": '{"kind": "family", "strings": [{"id": 1, "points": [[0, 0], [1, 1]]}]}',
+    "point-scalar": '{"kind": "family", "strings": [{"id": "a", "points": [0, 1]}]}',
+    "edges-number": '{"kind": "drawing", "vertices": [[0, 0], [1, 1]], "edges": 3}',
+    "u-float": ('{"kind": "drawing", "vertices": [[0, 0], [1, 1]], '
+                '"edges": [{"u": 0.5, "v": 1, "points": [[0, 0], [1, 1]]}]}'),
+    "param-array": '{"c": [1]}',
+}
+
+
+def _family(x):
+    return ('{"kind": "family", "strings": [{"id": "a", "points": [[%s, 0], [1, 1]]}, '
+            '{"id": "b", "points": [[0, 1], [1, 0]]}]}' % x)
+
+
+def _drawing(x):
+    return ('{"kind": "drawing", "vertices": [[%s, 0], [1, 1]], '
+            '"edges": [{"u": 0, "v": 1, "points": [[%s, 0], [1, 1]]}]}' % (x, x))
+
+
+def _input_commands(path):
+    commands = [["build-graph", path], ["qp", "check", path, "--r", "2"],
+                ["qp", "sparse", path, "--s", "2"], ["oracle", "crossings", path, "--r", "2"]]
+    return commands + [[*c, "--inexact"] for c in commands]
+
+
+def _params_commands(path, graph):
+    return [["extract", "independent", graph, "--s", "1", "--params", path],
+            ["color-or-clique", graph, "--epsilon", "0.5", "--params", path]]
+
+
+def test_hostile_json_documents_exit_declared(tmp_path, capsys):
+    graph = tmp_path / "graph.txt"
+    graph.write_text(graph_text(_complete(3)))
+    runs = []
+    for name, x in HOSTILE_VALUES.items():
+        runs += [(name, _family(x), args) for args in _input_commands(GRAPH)]
+        runs += [(name, _drawing(x), args) for args in _input_commands(GRAPH)]
+        runs += [(name, '{"c": %s}' % x, args) for args in _params_commands(GRAPH, str(graph))]
+    for name, text in WRONG_SHAPES.items():
+        runs += [(name, text, args) for args in
+                 _input_commands(GRAPH) + _params_commands(GRAPH, str(graph))]
+    doc = tmp_path / "doc.json"
+    for name, text, args in runs:
+        doc.write_text(text)
+        argv = [str(doc) if a == GRAPH else a for a in args]
+        try:
+            code = main([*argv, "-o", str(tmp_path / "out")])
+        except Exception as exc:  # the CLI would exit 1 with a traceback
+            pytest.fail(f"{name} {args}: {type(exc).__name__}")
+        err = capsys.readouterr().err
+        # Read exactly, 1e400 is the integer 10^400, a coordinate like any other.
+        if name == "1e400" and "--inexact" not in args and "--params" not in args:
+            continue
+        assert code in (3, 4), (name, args, code, err)
+        assert err.startswith("error: "), (name, args, err)

@@ -376,6 +376,23 @@ def test_color_or_clique_default_params_always_verified(rng):
             assert len(w.vertices) <= 40 ** 0.5
 
 
+def test_color_or_clique_searches_for_its_clique_once(monkeypatch):
+    # s = ceil(0.3 * log2 400) = 3. The seed-3 grid-path graph takes 101 colour
+    # rounds, and one K_8 search before them certifies every round's mask.
+    G = family_graph("grid_paths", 400, 3)
+    sizes = []
+
+    def counted(G, mask, k):
+        sizes.append(k)
+        return clique_in_mask(G, mask, k)
+
+    monkeypatch.setattr(extract_module, "clique_in_mask", counted)
+    with pytest.raises(InternalBoundViolation,
+                       match=r"^101 color classes exceed n\^epsilon = 20\.00$"):
+        color_or_clique(G, 0.5, AlgorithmParams(delta=0.3))
+    assert sizes[0] == 8 and sizes.count(8) == 1
+
+
 def _peeled_work_reference(G, mask):
     """The loop multipartite_cover's peel replaced: remove the vertex with the
     most complement neighbours, by most_adjacent_reference on the complement,

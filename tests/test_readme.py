@@ -1,10 +1,14 @@
 """The README's examples run: both quick-start Python blocks, and every
-`stringraph` line of the command-line block, in order, each with exit 0."""
+`stringraph` line of the command-line block, in order, each with exit 0. The
+module attributes its prose names exist."""
 
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import stringraph
 from stringraph.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -37,3 +41,21 @@ def test_command_line_block_runs_in_order(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv[1:]) == 0, shlex.join(argv)
         capsys.readouterr()
+
+
+def test_backticked_module_names_resolve():
+    """Every backticked `module.name` (or `stringraph.module.name`) of a
+    stringraph module names an attribute of that module, so a rename or a
+    deletion updates the README with it. File names such as `oracles.py`
+    are not names."""
+    prose = re.sub(r"```.*?```", "", README, flags=re.S)
+    modules = {m.name for m in pkgutil.iter_modules(stringraph.__path__)}
+    checked, missing = [], []
+    for span in re.findall(r"`([^`]+)`", prose):
+        named = re.match(r"(?:stringraph\.)?(\w+)\.(\w+)", span)
+        if named is None or named[1] not in modules or re.fullmatch(r"[\w/.]+\.py", span):
+            continue
+        module = importlib.import_module(f"stringraph.{named[1]}")
+        (checked if hasattr(module, named[2]) else missing).append(span)
+    assert not missing, missing
+    assert len(checked) >= 10, checked
