@@ -22,8 +22,7 @@ class DegenerateGraph(StringraphError):
 
 
 class ExtractorViolation(StringraphError):
-    """A result fails its check: a witness validator's, a colouring
-    extractor's class check, or the qp check verifier's."""
+    """A witness, colour class or qp check answer fails its validator."""
 
 
 class PreconditionViolated(StringraphError):
@@ -47,8 +46,7 @@ class InternalBoundViolation(StringraphError):
 
 
 class DegenerateDrawing(StringraphError):
-    """A vertex of the drawing lies on a curve that does not end there (and
-    truncate_edges raises it when a cut cannot be placed)."""
+    """A vertex lies on a curve that does not end there, or a truncation cut fails."""
 
 
 class DomainError(StringraphError):
@@ -68,9 +66,8 @@ def finite_value(formula: Callable[[], float], name: str) -> float:
 
 
 class TooLarge(StringraphError):
-    """Instance exceeds an exact oracle's hard size cap, the 14-vertex cap of
-    the exact separator strategy, the clique search's node budget, or the
-    greedy biclique search's scan budget."""
+    """Instance exceeds an exact oracle's size cap or the exact separator's 14-vertex
+    cap, the clique search's node budget, or the greedy biclique search's scan budget."""
 
 
 class ParseError(StringraphError):
