@@ -564,8 +564,9 @@ def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
             ) -> tuple[int, Optional[VertexSet], int]:
     """K_{2^q}-free subset of G[mask] as a mask; also the latest of the
     largest cliques met on the way and the count of cover fallbacks. The
-    caller has found no K_{2^s} in G, so none in G[mask], at its entry."""
-    if clique_in_mask(G, mask, _power_size(mask, q)) is None:
+    caller has found no K_{2^s} in G, so none in G[mask], at its entry;
+    with q = s that already certifies the whole mask."""
+    if q == s or clique_in_mask(G, mask, _power_size(mask, q)) is None:
         # Already free of the target clique: the whole vertex set qualifies.
         return mask, None, 0
     found: Optional[VertexSet] = None

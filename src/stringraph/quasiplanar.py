@@ -4,9 +4,10 @@ A drawing maps vertices to distinct points and edges to curves joining their
 endpoint points. Two edges cross iff their curves share a point that is not
 an endpoint they share. `crossing_graph` decides this on the uncut curves:
 one sweep of `geometry`'s intersection graph tests every pair of edges that
-share no vertex, and the pairs that share one are re-checked exactly, with
-their shared point left out. A drawing with a vertex on a curve that does
-not end there is refused.
+share no vertex. A drawing with a vertex on a curve that does not end there
+is refused, and that refusal settles the pairs that share a vertex and are
+both straight: they never cross. A shared pair with a bend is re-checked
+exactly, with the shared point left out.
 
 `truncate_edges` cuts every curve just outside small disks around its two
 endpoints, at a radius derived from the drawing's own clearances. It is a
@@ -55,7 +56,7 @@ class Drawing:
         verts = exact_points(self.vertices)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(self.edges))
-        if len(set(verts)) != len(verts):
+        if len({(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in verts}) != len(verts):
             raise ValueError("vertex points must be pairwise distinct")
         seen: set[frozenset] = set()
         for k, e in enumerate(self.edges):
@@ -79,7 +80,7 @@ class Drawing:
         return len(self.edges)
 
 
-def _curve_triples(edges, hverts: list) -> list[list[Homogeneous]]:
+def _curve_triples(edges, hverts) -> list[list[Homogeneous]]:
     """Each edge's curve as homogeneous triples, one per point: a curve's
     ends take their vertices' triples, hverts[u] and hverts[v]."""
     # Drawing checked that each curve starts and ends at its endpoints' points.
@@ -300,10 +301,16 @@ def crossing_graph(drawing: Drawing) -> Graph:
     sweep of `intersection_graph` runs on the uncut curves with its
     adjacency seeded by the pairs of edges that share a vertex, so it tests
     only the pairs that share none, where any common point is a crossing.
-    The seeded pairs are taken out again and re-checked exactly, segment
-    pair by segment pair, with the shared point left out; a segment pair
-    that both end there and do not lie on one line is skipped, since it
-    meets only there.
+    The seeded pairs are taken out again. A pair where either curve has a
+    bend is re-checked exactly, segment pair by segment pair, with the
+    shared point w left out; a segment pair that both end there and do not
+    lie on one line is skipped, since it meets only there.
+
+    A pair of one-segment curves at w is not re-checked: it never crosses.
+    Two segments leaving w meet away from w only if they run along the same
+    ray. Then the nearer far endpoint, a vertex, lies on the other curve,
+    which does not end there, and the drawing was refused above; equal far
+    endpoints would repeat a vertex pair, which Drawing refuses.
     """
     edges, verts = drawing.edges, drawing.vertices
     hverts = [homogeneous(p) for p in verts]
@@ -316,11 +323,14 @@ def crossing_graph(drawing: Drawing) -> Graph:
     shared = [(at[e.u] | at[e.v]) & ~(1 << k) for k, e in enumerate(edges)]
     adj = _sweep(tuple(e.curve for e in edges), list(shared))
     adj = [a & ~s for a, s in zip(adj, shared)]
+    bent = sum(1 << k for k, c in enumerate(curves) if len(c) > 1)
     for pw, hw, mask in zip(verts, hverts, at):
-        for i, j in itertools.combinations(bits(mask), 2):
-            if _meet_away(curves[i], curves[j], pw, hw):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+        for i in bits(mask & bent):  # each pair at w with a bent curve, once
+            mask &= ~(1 << i)
+            for j in bits(mask):
+                if _meet_away(curves[i], curves[j], pw, hw):
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
     return Graph(tuple(adj))
 
 
@@ -330,7 +340,7 @@ def edges_cross(drawing: Drawing, i: int, j: int) -> bool:
     sweep, which verifiers use to re-check a witness. Assumes the drawing
     is not degenerate, as crossing_graph has checked."""
     e, f = drawing.edges[i], drawing.edges[j]
-    hverts = [homogeneous(p) for p in drawing.vertices]
+    hverts = {w: homogeneous(drawing.vertices[w]) for w in (e.u, e.v, f.u, f.v)}
     ci, cj = _rational_curves((e, f), _curve_triples((e, f), hverts))
     shared = {e.u, e.v} & {f.u, f.v}
     if not shared:

@@ -1,10 +1,11 @@
 """Shared builders for seeded random test instances."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from stringraph import Graph
+from stringraph import DrawnEdge, Drawing, Graph, Point, Polyline
 from stringraph.generators import GeneratorSpec, generate
 from stringraph.geometry import intersection_graph
 
@@ -33,6 +34,36 @@ def er_masked(rng: random.Random):
 def family_graph(kind: str, n: int, seed: int) -> Graph:
     """Intersection graph of a generated family of n strings."""
     return intersection_graph(generate(GeneratorSpec(kind=kind, count=n, seed=seed)))
+
+
+def draw(coords, pairs, curves=None):
+    """Drawing of the points coords with the edges pairs; edge k is straight
+    unless curves[k] gives its points."""
+    vertices = tuple(Point(x, y) for x, y in coords)
+    edges = []
+    for k, (u, v) in enumerate(pairs):
+        pts = curves[k] if curves and curves[k] else (vertices[u], vertices[v])
+        edges.append(DrawnEdge(u, v, Polyline(f"e{k}", tuple(pts))))
+    return Drawing(vertices, tuple(edges))
+
+
+def bent_grid_drawing(rng):
+    """Random drawing on a 6x6 grid: each edge bends at up to two grid points."""
+    cells = [(x, y) for x in range(6) for y in range(6)]
+    coords = rng.sample(cells, rng.randint(3, 6))
+    pairs = [p for p in combinations(range(len(coords)), 2) if rng.random() < 0.5]
+    curves = []
+    for u, v in pairs:
+        pts = [coords[u]]
+        for _ in range(rng.randint(0, 2)):
+            bend = rng.choice(cells)
+            if bend != pts[-1]:
+                pts.append(bend)
+        if pts[-1] == coords[v]:
+            pts.pop()
+        pts.append(coords[v])
+        curves.append(tuple(Point(x, y) for x, y in pts))
+    return draw(coords, pairs, curves)
 
 
 @pytest.fixture

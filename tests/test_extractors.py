@@ -393,6 +393,23 @@ def test_color_or_clique_searches_for_its_clique_once(monkeypatch):
     assert sizes[0] == 8 and sizes.count(8) == 1
 
 
+def test_q_independent_set_with_q_equal_s_searches_twice(monkeypatch):
+    # The entry check finds no K_8 in G, which certifies G K_8-free, so
+    # _qindep keeps the whole mask without a search of its own; the second
+    # search is validate_witness's.
+    G = family_graph("random_segments", 400, 3)
+    searches = []
+
+    def counted(G, mask, k):
+        searches.append((mask, k))
+        return clique_in_mask(G, mask, k)
+
+    monkeypatch.setattr(extract_module, "clique_in_mask", counted)
+    witness = q_independent_set(G, 3, 3)
+    assert witness.vertices == tuple(range(G.n))
+    assert searches == [(G.full_mask, 8)] * 2
+
+
 def _peeled_work_reference(G, mask):
     """The loop multipartite_cover's peel replaced: remove the vertex with the
     most complement neighbours, by most_adjacent_reference on the complement,

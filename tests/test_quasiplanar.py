@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -19,41 +20,33 @@ from stringraph.geometry import homogeneous
 from stringraph.graph import clique_in_mask, mask_of
 from stringraph.oracles import pairwise_crossing_exact
 from stringraph.quasiplanar import _auto_radius_sq, _first_exit
+from tests.conftest import bent_grid_drawing, draw
 from tests.reference import (convex_interleaving_graph, crossing_graph_reference,
                              dist_sq, interpolate, point_segment_dist_sq,
                              segment_intersection_points)
 
 
-def _draw(coords, pairs, curves=None):
-    vertices = tuple(Point(x, y) for x, y in coords)
-    edges = []
-    for k, (u, v) in enumerate(pairs):
-        pts = curves[k] if curves and curves[k] else (vertices[u], vertices[v])
-        edges.append(DrawnEdge(u, v, Polyline(f"e{k}", tuple(pts))))
-    return Drawing(vertices, tuple(edges))
-
-
 def test_drawing_validation():
     with pytest.raises(ValueError):
-        _draw([(0, 0), (0, 0)], [(0, 1)])
+        draw([(0, 0), (0, 0)], [(0, 1)])
     with pytest.raises(ValueError):
-        _draw([(0, 0), (1, 0)], [(0, 0)])
+        draw([(0, 0), (1, 0)], [(0, 0)])
     with pytest.raises(ValueError):
-        _draw([(0, 0), (1, 0)], [(0, 1), (1, 0)])
+        draw([(0, 0), (1, 0)], [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Drawing((Point(0, 0), Point(1, 0)),
                 (DrawnEdge(0, 1, Polyline("e0", (Point(0, 0), Point(2, 2)))),))
 
 
 def test_two_disjoint_edges_do_not_cross():
-    D = _draw([(0, 0), (10, 0), (0, 5), (10, 5)], [(0, 1), (2, 3)])
+    D = draw([(0, 0), (10, 0), (0, 5), (10, 5)], [(0, 1), (2, 3)])
     G = crossing_graph(D)
     assert (G.n, G.m) == (2, 0)
     assert is_r_quasiplanar(G, 2) == (True, None)
 
 
 def test_single_crossing_detected():
-    D = _draw([(0, 0), (4, 4), (0, 4), (4, 0)], [(0, 1), (2, 3)])
+    D = draw([(0, 0), (4, 4), (0, 4), (4, 0)], [(0, 1), (2, 3)])
     G = crossing_graph(D)
     assert G.edges() == [(0, 1)]
     ok, witness = is_r_quasiplanar(G, 2)
@@ -61,7 +54,7 @@ def test_single_crossing_detected():
 
 
 def test_edges_sharing_a_vertex_do_not_cross():
-    D = _draw([(0, 0), (10, 0), (5, 8)], [(0, 1), (0, 2), (1, 2)])
+    D = draw([(0, 0), (10, 0), (5, 8)], [(0, 1), (0, 2), (1, 2)])
     G = crossing_graph(D)
     assert G.m == 0
 
@@ -71,13 +64,13 @@ def test_bent_curves_cross():
         (Point(0, 0), Point(2, 5), Point(4, 0)),
         None,
     ]
-    D = _draw([(0, 0), (4, 0), (0, 3), (4, 3)], [(0, 1), (2, 3)], curves)
+    D = draw([(0, 0), (4, 0), (0, 3), (4, 3)], [(0, 1), (2, 3)], curves)
     G = crossing_graph(D)
     assert G.edges() == [(0, 1)]
 
 
 def test_vertex_on_foreign_edge_is_degenerate():
-    D = _draw([(0, 0), (4, 0), (2, 0), (2, 3)], [(0, 1), (2, 3)])
+    D = draw([(0, 0), (4, 0), (2, 0), (2, 3)], [(0, 1), (2, 3)])
     with pytest.raises(DegenerateDrawing):
         crossing_graph(D)
 
@@ -115,14 +108,14 @@ def test_convex_six_quasiplanarity_levels():
 
 
 def test_sparse_subgraph_keeps_planar_drawing_whole():
-    D = _draw([(0, 0), (10, 0), (0, 5), (10, 5)], [(0, 1), (2, 3)])
+    D = draw([(0, 0), (10, 0), (0, 5), (10, 5)], [(0, 1), (2, 3)])
     w = sparse_subgraph(crossing_graph(D), 3)
     assert len(w.vertices) == 2
     assert w.certificate["four_quasiplanar"] is True
 
 
 def test_sparse_subgraph_single_crossing_keeps_everything():
-    D = _draw([(0, 0), (4, 4), (0, 4), (4, 0), (8, 0), (9, 0)],
+    D = draw([(0, 0), (4, 4), (0, 4), (4, 0), (8, 0), (9, 0)],
               [(0, 1), (2, 3), (4, 5)])
     w = sparse_subgraph(crossing_graph(D), 3)
     assert len(w.vertices) == 3
@@ -229,32 +222,13 @@ def _radius_sq_all_terms(drawing):
     return min(terms) / 4
 
 
-def _bent_grid_drawing(rng):
-    """Random drawing on a 6x6 grid: each edge bends at up to two grid points."""
-    cells = [(x, y) for x in range(6) for y in range(6)]
-    coords = rng.sample(cells, rng.randint(3, 6))
-    pairs = [p for p in combinations(range(len(coords)), 2) if rng.random() < 0.5]
-    curves = []
-    for u, v in pairs:
-        pts = [coords[u]]
-        for _ in range(rng.randint(0, 2)):
-            bend = rng.choice(cells)
-            if bend != pts[-1]:
-                pts.append(bend)
-        if pts[-1] == coords[v]:
-            pts.pop()
-        pts.append(coords[v])
-        curves.append(tuple(Point(x, y) for x, y in pts))
-    return _draw(coords, pairs, curves)
-
-
 def _folded_back_drawing():
     """Edge 0 runs out along edge 1 and folds back through its own vertex, so
     two segments that both end at vertex 0 overlap on one line, with a
     contact at (1, 0) that sets the radius: rho^2 = 1/4, and the two edges
     cross. Skipping every segment pair that ends at the shared vertex would
     give 25/16 and lose the crossing."""
-    return _draw([(0, 0), (0, 5), (4, -5)], [(0, 1), (0, 2)],
+    return draw([(0, 0), (0, 5), (4, -5)], [(0, 1), (0, 2)],
                  [[Point(0, 0), Point(1, 0), Point(0, 0), Point(0, 5)],
                   [Point(0, 0), Point(4, 0), Point(4, -5)]])
 
@@ -275,7 +249,7 @@ def _radius_or_message(radius_sq, drawing):
 def test_auto_radius_matches_every_term():
     rng = random.Random(20211203)
     drawings = [generate(GeneratorSpec("convex_chords", n, seed=n)) for n in range(4, 13)]
-    drawings += [_bent_grid_drawing(rng) for _ in range(320)]
+    drawings += [bent_grid_drawing(rng) for _ in range(320)]
     drawings.append(_folded_back_drawing())
     outcomes = set()
     for D in drawings:
@@ -290,7 +264,7 @@ def test_auto_radius_matches_every_term():
 def test_crossing_graph_matches_uncut_reference():
     rng = random.Random(20211203)
     drawings = [generate(GeneratorSpec("convex_chords", n, seed=1)) for n in range(4, 13)]
-    drawings += [_bent_grid_drawing(rng) for _ in range(320)]
+    drawings += [bent_grid_drawing(rng) for _ in range(320)]
     drawings.append(_folded_back_drawing())
     checked = 0
     for D in drawings:
@@ -307,7 +281,7 @@ def _passes_back_drawing():
     """Both curves leave their shared vertex 0, come back through it and go
     on to their other ends, so they meet only at vertex 0's point and do
     not cross."""
-    return _draw([(0, 0), (10, 0), (0, 10)], [(0, 1), (0, 2)],
+    return draw([(0, 0), (10, 0), (0, 10)], [(0, 1), (0, 2)],
                  [[Point(0, 0), Point(5, 5), Point(0, 0), Point(10, 0)],
                   [Point(0, 0), Point(-5, 5), Point(0, 0), Point(0, 10)]])
 
@@ -321,7 +295,7 @@ def _first_clique(G, r):
 def test_crossings_oracle_matches_uncut_reference():
     rng = random.Random(20211203)
     drawings = [generate(GeneratorSpec("convex_chords", n, seed=1)) for n in range(5, 10)]
-    drawings += [_bent_grid_drawing(rng) for _ in range(320)]
+    drawings += [bent_grid_drawing(rng) for _ in range(320)]
     drawings.append(_passes_back_drawing())
     refused = found = 0
     for D in drawings:
@@ -345,7 +319,7 @@ def test_crossings_oracle_matches_uncut_reference():
 
 def _disagreeing_bent_grid_drawings():
     rng = random.Random(20211203)
-    drawings = [_bent_grid_drawing(rng) for _ in range(1166)]
+    drawings = [bent_grid_drawing(rng) for _ in range(1166)]
     return drawings[733], drawings[1165]
 
 
@@ -377,10 +351,83 @@ SHARED_VERTEX_DRAWINGS = {
 @pytest.mark.parametrize("name", sorted(SHARED_VERTEX_DRAWINGS))
 def test_shared_vertex_pairs_are_rechecked_exactly(name):
     (coords, pairs, curves), crossing = SHARED_VERTEX_DRAWINGS[name]
-    D = _draw(coords, pairs, curves)
+    D = draw(coords, pairs, curves)
     G = crossing_graph(D)
     assert G == crossing_graph_reference(D)
     assert G.edges() == crossing
+
+
+def _lattice_drawing(rng):
+    """Random straight-line drawing on a 5x5 lattice, where many vertices
+    fall on other edges."""
+    coords = rng.sample([(x, y) for x in range(5) for y in range(5)], rng.randint(3, 7))
+    return draw(coords, [p for p in combinations(range(len(coords)), 2)
+                         if rng.random() < 0.5])
+
+
+def _vertex_on_edge_reference(D):
+    """The message of the first vertex on a curve that does not end there,
+    over vertices then edges, by exact point-segment distance; or None."""
+    for w, p in enumerate(D.vertices):
+        for e in D.edges:
+            if w not in (e.u, e.v) and point_segment_dist_sq(
+                    p, D.vertices[e.u], D.vertices[e.v]) == 0:
+                return f"vertex {w} lies on the curve of edge ({e.u}, {e.v})"
+    return None
+
+
+def test_straight_drawings_need_no_shared_vertex_recheck():
+    """crossing_graph does not re-check two straight edges that share a
+    vertex. On random lattice drawings, each drawing is either refused for
+    the vertex on an edge the reference finds, or matches the reference. A
+    shared pair that the reference says crosses, two edges along one ray,
+    comes only in refused drawings."""
+    rng = random.Random(36)
+    refused = checked = along_one_ray = 0
+    for _ in range(600):
+        D = _lattice_drawing(rng)
+        reference = crossing_graph_reference(D)
+        witness = _vertex_on_edge_reference(D)
+        if witness is not None:
+            with pytest.raises(DegenerateDrawing, match=rf"^{re.escape(witness)}$"):
+                crossing_graph(D)
+            refused += 1
+            along_one_ray += any(
+                reference.has_edge(i, j) for i, j in combinations(range(D.m), 2)
+                if {D.edges[i].u, D.edges[i].v} & {D.edges[j].u, D.edges[j].v})
+            continue
+        assert crossing_graph(D) == reference
+        checked += 1
+    assert (refused, checked, along_one_ray) == (183, 417, 156)
+
+
+def _shared_pairs_with_a_bend(D):
+    """The pairs of edges that share a vertex where either curve has a bend."""
+    return sum(1 for e, f in combinations(D.edges, 2)
+               if {e.u, e.v} & {f.u, f.v}
+               and max(len(e.curve.points), len(f.curve.points)) > 2)
+
+
+def test_shared_vertex_recheck_only_where_a_curve_bends(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return meet_away(*args)
+
+    meet_away = quasiplanar._meet_away
+    monkeypatch.setattr(quasiplanar, "_meet_away", counted)
+    drawings = [generate(GeneratorSpec("convex_chords", 10, seed=1)),
+                _passes_back_drawing(), *_disagreeing_bent_grid_drawings()]
+    drawings += [draw(*case) for case, _ in SHARED_VERTEX_DRAWINGS.values()]
+    counts = []
+    for D in drawings:
+        calls.clear()
+        assert crossing_graph(D) == crossing_graph_reference(D)
+        assert len(calls) == _shared_pairs_with_a_bend(D)
+        counts.append(len(calls))
+    # Convex K_10's 360 shared pairs are all straight.
+    assert counts == [0, 1, 13, 9, 1, 1, 0]
 
 
 def test_qp_check_and_crossings_oracle_agree(tmp_path):
@@ -388,7 +435,7 @@ def test_qp_check_and_crossings_oracle_agree(tmp_path):
     otherwise both find r pairwise crossing edges or both find none."""
     rng = random.Random(20211203)
     drawings = [_passes_back_drawing(), *_disagreeing_bent_grid_drawings()]
-    drawings += [_bent_grid_drawing(rng) for _ in range(320)]
+    drawings += [bent_grid_drawing(rng) for _ in range(320)]
     path, out = tmp_path / "d.json", tmp_path / "report.json"
 
     def run(*argv):
@@ -450,7 +497,7 @@ def test_radius_of_many_vertices_and_one_edge_is_fast(tmp_path):
 
 @pytest.mark.parametrize("coords", [(), ((0, 0), (1, 0))])
 def test_drawings_without_edges_are_quasiplanar(coords):
-    D = _draw(coords, [])
+    D = draw(coords, [])
     for r in (2, 3, 4):
         assert is_r_quasiplanar(crossing_graph(D), r) == (True, None)
 
@@ -496,7 +543,7 @@ def test_first_exit_matches_fraction_bisection(family):
         radii = (1, 1000, 10 ** 5, 4 * 10 ** 5)
     else:
         rng = random.Random(20211203)
-        drawings = [_bent_grid_drawing(rng) for _ in range(320)]
+        drawings = [bent_grid_drawing(rng) for _ in range(320)]
         radii = (Fraction(1, 10), Fraction(1, 3), 1, 2)
     outcomes = set()
     for D in drawings:
