@@ -44,10 +44,10 @@ def _map_family(family: StringFamily, f, order: list[int]) -> StringFamily:
 
 
 def _map_drawing(D: Drawing, f, order: list[int]) -> Drawing:
+    edges = [D.edges[k] for k in order]
     return Drawing(_mapped(f, D.vertices),
-                   tuple(DrawnEdge(D.edges[k].u, D.edges[k].v,
-                                   Polyline(D.edges[k].curve.id, _mapped(f, D.edges[k].curve.points)))
-                         for k in order))
+                   tuple(DrawnEdge(e.u, e.v, Polyline(e.curve.id, _mapped(f, e.curve.points)))
+                         for e in edges))
 
 
 def test_intersection_graph_is_invariant_under_lattice_maps():
