@@ -5,8 +5,11 @@ checked against the input graph exactly once before returning: by the final
 validate_witness call, or for a cover and for color-or-clique by the check
 that stands in for it (validate_multipartite_cover, greedy_color's check of
 every class, _check_clique). No step re-checks what a later check covers.
-A clique-free precondition is checked once, at entry: every subgraph of a
-K_r-free G is K_r-free, so every mask a recursion or colour round meets is.
+The four clique-free extractions end in one driver, _clique_free, and all
+check in one order: arguments, the size floor, one search of G for the
+forbidden clique, the recursion, the witness. Every subgraph of a K_r-free G
+is K_r-free, so that entry search covers every mask the recursion meets, and
+color_or_clique's own entry search every colour round's.
 The tunable constants only influence guaranteed sizes, never correctness.
 All recursions work on vertex bitmasks of the original graph, so witnesses
 stay in original indices.
@@ -253,7 +256,8 @@ def _divide(G: Graph, mask: int, params: AlgorithmParams, step: Step) -> int:
     by a balanced separator, recurse on both sides and unite their answers,
     the lowest vertex of mask standing in when both sides answer empty; or
     returns (sub_mask, next_step), and next_step then answers for sub_mask
-    in its place. What a call drops is mask & ~kept.
+    in its place. What a call drops is mask & ~kept; what a step meets on
+    the way it records in its extractor's certificate.
     """
     while mask.bit_count() > 1:
         answer = step(mask)
@@ -266,12 +270,21 @@ def _divide(G: Graph, mask: int, params: AlgorithmParams, step: Step) -> int:
     return mask
 
 
-def _verify_no_clique(G: Graph, r: int) -> None:
+def _clique_free(G: Graph, r: int, params: AlgorithmParams, step: Step, kind: str,
+                 certificate: dict) -> ExtractionWitness:
+    """The frame of every clique-free extraction, entered after the caller's
+    argument checks and size floor: refuse a G that holds a K_r with that
+    clique, recurse on G by step, then check the witness once. step records
+    what it meets in certificate, which the witness carries."""
     clique = clique_in_mask(G, G.full_mask, r)
     if clique is not None:
         raise PreconditionViolated(
             f"input graph contains K_{r}",
             witness=ExtractionWitness("clique", clique, {"size": r}))
+    w = _divide(G, G.full_mask, params, step)
+    witness = ExtractionWitness(kind, tuple(bits(w)), certificate)
+    validate_witness(G, witness)
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +296,10 @@ def kr1_free_subgraph(G: Graph, r: int,
     argument: a clique in a covered component would extend by its apex."""
     if r < 3:
         raise ValueError("forbidden clique size r must be at least 3")
-    _verify_no_clique(G, r)
-    bound = cover_floor(G.n, params.c)
     # The apex of each covered component of 2+ vertices, by its lowest vertex.
     apexes: dict[int, int] = {}
+    certificate = {"p": r - 1, "apexes": apexes, "source": "neighborhood_cover",
+                   "bound": cover_floor(G.n, params.c)}
 
     def step(mask: int) -> Optional[int]:
         hub = most_adjacent(G, mask, mask)
@@ -298,13 +311,7 @@ def kr1_free_subgraph(G: Graph, r: int,
                 apexes[(comp & -comp).bit_length() - 1] = hub
         return w
 
-    w = _divide(G, G.full_mask, params, step)
-    witness = ExtractionWitness(
-        "kp_free", tuple(bits(w)),
-        {"p": r - 1, "apexes": apexes, "source": "neighborhood_cover",
-         "bound": bound})
-    validate_witness(G, witness)
-    return witness
+    return _clique_free(G, r, params, step, "kp_free", certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +431,9 @@ def half_clique_free_subgraph(G: Graph, r: int,
                               ) -> ExtractionWitness:
     if r < 3:
         raise ValueError("forbidden clique size r must be at least 3")
-    _verify_no_clique(G, r)
-    bound = half_clique_floor(G.n, params.c)
     p_half = (r + 1) // 2
+    certificate = {"p": p_half, "source": "balanced_biclique",
+                   "bound": half_clique_floor(G.n, params.c)}
 
     def step(mask: int) -> Optional[int]:
         # A dense G[mask] with a large balanced biclique keeps a side that
@@ -441,12 +448,7 @@ def half_clique_free_subgraph(G: Graph, r: int,
         a_mask, b_mask = mask_of(found[0]), mask_of(found[1])
         return a_mask if clique_in_mask(G, a_mask, p_half) is None else b_mask
 
-    w = _divide(G, G.full_mask, params, step)
-    witness = ExtractionWitness(
-        "kp_free", tuple(bits(w)),
-        {"p": p_half, "source": "balanced_biclique", "bound": bound})
-    validate_witness(G, witness)
-    return witness
+    return _clique_free(G, r, params, step, "kp_free", certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -560,22 +562,17 @@ def _power_size(mask: int, e: int) -> int:
     return 1 << e if size >> e else size + 1
 
 
-def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
-            ) -> tuple[int, Optional[VertexSet], int]:
-    """K_{2^q}-free subset of G[mask] as a mask; also the latest of the
-    largest cliques met on the way and the count of cover fallbacks. The
-    caller has found no K_{2^s} in G, so none in G[mask], at its entry;
-    with q = s that already certifies the whole mask."""
-    if q == s or clique_in_mask(G, mask, _power_size(mask, q)) is None:
-        # Already free of the target clique: the whole vertex set qualifies.
-        return mask, None, 0
-    found: Optional[VertexSet] = None
-    fallbacks = 0
+def _qindep(G: Graph, s: int, q: int, params: AlgorithmParams, cert: dict) -> Step:
+    """The step that finds a K_{2^q}-free subset of a K_{2^s}-free mask. It
+    records in cert the latest of the largest cliques met on the way
+    (found_clique) and the count of cover fallbacks. G[mask] is K_{2^s}-free
+    because its caller found no K_{2^s} in G; with q = s that already
+    certifies the whole mask."""
+    cert.update(fallbacks=0, found_clique=None)
 
     def step_at(s: int) -> Step:
         # The step for a G[mask] that is K_{2^s}-free with s > q.
         def step(mask: int) -> Union[int, None, tuple[int, Step]]:
-            nonlocal found, fallbacks
             nm = mask.bit_count()
             if nm <= 10:
                 # Base case: keep everything when the block is already clique-free.
@@ -590,7 +587,7 @@ def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
             try:
                 cover = multipartite_cover(G, alpha, params, mask)
             except NoCoverFound:
-                fallbacks += 1
+                cert["fallbacks"] += 1
                 return None
             # t <= k complement components; one vertex of each is a K_k, so k < 2^s.
             if cover.p >= s:
@@ -610,8 +607,9 @@ def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
                     chosen = part_mask
             if part_cliques:
                 assembled = tuple(sorted(v for cl in part_cliques for v in cl))
+                found = cert["found_clique"]
                 if found is None or len(assembled) >= len(found):
-                    found = assembled
+                    cert["found_clique"] = assembled
             if chosen is None:
                 raise InternalBoundViolation(
                     "every cover part contains the forbidden clique")
@@ -619,26 +617,22 @@ def _qindep(G: Graph, mask: int, s: int, q: int, params: AlgorithmParams
 
         return step
 
-    return _divide(G, mask, params, step_at(s)), found, fallbacks
+    def first(mask: int) -> Union[int, tuple[int, Step]]:
+        # Already free of the target clique: the whole mask qualifies.
+        if q == s or clique_in_mask(G, mask, _power_size(mask, q)) is None:
+            return mask
+        return mask, step_at(s)
 
-
-def _independent(G: Graph, s: int, q: int, params: AlgorithmParams, kind: str,
-                 certificate: dict) -> ExtractionWitness:
-    """The body of independent_set and q_independent_set."""
-    _verify_no_clique(G, _power_size(G.full_mask, s))
-    res, found, fallbacks = _qindep(G, G.full_mask, s, q, params)
-    certificate.update(fallbacks=fallbacks, found_clique=found)
-    witness = ExtractionWitness(kind, tuple(bits(res)), certificate)
-    validate_witness(G, witness)
-    return witness
+    return first
 
 
 def independent_set(G: Graph, s: int,
                     params: AlgorithmParams = DEFAULT_PARAMS) -> ExtractionWitness:
     if s < 1:
         raise ValueError("s must be at least 1")
-    return _independent(G, s, 1, params, "independent",
-                        {"s": s, "floor": independent_floor(G.n, s, params.c)})
+    cert = {"s": s, "floor": independent_floor(G.n, s, params.c)}
+    return _clique_free(G, _power_size(G.full_mask, s), params,
+                        _qindep(G, s, 1, params, cert), "independent", cert)
 
 
 def q_independent_set(G: Graph, s: int, q: int,
@@ -648,9 +642,10 @@ def q_independent_set(G: Graph, s: int, q: int,
     # The certificate records p = 2^q, so q is held to a finite float's range,
     # as the floors are, before 2^q is built.
     finite_value(lambda: math.ldexp(1.0, q), "forbidden clique size 2^q")
-    return _independent(G, s, q, params, "q_independent",
-                        {"s": s, "q": q, "p": 2 ** q,
-                         "floor": q_independent_floor(G.n, s, q, params.c)})
+    cert = {"s": s, "q": q, "p": 2 ** q,
+            "floor": q_independent_floor(G.n, s, q, params.c)}
+    return _clique_free(G, _power_size(G.full_mask, s), params,
+                        _qindep(G, s, q, params, cert), "q_independent", cert)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +697,9 @@ def color_or_clique(G: Graph, epsilon: float,
     s = max(1, math.ceil(delta * math.log2(n))) if n >= 2 else 1
 
     def extractor(remaining: int) -> int:
-        res, found, _ = _qindep(G, remaining, s, 1, params)
+        round_cert: dict = {}
+        res = _divide(G, remaining, params, _qindep(G, s, 1, params, round_cert))
+        found = round_cert["found_clique"]
         if found and len(found) >= clique_threshold:
             raise _CliqueFound(found)
         return res

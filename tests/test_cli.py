@@ -608,25 +608,30 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@pytest.mark.parametrize("args,params,code,message", [
-    (["extract", "kr1free", "--r", "3"], '{"c": NaN}', 4, None),
-    (["extract", "kr1free", "--r", "3"], '{"c": 1' + "0" * 400 + "}", 4, None),
-    (["extract", "multipartite", "--alpha", "0.1"], '{"c_dblprime": NaN}', 4, None),
-    (["extract", "multipartite", "--alpha", "nan"], None, 4, None),
-    (["extract", "multipartite", "--alpha", "inf"], None, 4, None),
-    (["color-or-clique", "--epsilon", "0.5"], '{"delta": Infinity}', 4, None),
-    (["extract", "kr1free", "--r", "3"], '{"c": 1e308}', 3, "cover floor"),
-    (["extract", "halfclique", "--r", "3"], '{"c": 1e308}', 3, "half-clique floor"),
+C5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+K5 = Graph.from_edges(5, list(combinations(range(5), 2)))
+
+
+@pytest.mark.parametrize("args,params,code,message,graph", [
+    (["extract", "kr1free", "--r", "3"], '{"c": NaN}', 4, None, C5),
+    (["extract", "kr1free", "--r", "3"], '{"c": 1' + "0" * 400 + "}", 4, None, C5),
+    (["extract", "multipartite", "--alpha", "0.1"], '{"c_dblprime": NaN}', 4, None, C5),
+    (["extract", "multipartite", "--alpha", "nan"], None, 4, None, C5),
+    (["extract", "multipartite", "--alpha", "inf"], None, 4, None, C5),
+    (["color-or-clique", "--epsilon", "0.5"], '{"delta": Infinity}', 4, None, C5),
+    (["extract", "kr1free", "--r", "3"], '{"c": 1e308}', 3, "cover floor", C5),
+    (["extract", "halfclique", "--r", "3"], '{"c": 1e308}', 3, "half-clique floor", C5),
+    (["extract", "kr1free", "--r", "3"], '{"c": 1e308}', 3, "cover floor", K5),
     (["extract", "densecore", "--epsilon", "0.5"], '{"c1": 1e200}', 3,
-     "refinement constant C"),
-    (["extract", "densecore", "--epsilon", "1e-200"], None, 3, "refinement constant C"),
+     "refinement constant C", C5),
+    (["extract", "densecore", "--epsilon", "1e-200"], None, 3, "refinement constant C", C5),
 ], ids=["kr1free-c-nan", "kr1free-c-int-1e400", "multipartite-c_dblprime-nan",
         "multipartite-alpha-nan", "multipartite-alpha-inf", "color-or-clique-delta-inf",
-        "kr1free-c-1e308", "halfclique-c-1e308", "densecore-c1-1e200",
-        "densecore-epsilon-1e-200"])
+        "kr1free-c-1e308", "halfclique-c-1e308", "kr1free-c-1e308-on-K5",
+        "densecore-c1-1e200", "densecore-epsilon-1e-200"])
 def test_non_finite_numbers_never_reach_a_report(tmp_path, capsys, args, params, code,
-                                                 message):
-    path = _write_graph(tmp_path, Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))
+                                                 message, graph):
+    path = _write_graph(tmp_path, graph)
     extra = []
     if params is not None:
         params_path = tmp_path / "params.json"

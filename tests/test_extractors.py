@@ -544,6 +544,29 @@ def test_extractors_refuse_an_overflowing_floor_before_recursing():
         dense_core(G, 0.5, AlgorithmParams(c1=1e200))
 
 
+def test_a_floor_is_refused_before_the_entry_clique_search(monkeypatch):
+    # Arguments, then the size floor, then the entry search: K_5 holds the
+    # forbidden clique, but the overflowing floor is refused without a search.
+    G = _complete(5)
+    params = AlgorithmParams(c=1e308)
+    searches = []
+
+    def counted(G, mask, k):
+        searches.append(k)
+        return clique_in_mask(G, mask, k)
+
+    monkeypatch.setattr(extract_module, "clique_in_mask", counted)
+    for call, floor in ((lambda: kr1_free_subgraph(G, 3, params), "cover floor"),
+                        (lambda: half_clique_free_subgraph(G, 3, params),
+                         "half-clique floor"),
+                        (lambda: independent_set(G, 2, params), "independent-set floor"),
+                        (lambda: q_independent_set(G, 2, 1, params),
+                         "q-independent floor")):
+        with pytest.raises(DomainError, match=f"^{floor} is not a finite float"):
+            call()
+    assert searches == []
+
+
 def test_cover_part_count_never_exceeds_the_clique_number(rng):
     # _qindep needs p < s for a cover of a K_{2^s}-free mask. It holds because
     # t is at most the number of complement components, and one vertex from
