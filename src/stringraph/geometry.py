@@ -233,6 +233,21 @@ def _between(k: Homogeneous, h: Homogeneous, g: Homogeneous) -> bool:
     return hx * gx + hy * gy <= 0
 
 
+def _segments_meet(h: Homogeneous, g: Homogeneous, k: Homogeneous, l: Homogeneous) -> bool:
+    """Whether the closed segments h-g and k-l share a point, exactly: the
+    sweep's test for a pair its float signs leave open."""
+    lp, lq = line_through(h, g), line_through(k, l)
+    d1, d2 = side(lq, h), side(lq, g)
+    if d1 == d2 != 0:
+        return False
+    d3, d4 = side(lp, k), side(lp, l)
+    if d3 == d4 != 0:
+        return False
+    return bool(d1 and d2 and d3 and d4
+                or not d1 and _between(h, k, l) or not d2 and _between(g, k, l)
+                or not d3 and _between(k, h, g) or not d4 and _between(l, h, g))
+
+
 def rational_contact_points(s: RationalSegment, t: RationalSegment) -> list[Point]:
     """All contact points of the closed segments s and t, exactly.
 
@@ -355,8 +370,12 @@ def _sweep(strings: tuple[Polyline, ...], adj: list[int]) -> list[int]:
             kx, ky = [x / w for x, _, w in hs], [y / w for _, y, w in hs]
         except OverflowError:
             kx, ky = _float_keys(xs), _float_keys(ys)
+        r = max(map(abs, chain(kx, ky)))
+        err = 64 * 2 ** -53 * r * r if 2 ** -400 < r < 2 ** 400 else math.inf
+        xs, ys = kx, ky
     else:
         kx, ky = _float_keys(xs), _float_keys(ys)
+        err = 0
     boxes = []
     start = 0
     for i, s in enumerate(strings):
@@ -364,13 +383,8 @@ def _sweep(strings: tuple[Polyline, ...], adj: list[int]) -> list[int]:
         for t in range(start, stop):
             x0, x1 = (kx[t], kx[t + 1]) if kx[t] <= kx[t + 1] else (kx[t + 1], kx[t])
             y0, y1 = (ky[t], ky[t + 1]) if ky[t] <= ky[t + 1] else (ky[t + 1], ky[t])
-            if rational:
-                h, g = hs[t], hs[t + 1]
-                seg = *h, *g, *line_through(h, g), h, g
-            else:
-                (ax, ay), (bx, by) = points[t], points[t + 1]
-                seg = ax, ay, bx, by, bx - ax, by - ay
-            boxes.append((x0, x1, y0, y1, i, seg))
+            ax, ay, bx, by = xs[t], ys[t], xs[t + 1], ys[t + 1]
+            boxes.append((x0, x1, y0, y1, i, (ax, ay, bx, by, bx - ax, by - ay, t)))
         start = stop + 1
     boxes.sort(key=itemgetter(0))
     count = len(boxes)
@@ -379,12 +393,9 @@ def _sweep(strings: tuple[Polyline, ...], adj: list[int]) -> list[int]:
     cuts = [bottoms[k * count // strips] for k in range(1, strips)]
     starting: list[list[tuple]] = [[] for _ in range(strips)]
     passing: list[list[tuple]] = [[] for _ in range(strips)]
+    nerr = -err
     for box in boxes:
-        x0, _, y0, y1, i, seg = box
-        if rational:
-            ax, ay, aw, bx, by, bw, la, lb, lc, ha, hb = seg
-        else:
-            ax, ay, bx, by, fx, fy = seg
+        x0, _, y0, y1, i, (ax, ay, bx, by, fx, fy, t) = box
         lo = bisect_right(cuts, y0)
         hi = bisect_right(cuts, y1) + 1
         met = adj[i] | 1 << i
@@ -395,43 +406,32 @@ def _sweep(strings: tuple[Polyline, ...], adj: list[int]) -> list[int]:
                 continue
             if met >> j & 1 or oy0 > y1 or y0 > oy1:
                 continue
+            # segments_intersect(a, b, c, d) on the box's coordinates: exact
+            # ints, or float keys whose signs count only beyond err. A point
+            # collinear with a segment lies on it iff the vectors to the
+            # segment's ends point apart: a dot product <= 0.
+            cx, cy, dx, dy, ex, ey, u = other
+            acx, acy = ax - cx, ay - cy
+            bcx, bcy = bx - cx, by - cy
+            d1 = ex * acy - ey * acx
+            d2 = ex * bcy - ey * bcx
+            if d1 > err and d2 > err or d1 < nerr and d2 < nerr:
+                continue
+            adx, ady = ax - dx, ay - dy
+            d3 = fy * acx - fx * acy
+            d4 = fy * adx - fx * ady
+            if d3 > err and d4 > err or d3 < nerr and d4 < nerr:
+                continue
             if rational:
-                # The same test by the kernel: each sign is side(line, triple).
-                cx, cy, cw, dx, dy, dw, ma, mb, mc, hc, hd = other
-                d1 = ma * ax + mb * ay + mc * aw
-                d2 = ma * bx + mb * by + mc * bw
-                if d1 > 0 and d2 > 0 or d1 < 0 and d2 < 0:
+                if not (abs(d1) > err and abs(d2) > err and abs(d3) > err and abs(d4) > err
+                        or _segments_meet(hs[t], hs[t + 1], hs[u], hs[u + 1])):
                     continue
-                d3 = la * cx + lb * cy + lc * cw
-                d4 = la * dx + lb * dy + lc * dw
-                if d3 > 0 and d4 > 0 or d3 < 0 and d4 < 0:
-                    continue
-                if not (d1 and d2 and d3 and d4
-                        or not d1 and _between(ha, hc, hd) or not d2 and _between(hb, hc, hd)
-                        or not d3 and _between(hc, ha, hb) or not d4 and _between(hd, ha, hb)):
-                    continue
-            else:
-                # segments_intersect(a, b, c, d) on the ints themselves. A
-                # point collinear with a segment lies on it iff the vectors
-                # to the segment's ends point apart: a dot product <= 0.
-                cx, cy, dx, dy, ex, ey = other
-                acx, acy = ax - cx, ay - cy
-                bcx, bcy = bx - cx, by - cy
-                d1 = ex * acy - ey * acx
-                d2 = ex * bcy - ey * bcx
-                if d1 > 0 and d2 > 0 or d1 < 0 and d2 < 0:
-                    continue
-                adx, ady = ax - dx, ay - dy
-                d3 = fy * acx - fx * acy
-                d4 = fy * adx - fx * ady
-                if d3 > 0 and d4 > 0 or d3 < 0 and d4 < 0:
-                    continue
-                if not (d1 and d2 and d3 and d4
-                        or not d1 and acx * adx + acy * ady <= 0
-                        or not d2 and bcx * (bx - dx) + bcy * (by - dy) <= 0
-                        or not d3 and acx * bcx + acy * bcy <= 0
-                        or not d4 and adx * (bx - dx) + ady * (by - dy) <= 0):
-                    continue
+            elif not (d1 and d2 and d3 and d4
+                      or not d1 and acx * adx + acy * ady <= 0
+                      or not d2 and bcx * (bx - dx) + bcy * (by - dy) <= 0
+                      or not d3 and acx * bcx + acy * bcy <= 0
+                      or not d4 and adx * (bx - dx) + ady * (by - dy) <= 0):
+                continue
             met |= 1 << j
             adj[j] |= 1 << i
         adj[i] = met & ~(1 << i)

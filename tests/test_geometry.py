@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,13 +13,14 @@ from stringraph import (DuplicateId, GeneratorSpec, Graph, Point, Polyline,
                         segments_intersect)
 from stringraph.cli import main
 from stringraph import geometry
+from stringraph.quasiplanar import crossing_graph
 from stringraph.geometry import (RationalSegment, _float_key, exact_coord,
                                  homogeneous, homogeneous_dist_sq,
                                  line_through, rational_contact_points,
                                  rational_point_segment_dist_sq, side)
-from tests.reference import (dist_sq, interpolate, intersection_graph_reference,
-                             orientation_sign, point_segment_dist_sq,
-                             segment_intersection_points)
+from tests.reference import (convex_interleaving_graph, dist_sq, interpolate,
+                             intersection_graph_reference, orientation_sign,
+                             point_segment_dist_sq, segment_intersection_points)
 
 
 def _pt(x, y):
@@ -354,6 +356,9 @@ _KEY_HAZARDS = {
     "mixed_range": lambda v: (-10 ** 400, -1, 0, 10 ** 400, 10 ** 400 + 1)[v],
     # About 150-bit denominators whose floats all tie.
     "fraction_150_bit": lambda v: Fraction(1, 3) + v * _EPS,
+    # 10^-400 underflows to a key of 0 next to keys of 1 and 2, inside the
+    # float filter's range.
+    "mixed_underflow": lambda v: v // 2 + Fraction(v % 2, 10 ** 400),
 }
 
 
@@ -377,6 +382,82 @@ def test_sweep_matches_brute_force_where_float_keys_tie_or_overflow(rng, hazard)
     for _ in range(4):
         fam = _grid_family(rng, _KEY_HAZARDS[hazard])
         assert intersection_graph(fam) == intersection_graph_reference(fam)
+
+
+def _count_exact_tests(monkeypatch) -> list[int]:
+    """Count the sweep's calls of its exact test from here on, in calls[0]."""
+    calls = [0]
+    real = geometry._segments_meet
+
+    def counting(*triples):
+        calls[0] += 1
+        return real(*triples)
+
+    monkeypatch.setattr(geometry, "_segments_meet", counting)
+    return calls
+
+
+def test_float_filter_matches_reference_on_near_degenerate_pairs(rng):
+    """Two-segment families where q's first end misses the segment a-b, or
+    its line, by +-1/(k 2^j): exact signs far inside the float error band, on
+    both sides of it and at its edge, as the scale of a and b varies."""
+    dens = (3, 7, 11, 13, 1000)
+    outcomes = set()
+    for _ in range(3000):
+        big = 2 ** rng.randrange(61) * 1000
+
+        def coord():
+            return Fraction(rng.randrange(-big, big + 1), rng.choice(dens))
+
+        a, b, q2 = (_pt(coord(), coord()) for _ in range(3))
+        k = rng.choice(dens)
+        t = Fraction(rng.randrange(k + 1), k)
+        off = Fraction(rng.choice((-1, 1)), rng.choice(dens) << rng.randrange(60))
+        dx, dy = (off, 0) if rng.random() < 0.5 else (0, off)
+        q1 = _pt(a.x + t * (b.x - a.x) + dx, a.y + t * (b.y - a.y) + dy)
+        if a == b or q1 == q2:
+            continue
+        fam = StringFamily((Polyline.of_exact("p", (a, b)), Polyline.of_exact("q", (q1, q2))))
+        G = intersection_graph(fam)
+        assert G == intersection_graph_reference(fam), (a, b, q1, q2)
+        outcomes.add(G.m)
+    assert outcomes == {0, 1}
+
+
+# For each edge of the float filter's range, 2^-400 < R < 2^400: a grid scale
+# putting the largest key R just inside, and one just outside.
+_GATE_SCALES = {
+    "2^400": (2 ** 398 - 2 ** 358 + Fraction(1, 3), 2 ** 398 + 2 ** 358 + Fraction(1, 3)),
+    "2^-400": (Fraction(3 << 40 | 1, 3 << 442), Fraction((3 << 40) - 1, 3 << 442)),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(_GATE_SCALES))
+def test_float_filter_on_either_side_of_its_range(monkeypatch, edge):
+    """The same grids just inside and just outside the filter's range build
+    the reference graph; outside, every tested pair takes the exact test."""
+    calls = _count_exact_tests(monkeypatch)
+    counts = []
+    for scale in _GATE_SCALES[edge]:
+        calls[0] = 0
+        for seed in range(4):
+            fam = _grid_family(random.Random(seed), lambda v: v * scale)
+            assert intersection_graph(fam) == intersection_graph_reference(fam)
+        counts.append(calls[0])
+    assert 0 < counts[0] < counts[1]
+
+
+def test_float_filter_settles_convex_crossing_graphs(monkeypatch):
+    """The filter decides every pair of convex K_8..K_10 in floats, and
+    leaves the tied keys of 150-bit denominators to the exact test."""
+    calls = _count_exact_tests(monkeypatch)
+    for n in (8, 9, 10):
+        D = generate(GeneratorSpec("convex_chords", n, seed=n))
+        assert crossing_graph(D) == convex_interleaving_graph(n)
+    assert calls[0] == 0
+    fam = _grid_family(random.Random(1), _KEY_HAZARDS["fraction_150_bit"])
+    assert intersection_graph(fam) == intersection_graph_reference(fam)
+    assert calls[0] > 0
 
 
 def test_build_graph_reads_coordinates_beyond_the_float_range(tmp_path):
