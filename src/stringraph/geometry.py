@@ -11,9 +11,12 @@ becomes integers (X, Y, W) with W > 0, and signs and squared distances are
 integer expressions in those numerators. A squared distance is an unreduced
 integer pair (numerator, denominator), which callers compare by cross
 multiplication. A `Fraction` operation reduces by a gcd every time; on the
-40-150 bit denominators of convex drawings and their cut points that gcd is
-most of the cost, and the kernel pays it once per point instead. The
-intersection graph's sweep runs both kernels' segment tests inline.
+30-47 bit denominators of convex drawings, and the larger ones arithmetic on
+them builds, that gcd is most of the cost, and the kernel pays it once per
+point instead. The intersection graph's sweep runs one inline segment test
+for both kinds of family: exact on ints, and on a rational family's floats
+under a proven error bound, with the kernel deciding only the pairs the
+bound leaves open.
 """
 from __future__ import annotations
 
@@ -333,15 +336,40 @@ def intersection_graph(family: StringFamily) -> Graph:
     as many expired boxes as it scans lists drops them from those lists, so
     rebuilding a list costs at most one expired box dropped. A scanned box
     that has not expired, of a string not yet known to meet this one, and
-    that overlaps the new box in y, gets the exact segment test, inline with
-    no call and no Point. When every coordinate is an int, each box carries
-    its segment's ints and their differences, and the sweep runs
-    `segments_intersect`'s arithmetic on them, touch tests included.
-    Otherwise each box carries its ends' homogeneous triples, flattened, its
-    line's coefficients and the two triples again, and the sweep runs the
-    gcd-free kernel with the same early exits: each sign is a line's dot
-    product with a triple, and a touch test is `_between`. An empty family
-    gives the empty graph.
+    that overlaps the new box in y, gets the segment test inline, with no
+    call and no Point. Each box carries its ends and its direction,
+    (ax, ay, bx, by, bx - ax, by - ay), and the index of its first point,
+    and the test computes `segments_intersect`'s four orientation signs from
+    them, each as two products of coordinate differences, with the same
+    early exits. For an all-int family these are the ints, each sign is
+    exact, and a touch test is a dot product. A rational family's boxes
+    carry the float keys below, and each float sign d counts only where
+    |d| > E = 64 u R^2, with u = 2^-53 and R the largest |key| (a filter as
+    in Fortune & Van Wyk 1993 and Shewchuk 1997). A pair whose signs are all
+    settled is decided by them; any other pair goes to `_segments_meet`, the
+    gcd-free kernel on the ends' homogeneous triples, one per point. An
+    empty family gives the empty graph.
+
+    The bound: for 2^-400 < R < 2^400, every float sign d lies within
+    49 u R^2 < E of its exact value D, so d > E implies D > 0 and d < -E
+    implies D < 0. Each key is its coordinate correctly rounded, so it lies
+    within u R of it: within u |key| where the key is normal, and within
+    2^-1075 < u R where it is subnormal or 0, as where 10^-400 sits next to
+    1. A float difference of two keys has magnitude at most 2R (rounding is
+    monotone and 2R is a float), and it lies within 2uR + 2uR = 4uR of the
+    exact difference, which is then at most 2R + 4uR. A sign is
+    d = fl(fl(p q) - fl(r s)) of four such differences, for
+    D = P Q - R' S. Then |p q - P Q| <= 2R 4uR + (2R + 4uR) 4uR =
+    16 u R^2 + 16 u^2 R^2, rounding p q adds at most 4 u R^2 + 2^-1075, and
+    rounding the difference of two products, each at most 4R^2 (1 + u) +
+    2^-1075, adds at most u (8R^2 (1 + u) + 2^-1074), or nothing where that
+    difference is subnormal. In all, |d - D| <= 48 u R^2 + 40 u^2 R^2 +
+    2^-1074 (1 + u), and since u R^2 > 2^-853 the last two terms are below
+    u R^2. E, computed as fl(2^-47 R * R), is at least 64 u R^2 (1 - u) >
+    63 u R^2, and no value reaches 9 R^2 < 2^804, so none overflows.
+    Outside that range, and wherever a key is -inf or inf, E is inf: no
+    float sign is then settled, an inf - inf NaN neither, and every tested
+    pair takes the exact test.
 
     The sort, the expiry and y-overlap tests and the strip filing compare
     float keys, one per coordinate: X / W from the triples of a rational
@@ -372,7 +400,7 @@ def _sweep(strings: tuple[Polyline, ...], adj: list[int]) -> list[int]:
             kx, ky = _float_keys(xs), _float_keys(ys)
         r = max(map(abs, chain(kx, ky)))
         err = 64 * 2 ** -53 * r * r if 2 ** -400 < r < 2 ** 400 else math.inf
-        xs, ys = kx, ky
+        xs, ys = kx, ky  # the boxes carry the keys; hs decides what err leaves open
     else:
         kx, ky = _float_keys(xs), _float_keys(ys)
         err = 0
