@@ -4,15 +4,21 @@ Coordinates in files stay exact: integers are plain JSON numbers, other
 rationals are "p/q" strings, and decimal literals parse to the exact rational
 they denote. With inexact=True decimal literals are read as IEEE doubles
 instead (then converted to the exact rational of the double). A point is
-checked once, as it is read: two ints become a Point as they stand, and any
-other point goes through _coord_in, whose errors name the point. A family
-whose every string is a dict with a non-empty str id and at least two
-[int, int] points, none equal to the one before it in its string, is checked
-and built in a few passes that run in C; any other family goes to the
-checked reader, which names the first fault. A point of two strings is
-read once per file: each later occurrence of the same two strings reuses the
-first one's Point, so the vertex points that every curve of a drawing
-starts and ends at are converted once each. Every JSON document written
+checked once, as it is read. A family whose strings all have a non-empty str
+id, and a drawing whose edges all have int u and v, are checked and built in
+a few passes that run in C (_exact_curves) when every curve has at least two
+points, every point (a vertex's too) is a two-element array of ints and
+strs, and no point equals the one before it in its curve. A str the digit
+cap would have to count (over MAX_DIGITS characters, or with an exponent),
+or one exact_coord refuses, leaves that path. Int points become Points as
+they stand; in a file with a str, each distinct pair is converted once and
+pairs of equal value share one Point, so the vertex points that every curve
+of a drawing starts and ends at are converted once each, and a repeated
+point is found by identity. Every generator's file takes that path. Any
+other file goes to the checked reader, which names the first fault: each
+point goes through _coord_in, whose errors name the point, and a point of
+two strings is read at its first occurrence, each later occurrence of the
+same two strings reusing its Point. Every JSON document written
 (family, drawing, run report) is json.dumps(obj, sort_keys=True,
 default=_exact) plus a newline: one line, json's default separators, ASCII
 only, keys sorted by json (int keys by value), tuples as arrays, and each
@@ -46,7 +52,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import eq, ne
+from operator import eq, is_, ne
 from typing import Optional, Union
 
 from .errors import ParseError, SchemaError
@@ -165,6 +171,47 @@ def _curve_in(value, where: str, curve_id: str, seen: dict) -> Polyline:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
+def _exact_curves(raws: list, lead=()) -> Optional[list[tuple[Point, ...]]]:
+    """The points of lead, then of each curve raws[k]["points"], read in a
+    few passes that run in C, when every entry of raws is a dict, every
+    curve a list of at least two points, every point (of lead too) a
+    two-element list of ints and strs, and no two consecutive points of one
+    curve equal; None otherwise, and for a str that _check_digits would have
+    to count or exact_coord refuses. Types are tested exactly, so true is
+    refused. Int points become Points as they stand. Otherwise each distinct
+    pair is converted once, and pairs of equal value share one Point ("1/2"
+    and "2/4" too), so that a repeated point is found by identity."""
+    if not {*map(type, raws)} <= {dict}:
+        return None
+    curves = list(map(dict.get, raws, repeat("points")))
+    if not {*map(type, curves)} <= {list} or min(map(len, curves), default=2) < 2:
+        return None
+    flat = list(chain(lead, *curves))
+    if (not {*map(type, flat)} <= {list} or not {*map(len, flat)} <= {2}
+            or not (types := {*map(type, chain.from_iterable(flat))}) <= {int, str}):
+        return None
+    if types <= {int}:
+        points, same = list(map(tuple.__new__, repeat(Point), flat)), eq
+    else:
+        keys = list(map(tuple, flat))
+        texts = [c for c in {*chain.from_iterable(keys)} if type(c) is str]
+        if max(map(len, texts)) > MAX_DIGITS or "e" in "".join(texts).lower():
+            return None
+        table, by_value = {}, {}
+        try:
+            for key in {*keys}:
+                p = tuple.__new__(Point, map(exact_coord, key))
+                table[key] = by_value.setdefault((p.x.as_integer_ratio(), p.y.as_integer_ratio()), p)
+        except ValueError:
+            return None
+        points, same = list(map(table.__getitem__, keys)), is_
+    # points[k] and points[k + 1] may be one only where lead or a curve starts at k + 1.
+    stops = list(accumulate(map(len, curves), initial=len(lead)))
+    if not {*stops}.issuperset(compress(count(1), map(same, points, islice(points, 1, None)))):
+        return None
+    return list(map(tuple(points).__getitem__, map(slice, [0, *stops], stops)))
+
+
 def _check_caps(curves: list, kind: str, noun: str) -> None:
     """Refuse more than MAX_VERTICES curves, then more than MAX_SEGMENTS
     segments, counted from the point arrays before any point is read."""
@@ -185,28 +232,13 @@ def family_to_obj(family: StringFamily) -> dict:
 
 
 def _int_strings(raws: list) -> Optional[tuple[Polyline, ...]]:
-    """The curves of raws, read in a few passes that run in C, when every
-    entry is a dict with a non-empty str "id" and a "points" list of at
-    least two [int, int] points, no two consecutive points of one string
-    equal; None otherwise. Types are tested exactly, so true is refused."""
-    if not raws or {*map(type, raws)} != {dict}:
+    """The strings of raws by _exact_curves, when every entry has a
+    non-empty str "id"; None otherwise."""
+    curves = _exact_curves(raws)
+    ids = None if curves is None else list(map(dict.get, raws, repeat("id")))
+    if ids is None or not {*map(type, ids)} <= {str} or not all(ids):
         return None
-    ids = list(map(dict.get, raws, repeat("id")))
-    curves = list(map(dict.get, raws, repeat("points")))
-    if ({*map(type, ids)} != {str} or not all(ids) or {*map(type, curves)} != {list}
-            or min(map(len, curves)) < 2):
-        return None
-    flat = list(chain.from_iterable(curves))
-    if ({*map(type, flat)} != {list} or {*map(len, flat)} != {2}
-            or {*map(type, chain.from_iterable(flat))} != {int}):
-        return None
-    # flat[k] == flat[k + 1] is allowed only where a string starts at k + 1.
-    stops = list(accumulate(map(len, curves)))
-    if not {*stops}.issuperset(compress(count(1), map(eq, flat, islice(flat, 1, None)))):
-        return None
-    points = tuple(map(tuple.__new__, repeat(Point), flat))
-    return tuple(map(Polyline.of_exact, ids, map(points.__getitem__,
-                                                   map(slice, [0, *stops], stops))))
+    return tuple(map(Polyline.of_exact, ids, curves[1:]))
 
 
 def family_from_obj(obj) -> StringFamily:
@@ -238,6 +270,22 @@ def drawing_to_obj(drawing: Drawing) -> dict:
             "edges": [{"u": e.u, "v": e.v, "points": e.curve.points} for e in drawing.edges]}
 
 
+def _exact_drawing(vertices: list, raws: list) -> Optional[tuple]:
+    """The vertex points and edges of a drawing by _exact_curves, when every
+    edge's "u" and "v" are ints; None otherwise. Each DrawnEdge and its
+    Polyline are built past their __init__: Drawing checks the edges."""
+    curves = _exact_curves(raws, vertices)
+    if curves is None:
+        return None
+    us, vs = (list(map(dict.get, raws, repeat(end))) for end in "uv")
+    if not {*map(type, us), *map(type, vs)} <= {int}:
+        return None
+    edges = tuple(map(object.__new__, repeat(DrawnEdge, len(raws))))
+    for edge, u, v, k, points in zip(edges, us, vs, count(), curves[1:]):
+        edge.__dict__.update(u=u, v=v, curve=Polyline.of_exact(f"e{k}", points))
+    return curves[0], edges
+
+
 def drawing_from_obj(obj) -> Drawing:
     if not isinstance(obj, dict):
         raise SchemaError("drawing file must be a JSON object")
@@ -246,19 +294,20 @@ def drawing_from_obj(obj) -> Drawing:
     if not isinstance(obj.get("edges"), list):
         raise SchemaError("drawing file needs an 'edges' array", field="edges")
     _check_caps(obj["edges"], "drawing", "edges")
-    seen: dict = {}
-    verts = _points_in(obj["vertices"], "vertices", seen)
-    edges = []
-    for k, raw in enumerate(obj["edges"]):
-        where = f"edges[{k}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{where}: each edge must be an object")
-        u, v = raw.get("u"), raw.get("v")
-        if not isinstance(u, int) or not isinstance(v, int) or isinstance(u, bool) or isinstance(v, bool):
-            raise SchemaError(f"{where}: u and v must be integers")
-        edges.append(DrawnEdge(u, v, _curve_in(raw.get("points"), where, f"e{k}", seen)))
+    read = _exact_drawing(obj["vertices"], obj["edges"])
+    if read is None:
+        seen, edges = {}, []
+        read = _points_in(obj["vertices"], "vertices", seen), edges
+        for k, raw in enumerate(obj["edges"]):
+            where = f"edges[{k}]"
+            if not isinstance(raw, dict):
+                raise SchemaError(f"{where}: each edge must be an object")
+            u, v = raw.get("u"), raw.get("v")
+            if not isinstance(u, int) or not isinstance(v, int) or isinstance(u, bool) or isinstance(v, bool):
+                raise SchemaError(f"{where}: u and v must be integers")
+            edges.append(DrawnEdge(u, v, _curve_in(raw.get("points"), where, f"e{k}", seen)))
     try:
-        return Drawing(verts, tuple(edges))
+        return Drawing(*read)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 

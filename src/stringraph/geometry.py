@@ -383,17 +383,19 @@ def intersection_graph(family: StringFamily) -> Graph:
     return Graph(tuple(_sweep(family.strings, [0] * len(family.strings))))
 
 
-def _sweep(strings: tuple[Polyline, ...], adj: list[int]) -> list[int]:
+def _sweep(strings: tuple[Polyline, ...], adj: list[int], hs=None) -> list[int]:
     """intersection_graph's sweep, on adjacency masks adj seeded by the
     caller: a pair already adjacent in adj is never tested, and stays
-    adjacent. Fills adj in place and returns it."""
+    adjacent. Fills adj in place and returns it. A caller that holds the
+    points' homogeneous triples, in the order of the strings' points, passes
+    them as hs; otherwise a rational family derives them here."""
     points = [p for s in strings for p in s.points]
     xs, ys = zip(*points) if points else ((), ())
     # False for an all-int family and for the empty family.
     rational = not set(map(type, chain(xs, ys))) <= {int}
     if rational:
         # One homogeneous triple per point, shared by the two segments at a bend.
-        hs = list(map(homogeneous, points))
+        hs = list(map(homogeneous, points) if hs is None else hs)
         try:
             kx, ky = [x / w for x, _, w in hs], [y / w for _, y, w in hs]
         except OverflowError:

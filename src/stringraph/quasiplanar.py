@@ -100,11 +100,12 @@ def _refuse_vertex_on_curve(drawing: Drawing, hverts: list, curves: list) -> Non
     """Raise DegenerateDrawing for a vertex on a curve that does not end
     there, the first one found over vertices, then edges, then segments."""
     for w, hw in enumerate(hverts):
+        x, y, z = hw
         for e, segs in zip(drawing.edges, curves):
             if w == e.u or w == e.v:
                 continue
-            for seg in segs:
-                if not side(seg.line, hw) and _between(hw, seg.ha, seg.hb):
+            for _, _, ha, hb, (a, b, c) in segs:  # side(line, hw) inline
+                if not a * x + b * y + c * z and _between(hw, ha, hb):
                     raise DegenerateDrawing(
                         f"vertex {w} lies on the curve of edge ({e.u}, {e.v})")
 
@@ -301,6 +302,8 @@ def crossing_graph(drawing: Drawing) -> Graph:
     sweep of `intersection_graph` runs on the uncut curves with its
     adjacency seeded by the pairs of edges that share a vertex, so it tests
     only the pairs that share none, where any common point is a crossing.
+    The sweep takes the homogeneous triples derived here for the refusal,
+    one per vertex and one per interior bend, and derives none itself.
     The seeded pairs are taken out again. A pair where either curve has a
     bend is re-checked exactly, segment pair by segment pair, with the
     shared point w left out; a segment pair that both end there and do not
@@ -314,14 +317,15 @@ def crossing_graph(drawing: Drawing) -> Graph:
     """
     edges, verts = drawing.edges, drawing.vertices
     hverts = [homogeneous(p) for p in verts]
-    curves = _rational_curves(edges, _curve_triples(edges, hverts))
+    hcurves = _curve_triples(edges, hverts)
+    curves = _rational_curves(edges, hcurves)
     _refuse_vertex_on_curve(drawing, hverts, curves)
     at = [0] * drawing.n   # the edges at each vertex, as a mask
     for k, e in enumerate(edges):
         at[e.u] |= 1 << k
         at[e.v] |= 1 << k
     shared = [(at[e.u] | at[e.v]) & ~(1 << k) for k, e in enumerate(edges)]
-    adj = _sweep(tuple(e.curve for e in edges), list(shared))
+    adj = _sweep(tuple(e.curve for e in edges), list(shared), itertools.chain(*hcurves))
     adj = [a & ~s for a, s in zip(adj, shared)]
     bent = sum(1 << k for k, c in enumerate(curves) if len(c) > 1)
     for pw, hw, mask in zip(verts, hverts, at):

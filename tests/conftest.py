@@ -1,13 +1,14 @@
 """Shared builders for seeded random test instances."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from stringraph import DrawnEdge, Drawing, Graph, Point, Polyline
 from stringraph.generators import GeneratorSpec, generate
-from stringraph.geometry import intersection_graph
+from stringraph.geometry import exact_coord, intersection_graph
 
 # The three string families whose intersection graphs the library targets.
 FAMILIES = ("random_segments", "random_polylines", "grid_paths")
@@ -64,6 +65,22 @@ def bent_grid_drawing(rng):
         pts.append(coords[v])
         curves.append(tuple(Point(x, y) for x, y in pts))
     return draw(coords, pairs, curves)
+
+
+def bent_convex_drawing(n: int, seed: int) -> Drawing:
+    """The generator's convex K_n with each chord bent once, at its midpoint
+    moved a tenth of the way to the centroid: Fraction bends strictly inside
+    the hull, so no curve passes through a vertex."""
+    made = generate(GeneratorSpec("convex_chords", n, seed=seed))
+    verts = made.vertices
+    cx, cy = (Fraction(sum(c)) / n for c in zip(*verts))
+    curves = []
+    for e in made.edges:
+        (ax, ay), (bx, by) = verts[e.u], verts[e.v]
+        mx, my = Fraction(ax + bx) / 2, Fraction(ay + by) / 2
+        bend = Point(exact_coord(mx + (cx - mx) / 10), exact_coord(my + (cy - my) / 10))
+        curves.append((verts[e.u], bend, verts[e.v]))
+    return draw(verts, [(e.u, e.v) for e in made.edges], curves)
 
 
 @pytest.fixture

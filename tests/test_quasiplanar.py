@@ -12,7 +12,8 @@ import pytest
 from stringraph import (DegenerateDrawing, DomainError, DrawnEdge, Drawing,
                         Point, Polyline, crossing_graph, dense_threshold,
                         edge_bound, edge_bound_holds, find_clique, is_r_quasiplanar,
-                        q_independent_set, quasiplanar, sparse_subgraph, truncate_edges)
+                        geometry, q_independent_set, quasiplanar, sparse_subgraph,
+                        truncate_edges)
 from stringraph.cli import main
 from stringraph.fileio import drawing_json
 from stringraph.generators import GeneratorSpec, generate
@@ -20,7 +21,7 @@ from stringraph.geometry import homogeneous
 from stringraph.graph import clique_in_mask, mask_of
 from stringraph.oracles import pairwise_crossing_exact
 from stringraph.quasiplanar import _auto_radius_sq, _first_exit
-from tests.conftest import bent_grid_drawing, draw
+from tests.conftest import bent_convex_drawing, bent_grid_drawing, draw
 from tests.reference import (convex_interleaving_graph, crossing_graph_reference,
                              dist_sq, interpolate, point_segment_dist_sq,
                              segment_intersection_points)
@@ -478,6 +479,28 @@ def test_truncation_derives_each_homogeneous_triple_once(monkeypatch):
         calls = 0
         truncate_edges(D)
         assert calls == D.n + sum(len(e.curve.points) - 2 for e in D.edges)
+
+
+def test_crossing_graph_derives_each_homogeneous_triple_once(monkeypatch):
+    """One `homogeneous` call per vertex and per interior bend: the sweep
+    takes the triples crossing_graph holds, where it derived one for every
+    curve point again (64, 81 and 100 calls on convex K_8, K_9 and K_10)."""
+    calls = 0
+    real = quasiplanar.homogeneous
+
+    def counting(p):
+        nonlocal calls
+        calls += 1
+        return real(p)
+
+    monkeypatch.setattr(quasiplanar, "homogeneous", counting)
+    monkeypatch.setattr(geometry, "homogeneous", counting)
+    drawings = [generate(GeneratorSpec("convex_chords", n, seed=n)) for n in (8, 9, 10)]
+    for D in [*drawings, bent_convex_drawing(7, 2)]:
+        calls = 0
+        G = crossing_graph(D)
+        assert calls == D.n + sum(len(e.curve.points) - 2 for e in D.edges)
+        assert G == crossing_graph_reference(D)
 
 
 def test_radius_of_many_vertices_and_one_edge_is_fast(tmp_path):

@@ -15,6 +15,7 @@ from stringraph.cli import main
 from stringraph.fileio import MAX_DIGITS
 from stringraph.generators import KINDS
 
+from tests.conftest import bent_convex_drawing
 from tests.reference import (coord_in_reference, drawing_from_obj_reference,
                              family_from_obj_reference)
 
@@ -48,6 +49,7 @@ def _base_objects():
             text = (fileio.drawing_json(made) if isinstance(made, Drawing)
                     else fileio.family_json(made))
             objs.append(fileio._loads(text))
+    objs.append(fileio._loads(fileio.drawing_json(bent_convex_drawing(5, 3))))
     return objs
 
 
@@ -222,6 +224,62 @@ def test_a_convex_drawing_file_reads_each_vertex_once(n, monkeypatch):
     text = fileio.drawing_json(drawing)
     assert fileio.parse_drawing(text) == drawing
     assert calls == 2 * n
+
+
+def _one_edge(vertices, points, u=0):
+    return {"vertices": vertices, "edges": [{"u": u, "v": 1, "points": points}]}
+
+
+# Drawings at the edge of the C passes, by name: the file, and whether the
+# passes read it.
+SPELLINGS = {
+    # "1/2" then "2/4": one value spelled twice, a repeated point.
+    "equal-consecutive": (_one_edge([[0, 0], [1, 1]],
+                                    [[0, 0], ["1/2", "1/3"], ["2/4", "2/6"], [1, 1]]), False),
+    # A curve's end spelled "2/4" at a vertex spelled "1/2": the same point.
+    "end-spelled-apart": (_one_edge([["1/2", "1/3"], [1, 1]],
+                                    [["2/4", "2/6"], ["3/4", "1/5"], [1, 1]]), True),
+    "all-int": (_drawing_obj([[0, 0], [4, 0], [4, 4]], [[[2, -1]], [[5, 2], [3, 2]]]), True),
+    "int-and-str-points": (_drawing_obj([[0, 0], ["4", "1/3"], [4, 4]],
+                                        [[["2/3", -1]], [[5, 2], ["7/2", "5/2"]]]), True),
+    "u-true": (_one_edge([[0, 0], [1, 1]], [[0, 0], [1, 1]], u=True), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPELLINGS))
+def test_drawings_at_the_edge_of_the_c_passes(name):
+    """The C passes read a drawing, or leave it to the checked reader, as
+    SPELLINGS says; either way the reader gives what the reference gives."""
+    obj, bulk = SPELLINGS[name]
+    obj = fileio._loads(json.dumps(obj))
+    assert (fileio._exact_drawing(obj["vertices"], obj["edges"]) is not None) == bulk
+    got, want = _read(obj)
+    assert got == want
+    assert isinstance(got, str) == (name not in ("equal-consecutive", "u-true"))
+    if name == "end-spelled-apart":
+        D = fileio.drawing_from_obj(obj)
+        end, vertex = D.edges[0].curve.points[0], D.vertices[0]
+        assert end.x is vertex.x and end.y is vertex.y
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
+def test_generator_drawings_skip_the_per_coordinate_path(n, monkeypatch):
+    """Every convex_chords drawing, and a bent one, never reaches _coord_in:
+    the C passes read it."""
+    drawings = [generate(GeneratorSpec("convex_chords", n, seed=seed)) for seed in (1, 7)]
+    texts = [fileio.drawing_json(D) for D in drawings]
+
+    def refuse(value, where):
+        raise AssertionError(f"{where}: {value!r} took the per-coordinate path")
+
+    if n > 2:
+        drawings.append(bent_convex_drawing(n, n))
+        texts.append(fileio.drawing_json(drawings[-1]))
+    monkeypatch.setattr(fileio, "_coord_in", refuse)
+    for D, text in zip(drawings, texts):
+        got = fileio.parse_drawing(text)
+        assert got == D
+        assert all(type(p) is Point for e in got.edges for p in e.curve.points)
 
 
 @pytest.mark.parametrize("literal", STRINGS)
