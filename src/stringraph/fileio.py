@@ -175,8 +175,8 @@ def _exact_curves(raws: list, lead=()) -> Optional[list[tuple[Point, ...]]]:
     """The points of lead, then of each curve raws[k]["points"], read in a
     few passes that run in C, when every entry of raws is a dict, every
     curve a list of at least two points, every point (of lead too) a
-    two-element list of ints and strs, and no two consecutive points of one
-    curve equal; None otherwise, and for a str that _check_digits would have
+    two-element list of ints and strs, and no two consecutive points of lead
+    or of one curve equal; None otherwise, and for a str that _check_digits would have
     to count or exact_coord refuses. Types are tested exactly, so true is
     refused. Int points become Points as they stand. Otherwise each distinct
     pair is converted once, and pairs of equal value share one Point ("1/2"
